@@ -13,8 +13,9 @@ Subcommands
     Run the identity/consistency suite; exits 3 if anything fails.
 
 Exit codes: 0 success, 1 usage error, 2 invalid instance data (bad p/k),
-3 check-suite failure.  All output is byte-deterministic for a given
-command line, including Monte Carlo results (seeds are mandatory).
+3 check-suite failure, 4 cost guard (a route's cost bound refuses the
+instance).  All output is byte-deterministic for a given command line,
+including Monte Carlo results (seeds are mandatory).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import json
 import sys
 
 from .model import build_instance
-from .quadrature import QuadratureSpec
+from .quadrature import CostGuardError, QuadratureSpec
 from .survival import DETERMINISTIC_ROUTES, RouteReport, compare_routes
 from .checks import run_check_suite
 
@@ -262,6 +263,9 @@ def _instances_from_args(args):
             raise UsageError(f"{args.input} is not valid JSON: {exc}")
         if not isinstance(records, list):
             raise UsageError("--input must contain a JSON list of {n, p, k} objects")
+        for idx, rec in enumerate(records):
+            if not isinstance(rec, dict):
+                raise ValueError(f"--input record {idx} is not a {{n, p, k}} object")
         return [(rec.get("n"), rec.get("p"), rec.get("k")) for rec in records]
     if args.n is None or args.p is None or args.k is None:
         raise UsageError("either --input or all of --n/--p/--k are required")
@@ -392,6 +396,9 @@ def run(argv=None) -> int:
     except ValueError as exc:
         print(f"invalid instance: {exc}", file=sys.stderr)
         return 2
+    except CostGuardError as exc:
+        print(f"cost guard: {exc}", file=sys.stderr)
+        return 4
 
 
 def main():

@@ -32,7 +32,13 @@ __all__ = [
 ]
 
 # Deterministic integration refuses more than this many integrand evaluations.
+# The guard bounds time only: nodes are streamed in blocks, so memory is a
+# fixed per-block amount whatever the node count.
 MAX_NODE_EVALS = 10**8
+
+# Nodes per block of the streamed tensor product.  Fixing it fixes the
+# reduction order, so results are reproducible for a given node count.
+_BLOCK_NODES = 1 << 16
 
 _MC_CHUNK = 1 << 16
 
@@ -144,36 +150,43 @@ def integrate_region(weights: ProbabilityWeights, logf, spec=None, s_ref=None):
     Returns
     -------
     (float, float)
-        The integral and its natural log.  The reduction runs in a fixed
-        order, so results are reproducible for a given node count.
+        The integral and its natural log.  Nodes are visited in blocks of
+        ``_BLOCK_NODES`` in a fixed order; each block is reduced with
+        ``np.sum`` and the block partials with ``math.fsum``, so results are
+        reproducible for a given node count.
     """
     spec = spec if spec is not None else QuadratureSpec()
     if spec.mode != "deterministic":
         raise ValueError("integrate_region requires a deterministic-mode spec")
     d = weights.d
     g = spec.nodes
-    if g**d > MAX_NODE_EVALS:
+    count = g**d
+    if count > MAX_NODE_EVALS:
         raise CostGuardError(
-            f"{g}^{d} = {g**d} node evaluations exceed the {MAX_NODE_EVALS} guard"
+            f"{g}^{d} = {count} node evaluations exceed the {MAX_NODE_EVALS} guard"
         )
     x, w = legendre_rule(g)
-
-    pts = np.zeros((1, 0))
-    wts = np.ones(1)
-    for i in range(d):
-        m = pts.shape[0]
-        upper = np.repeat(weights.prefix[i] - pts.sum(axis=1), g)
-        pts = np.column_stack([np.repeat(pts, g, axis=0), upper * np.tile(x, m)])
-        wts = np.repeat(wts, g) * upper * np.tile(w, m)
-
     ref = weights.p if s_ref is None else np.asarray(s_ref, dtype=float)
     shift = float(logf(ref.reshape(1, d))[0])
-    logs = np.asarray(logf(pts), dtype=float)
-    bad = ~np.isfinite(logs)
-    if np.any(bad):
-        where = pts[int(np.argmax(bad))]
-        raise ValueError(f"log-integrand not finite at interior node {where.tolist()}")
-    total = math.fsum((wts * np.exp(logs - shift)).tolist())
+
+    partials = []
+    for start in range(0, count, _BLOCK_NODES):
+        flat = np.arange(start, min(start + _BLOCK_NODES, count))
+        pts = np.empty((flat.size, d))
+        wts = np.ones(flat.size)
+        running_sum = np.zeros(flat.size)
+        for i, digit in enumerate(np.unravel_index(flat, (g,) * d)):
+            upper = weights.prefix[i] - running_sum
+            pts[:, i] = upper * x[digit]
+            running_sum += pts[:, i]
+            wts = wts * upper * w[digit]
+        logs = np.asarray(logf(pts), dtype=float)
+        bad = ~np.isfinite(logs)
+        if np.any(bad):
+            where = pts[int(np.argmax(bad))]
+            raise ValueError(f"log-integrand not finite at interior node {where.tolist()}")
+        partials.append(float(np.sum(wts * np.exp(logs - shift))))
+    total = math.fsum(partials)
     if total > 0.0:
         log_value = shift + math.log(total)
     else:

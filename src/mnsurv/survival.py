@@ -87,8 +87,12 @@ def survival_exact(instance: SurvivalInstance) -> float:
             recurse(axis + 1, used + x, logacc - logfact[x] + x * logp[axis])
 
     recurse(0, 0, base)
-    # the true value lies in [0, 1]; trim accumulated roundoff
-    return min(max(total + comp, 0.0), 1.0)
+    return _clamp_probability(total + comp)
+
+
+def _clamp_probability(value: float) -> float:
+    """The true value lies in [0, 1]; trim accumulated roundoff."""
+    return min(max(value, 0.0), 1.0)
 
 
 def survival_dirichlet(instance: SurvivalInstance, spec: QuadratureSpec | None = None) -> float:
@@ -106,7 +110,7 @@ def survival_dirichlet(instance: SurvivalInstance, spec: QuadratureSpec | None =
     value, _ = integrate_region(
         instance.weights, lambda s: log_dirichlet_integrand(instance, s), spec
     )
-    return value
+    return _clamp_probability(value)
 
 
 def survival_gaussian(instance: SurvivalInstance, spec: QuadratureSpec | None = None) -> float:
@@ -123,7 +127,7 @@ def survival_gaussian(instance: SurvivalInstance, spec: QuadratureSpec | None = 
     value, _ = integrate_region(
         instance.weights, lambda s: log_gaussian_integrand(instance, s), spec
     )
-    return value
+    return _clamp_probability(value)
 
 
 def survival_mc(instance: SurvivalInstance, replications: int, seed: int):

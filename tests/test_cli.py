@@ -86,6 +86,19 @@ class TestExitCodes:
     def test_validation_error_on_length_mismatch(self, capsys):
         assert run(["eval", "--n", "10", "--p", "0.3,0.3", "--k", "1"]) == 2
 
+    def test_validation_error_on_non_object_record(self, tmp_path, capsys):
+        batch = tmp_path / "batch.json"
+        batch.write_text("[5]")
+        assert run(["eval", "--input", str(batch)]) == 2
+        assert "invalid instance" in capsys.readouterr().err
+
+    def test_cost_guard_exit_code(self, capsys):
+        args = ["eval", "--n", "1000", "--p", "0.2,0.3,0.2", "--k", "180,300,200",
+                "--routes", "exact"]
+        assert run(args) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("cost guard: ") and err.count("\n") == 1
+
     def test_success(self, tmp_path):
         code, _ = run_to_file(
             tmp_path, ["eval", "--n", "4", "--p", "0.5", "--k", "2"]

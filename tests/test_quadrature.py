@@ -1,9 +1,13 @@
+import ast
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
+from mnsurv import quadrature
 from mnsurv import (
     CostGuardError,
     QuadratureSpec,
@@ -128,6 +132,74 @@ class TestIntegrateRegion:
             integrate_region(w, _const_logf, mc)
         with pytest.raises(ValueError):
             integrate_region_mc(w, _const_logf, QuadratureSpec(nodes=8))
+
+
+def _whole_tensor_integral(weights, logf, g):
+    """Reference: all g**d nodes built at once and reduced by one fsum."""
+    x, w = legendre_rule(g)
+    pts = np.zeros((1, 0))
+    wts = np.ones(1)
+    for i in range(weights.d):
+        m = pts.shape[0]
+        upper = np.repeat(weights.prefix[i] - pts.sum(axis=1), g)
+        pts = np.column_stack([np.repeat(pts, g, axis=0), upper * np.tile(x, m)])
+        wts = np.repeat(wts, g) * upper * np.tile(w, m)
+    shift = float(logf(weights.p.reshape(1, -1))[0])
+    return math.fsum((wts * np.exp(logf(pts) - shift)).tolist()) * math.exp(shift)
+
+
+class TestBlockedIntegration:
+    @pytest.mark.parametrize(
+        "n, p, k, g",
+        [
+            (60, [0.3, 0.2, 0.25], [15, 10, 12], 48),  # 110,592 nodes: two blocks
+            (50, [0.2, 0.25, 0.2, 0.15], [8, 10, 8, 6], 20),
+        ],
+    )
+    def test_matches_whole_tensor_reference(self, n, p, k, g):
+        inst = build_instance(n, p, k)
+        for logf in (
+            lambda s: log_dirichlet_integrand(inst, s),
+            lambda s: log_gaussian_integrand(inst, s),
+        ):
+            value, _ = integrate_region(inst.weights, logf, QuadratureSpec(nodes=g))
+            reference = _whole_tensor_integral(inst.weights, logf, g)
+            assert abs(value - reference) <= 1e-14 * reference
+
+    def test_nonfinite_in_later_block_names_its_node(self):
+        g = 48
+        assert g**3 > quadrature._BLOCK_NODES
+        w = make_weights([0.3, 0.2, 0.25])
+        x, _ = legendre_rule(g)
+        calls = []
+
+        def bad_late(s):
+            # the last first-axis nodes lie in the second block only
+            s = np.asarray(s)
+            calls.append(s.copy())
+            out = np.zeros(s.shape[0])
+            out[s[:, 0] > 0.3 * x[-3]] = -np.inf
+            return out
+
+        with pytest.raises(ValueError, match="not finite") as info:
+            integrate_region(w, bad_late, QuadratureSpec(nodes=g))
+        assert len(calls) == 3  # reference point, first block, second block
+        named = ast.literal_eval(re.search(r"\[.*\]", str(info.value)).group(0))
+        block = calls[-1]
+        first_bad = block[np.flatnonzero(block[:, 0] > 0.3 * x[-3])[0]]
+        assert named == first_bad.tolist()
+
+    def test_peak_memory_independent_of_node_count(self):
+        w = make_weights([0.2, 0.2, 0.2, 0.2])
+        tracemalloc.start()
+        try:
+            value, _ = integrate_region(w, _const_logf, QuadratureSpec(nodes=40))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # equal prefix steps h: volume h^d (d+1)^(d-1) / d! (parking functions)
+        assert value == pytest.approx(0.2**4 * 5**3 / 24, rel=1e-13)
+        assert peak < 32e6
 
 
 class TestSpecValidation:

@@ -201,6 +201,14 @@ class TestCompareRoutes:
         report = compare_routes(build_instance(4, [0.5], [9]))
         assert report.exact == report.dirichlet == report.gaussian == 0.0
 
+    @pytest.mark.parametrize("nodes", [16, 48])
+    def test_near_certain_event_stays_in_unit_interval(self, nodes):
+        # unclamped, the integral routes overshoot 1 by a few ulps here
+        inst = build_instance(23, [0.2885, 0.3243, 0.2731], [0, 0, 2])
+        report = compare_routes(inst, QuadratureSpec(nodes=nodes))
+        for value in (report.exact, report.dirichlet, report.gaussian):
+            assert 0.0 <= value <= 1.0
+
     def test_reduction_is_internal(self):
         # zero thresholds are fine: routes see the reduced instance
         report = compare_routes(build_instance(10, [0.2, 0.3, 0.1], [2, 0, 3]))
