@@ -12,9 +12,9 @@ Subcommands
 ``check``
     Run the identity/consistency suite; exits 3 if anything fails.
 
-Exit codes: 0 success, 1 usage error, 2 invalid instance data (bad p/k),
-3 check-suite failure, 4 cost guard (a route's cost bound refuses the
-instance).  All output is byte-deterministic for a given command line,
+Exit codes: 0 success, 1 usage error (bad flags, including --nodes and
+--mc-reps out of range), 2 invalid instance data (bad n/p/k), 3 check-suite
+failure, 4 cost guard (a route's cost bound refuses the instance).  All output is byte-deterministic for a given command line,
 including Monte Carlo results (seeds are mandatory).
 """
 
@@ -25,7 +25,7 @@ import json
 import sys
 
 from .model import build_instance
-from .quadrature import CostGuardError, QuadratureSpec
+from .quadrature import MAX_NODES, MIN_NODES, MIN_REPLICATIONS, CostGuardError, QuadratureSpec
 from .survival import DETERMINISTIC_ROUTES, RouteReport, compare_routes
 from .checks import run_check_suite
 
@@ -263,13 +263,24 @@ def _instances_from_args(args):
             raise UsageError(f"{args.input} is not valid JSON: {exc}")
         if not isinstance(records, list):
             raise UsageError("--input must contain a JSON list of {n, p, k} objects")
+        instances = []
         for idx, rec in enumerate(records):
             if not isinstance(rec, dict):
                 raise ValueError(f"--input record {idx} is not a {{n, p, k}} object")
-        return [(rec.get("n"), rec.get("p"), rec.get("k")) for rec in records]
+            try:
+                instances.append(build_instance(rec.get("n"), rec.get("p"), rec.get("k")))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"--input record {idx}: {exc}") from None
+        return instances
     if args.n is None or args.p is None or args.k is None:
         raise UsageError("either --input or all of --n/--p/--k are required")
-    return [(args.n, _float_list(args.p), _int_list(args.k))]
+    return [build_instance(args.n, _float_list(args.p), _int_list(args.k))]
+
+
+def _quadrature_spec(args):
+    if not MIN_NODES <= args.nodes <= MAX_NODES:
+        raise UsageError(f"--nodes must be in [{MIN_NODES}, {MAX_NODES}], got {args.nodes}")
+    return QuadratureSpec(nodes=args.nodes)
 
 
 def _mc_spec(args):
@@ -277,6 +288,8 @@ def _mc_spec(args):
         raise UsageError("--tolerance must be positive")
     if args.mc_reps is None:
         return None
+    if args.mc_reps < MIN_REPLICATIONS:
+        raise UsageError(f"--mc-reps must be >= {MIN_REPLICATIONS}, got {args.mc_reps}")
     if args.seed is None:
         raise UsageError("--seed is required whenever MC is requested")
     return QuadratureSpec(
@@ -294,16 +307,15 @@ def _write(args, payload: bytes):
 
 
 def _run_eval(args, routes):
-    spec = QuadratureSpec(nodes=args.nodes)
+    spec = _quadrature_spec(args)
     base_mc = _mc_spec(args)
     if routes is not None and "mc" in routes and base_mc is None:
         raise UsageError("route 'mc' requires --mc-reps and --seed")
-    triples = _instances_from_args(args)
+    instances = _instances_from_args(args)
     reports = []
-    for idx, (n, p, k) in enumerate(triples):
-        inst = build_instance(n, p, k)
+    for idx, inst in enumerate(instances):
         mc = base_mc
-        if mc is not None and len(triples) > 1:
+        if mc is not None and len(instances) > 1:
             mc = QuadratureSpec(mode="monte-carlo", replications=mc.replications,
                                 seed=mc.seed + idx)
         reports.append(
@@ -314,7 +326,7 @@ def _run_eval(args, routes):
 
 
 def _run_sweep(args):
-    spec = QuadratureSpec(nodes=args.nodes)
+    spec = _quadrature_spec(args)
     base_mc = _mc_spec(args)
     p = _float_list(args.p)
     d = len(p)

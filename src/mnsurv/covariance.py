@@ -28,6 +28,7 @@ __all__ = [
     "quad_form",
     "bilinear_form",
     "log_mvn_density",
+    "last_axis_sum",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -77,7 +78,8 @@ def quad_form(weights: ProbabilityWeights, x) -> float | np.ndarray:
     drops the last axis.  Equals ``sum(x_i^2 / p_i) + (sum x_i)^2 / p_last``.
     """
     x = _check_last_axis(weights, x)
-    total = np.sum(x * x / weights.p, axis=-1) + np.sum(x, axis=-1) ** 2 / weights.p_last
+    total = _scaled_dot(x, x, weights.p)
+    total += last_axis_sum(x) ** 2 / weights.p_last
     return total if total.ndim else float(total)
 
 
@@ -85,9 +87,8 @@ def bilinear_form(weights: ProbabilityWeights, x, y) -> float | np.ndarray:
     """Bilinear form ``x^T Sigma^-1 y``; broadcasts over leading axes."""
     x = _check_last_axis(weights, x)
     y = _check_last_axis(weights, y)
-    total = np.sum(x * y / weights.p, axis=-1) + (
-        np.sum(x, axis=-1) * np.sum(y, axis=-1) / weights.p_last
-    )
+    total = _scaled_dot(x, y, weights.p)
+    total += last_axis_sum(x) * last_axis_sum(y) / weights.p_last
     return total if total.ndim else float(total)
 
 
@@ -102,6 +103,31 @@ def log_mvn_density(weights: ProbabilityWeights, x) -> float | np.ndarray:
     """
     q = quad_form(weights, x)
     return -0.5 * q - 0.5 * (weights.d * _LOG_2PI + log_det(weights))
+
+
+# Sums over the last axis below go one coordinate at a time from the first.
+# A batch of points stored in Fortran order has each coordinate as one
+# contiguous column, so every step is a single long vector operation with
+# column-sized temporaries, and the fixed left-to-right order gives the same
+# bits for C- and Fortran-ordered input.
+
+def last_axis_sum(x) -> np.ndarray:
+    """``sum_i x_i`` over the last axis."""
+    total = np.array(x[..., 0])
+    for i in range(1, x.shape[-1]):
+        total += x[..., i]
+    return total
+
+
+def _scaled_dot(x, y, p):
+    """``sum_i x_i y_i / p_i`` over the last axis; broadcasts ``x`` and ``y``."""
+    total = x[..., 0] * y[..., 0]
+    total /= p[0]
+    for i in range(1, p.shape[0]):
+        term = x[..., i] * y[..., i]
+        term /= p[i]
+        total += term
+    return total
 
 
 def _check_last_axis(weights: ProbabilityWeights, x) -> np.ndarray:

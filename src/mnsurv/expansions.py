@@ -32,6 +32,7 @@ from .covariance import (
     CovarianceStructure,
     bilinear_form,
     covariance_structure,
+    last_axis_sum,
     log_mvn_density,
     quad_form,
 )
@@ -57,8 +58,6 @@ __all__ = [
     "log_dirichlet_integrand",
     "log_gaussian_integrand",
 ]
-
-_LOG_2PI = math.log(2.0 * math.pi)
 
 # ln(m!) for m = 0..20 by exact summation of ln(j).
 _LOG_FACTORIAL_TABLE = tuple(
@@ -229,15 +228,14 @@ def gamma_star(instance: SurvivalInstance, s) -> float | np.ndarray:
     """
     _require_n_positive(instance)
     full = _simplex_point(instance, s, require_interior=True)
-    first = _entropy_first_sum(instance, full)
+    out = _entropy_first_sum(instance, full)
     d = instance.d
     diff = full[..., :d] - instance.weights.p
     et = instance.eps_tilde[:d]
-    bracket = bilinear_form(instance.weights, et, diff) - 0.5 * quad_form(
-        instance.weights, diff
-    )
-    out = first - bracket
-    return out if isinstance(out, np.ndarray) and out.ndim else float(out)
+    bracket = bilinear_form(instance.weights, et, diff)
+    bracket -= 0.5 * quad_form(instance.weights, diff)
+    out -= bracket
+    return out if out.ndim else float(out)
 
 
 def entropy_lhs(instance: SurvivalInstance, s) -> float | np.ndarray:
@@ -298,38 +296,56 @@ def log_dirichlet_integrand(instance: SurvivalInstance, s) -> float | np.ndarray
     const = log_factorial(instance.N + instance.d) - math.fsum(
         log_factorial(int(j)) for j in J
     )
-    mask = J > 0
     with np.errstate(divide="ignore"):
-        out = const + np.log(full[..., mask]) @ J[mask].astype(float)
-    return out if isinstance(out, np.ndarray) and out.ndim else float(out)
+        out = _weighted_log_sum(full, J.astype(float))
+    out += const
+    return out if out.ndim else float(out)
 
 
-def log_gaussian_integrand(instance: SurvivalInstance, s) -> float | np.ndarray:
+def log_gaussian_integrand(
+    instance: SurvivalInstance | ExpansionContext, s
+) -> float | np.ndarray:
     """Log of the Gaussian-representation integrand.
 
-    ``delta_n + N*gamma_star(s) + (d/2) ln N + ln phi(sqrt(N) (p - s + et))``
+    ``delta_n + (d/2) ln N + N*gamma_star(s) + ln phi(sqrt(N) (p - s + et))``
     with ``phi`` the centered normal density for the multinomial covariance
     kernel.  Pointwise equal to :func:`log_dirichlet_integrand` on the
-    interior; requires ``J_i >= 1`` for every cell.
+    interior; requires ``J_i >= 1`` for every cell.  An
+    :class:`ExpansionContext` may stand in for the instance, so repeated
+    calls (one per quadrature block) reuse its ``delta_n``.
     """
-    _require_gaussian(instance)
+    ctx = instance if isinstance(instance, ExpansionContext) else expansion_context(instance)
+    instance = ctx.instance
     full = _simplex_point(instance, s, require_interior=True)
     d = instance.d
     N = instance.N
-    gs = gamma_star(instance, full)
-    z = math.sqrt(N) * (instance.weights.p - full[..., :d] + instance.eps_tilde[:d])
-    out = (
-        delta_n(instance)
-        + N * np.asarray(gs)
-        + 0.5 * d * math.log(N)
-        + log_mvn_density(instance.weights, z)
-    )
-    return out if isinstance(out, np.ndarray) and out.ndim else float(out)
+    out = np.asarray(gamma_star(instance, full)) * N
+    out += ctx.delta_n + 0.5 * d * math.log(N)
+    z = instance.weights.p - full[..., :d]
+    z += instance.eps_tilde[:d]
+    z *= math.sqrt(N)
+    out += log_mvn_density(instance.weights, z)
+    return out if out.ndim else float(out)
 
 
 def _entropy_first_sum(instance, full):
-    jn = instance.J / instance.N
-    return np.log(full / instance.weights.p_full) @ jn
+    return _weighted_log_sum(full, instance.J / instance.N, instance.weights.p_full)
+
+
+def _weighted_log_sum(full, coef, scale=None):
+    """``sum_i coef_i ln(full_i / scale_i)`` over the last axis.
+
+    Cells with ``coef_i = 0`` are skipped, so they contribute exactly 0 even
+    where ``full_i = 0``.  Cells are taken one at a time in order, so the
+    result does not depend on the memory layout.
+    """
+    out = np.zeros(full.shape[:-1])
+    for i, c in enumerate(coef.tolist()):
+        if c:
+            col = np.log(full[..., i] if scale is None else full[..., i] / scale[i])
+            col *= c
+            out += col
+    return out
 
 
 def _simplex_point(instance, s, require_interior):
@@ -343,8 +359,11 @@ def _simplex_point(instance, s, require_interior):
     if s.ndim == 0:
         raise ValueError("s must have at least one axis")
     if s.shape[-1] == d:
-        last = 1.0 - np.sum(s, axis=-1, keepdims=True)
-        full = np.concatenate([s, last], axis=-1)
+        # same memory order as s, so Fortran-ordered batches keep
+        # contiguous columns
+        full = np.empty_like(s, shape=s.shape[:-1] + (d + 1,))
+        full[..., :d] = s
+        np.subtract(1.0, last_axis_sum(s), out=full[..., d])
     elif s.shape[-1] == d + 1:
         full = s
     else:

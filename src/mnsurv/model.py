@@ -107,7 +107,7 @@ def make_thresholds(k) -> Thresholds:
         raise ValueError("k must be a non-empty 1-d vector")
     if not np.issubdtype(k.dtype, np.integer):
         kf = np.asarray(k, dtype=float)
-        if not np.all(kf == np.floor(kf)):
+        if not np.all(np.isfinite(kf) & (kf == np.floor(kf))):
             raise ValueError("thresholds must be integers")
         k = kf.astype(np.int64)
     if np.any(k < 0):
@@ -199,7 +199,11 @@ def build_instance(n, p, k) -> SurvivalInstance:
     and zero thresholds merely make the instance ineligible for the integral
     routes until :func:`reduce_thresholds` is applied.
     """
-    if int(n) != n or n < 1:
+    try:
+        valid = int(n) == n and n >= 1
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     n = int(n)
     weights = make_weights(p)

@@ -29,14 +29,22 @@ __all__ = [
     "integrate_region",
     "integrate_region_mc",
     "MAX_NODE_EVALS",
+    "MIN_NODES",
+    "MAX_NODES",
+    "MIN_REPLICATIONS",
 ]
+
+# Accepted Gauss-Legendre nodes per axis, and the smallest Monte Carlo sample.
+MIN_NODES, MAX_NODES = 2, 128
+MIN_REPLICATIONS = 1000
 
 # Deterministic integration refuses more than this many integrand evaluations.
 # The guard bounds time only: nodes are streamed in blocks, so memory is a
 # fixed per-block amount whatever the node count.
 MAX_NODE_EVALS = 10**8
 
-# Nodes per block of the streamed tensor product.  Fixing it fixes the
+# Most nodes per block of the streamed tensor product; a block holds
+# ``_BLOCK_NODES // nodes`` whole outer prefixes.  Fixing it fixes the
 # reduction order, so results are reproducible for a given node count.
 _BLOCK_NODES = 1 << 16
 
@@ -72,11 +80,13 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.mode not in ("deterministic", "monte-carlo"):
             raise ValueError(f"unknown quadrature mode {self.mode!r}")
-        if not 2 <= self.nodes <= 128:
-            raise ValueError(f"nodes must be in [2, 128], got {self.nodes}")
+        if not MIN_NODES <= self.nodes <= MAX_NODES:
+            raise ValueError(f"nodes must be in [{MIN_NODES}, {MAX_NODES}], got {self.nodes}")
         if self.mode == "monte-carlo":
-            if self.replications is None or self.replications < 1000:
-                raise ValueError("monte-carlo mode requires replications >= 1000")
+            if self.replications is None or self.replications < MIN_REPLICATIONS:
+                raise ValueError(
+                    f"monte-carlo mode requires replications >= {MIN_REPLICATIONS}"
+                )
             if self.seed is None:
                 raise ValueError("monte-carlo mode requires an explicit seed")
 
@@ -95,8 +105,8 @@ def legendre_rule(nodes: int):
     (ndarray, ndarray)
         Nodes in increasing order, strictly inside (0, 1), and weights.
     """
-    if not 2 <= nodes <= 128:
-        raise ValueError(f"nodes must be in [2, 128], got {nodes}")
+    if not MIN_NODES <= nodes <= MAX_NODES:
+        raise ValueError(f"nodes must be in [{MIN_NODES}, {MAX_NODES}], got {nodes}")
     g = nodes
     k = np.arange(1, g + 1)
     x = np.cos(np.pi * (k - 0.25) / (g + 0.5))
@@ -140,7 +150,8 @@ def integrate_region(weights: ProbabilityWeights, logf, spec=None, s_ref=None):
         Defines the nested region via its prefix sums.
     logf : callable
         Log-integrand; must accept an ``(m, d)`` array of points and return
-        ``(m,)`` log-values, finite on the open interior.
+        ``(m,)`` log-values, finite on the open interior.  Node blocks come
+        in Fortran order, one contiguous column per coordinate.
     spec : QuadratureSpec, optional
         Deterministic-mode parameters; defaults to 48 nodes per axis.
     s_ref : array_like, optional
@@ -150,10 +161,11 @@ def integrate_region(weights: ProbabilityWeights, logf, spec=None, s_ref=None):
     Returns
     -------
     (float, float)
-        The integral and its natural log.  Nodes are visited in blocks of
-        ``_BLOCK_NODES`` in a fixed order; each block is reduced with
-        ``np.sum`` and the block partials with ``math.fsum``, so results are
-        reproducible for a given node count.
+        The integral and its natural log.  Nodes are visited in a fixed
+        order, in blocks of whole outer prefixes (at most ``_BLOCK_NODES``
+        nodes).  Each block is reduced with ``np.sum`` and the block
+        partials with ``math.fsum``, so results are reproducible for a given
+        node count.
     """
     spec = spec if spec is not None else QuadratureSpec()
     if spec.mode != "deterministic":
@@ -169,23 +181,39 @@ def integrate_region(weights: ProbabilityWeights, logf, spec=None, s_ref=None):
     ref = weights.p if s_ref is None else np.asarray(s_ref, dtype=float)
     shift = float(logf(ref.reshape(1, d))[0])
 
+    # A block is a run of outer prefixes (axes 1..d-1) times all g innermost
+    # nodes; each prefix's coordinates and partial weight are built once.
+    outer = (g,) * (d - 1)
+    rows_total = g ** (d - 1)
+    rows_per_block = _BLOCK_NODES // g
     partials = []
-    for start in range(0, count, _BLOCK_NODES):
-        flat = np.arange(start, min(start + _BLOCK_NODES, count))
-        pts = np.empty((flat.size, d))
-        wts = np.ones(flat.size)
-        running_sum = np.zeros(flat.size)
-        for i, digit in enumerate(np.unravel_index(flat, (g,) * d)):
+    for start in range(0, rows_total, rows_per_block):
+        rows = np.arange(start, min(start + rows_per_block, rows_total))
+        digits = np.unravel_index(rows, outer) if d > 1 else ()
+        # Fortran order: each coordinate is one contiguous column, seen here
+        # as a (rows, g) grid.
+        pts = np.empty((rows.size * g, d), order="F")
+        grid = pts.T.reshape(d, rows.size, g)
+        row_wts = np.ones(rows.size)
+        running_sum = np.zeros(rows.size)
+        for i, digit in enumerate(digits):
             upper = weights.prefix[i] - running_sum
-            pts[:, i] = upper * x[digit]
-            running_sum += pts[:, i]
-            wts = wts * upper * w[digit]
+            si = upper * x[digit]
+            grid[i] = si[:, None]
+            running_sum += si
+            row_wts = row_wts * upper * w[digit]
+        upper = weights.prefix[d - 1] - running_sum
+        np.multiply.outer(upper, x, out=grid[d - 1])
+        wts = np.multiply.outer(row_wts * upper, w).ravel()
         logs = np.asarray(logf(pts), dtype=float)
         bad = ~np.isfinite(logs)
         if np.any(bad):
             where = pts[int(np.argmax(bad))]
             raise ValueError(f"log-integrand not finite at interior node {where.tolist()}")
-        partials.append(float(np.sum(wts * np.exp(logs - shift))))
+        terms = logs - shift
+        np.exp(terms, out=terms)
+        terms *= wts
+        partials.append(float(np.sum(terms)))
     total = math.fsum(partials)
     if total > 0.0:
         log_value = shift + math.log(total)

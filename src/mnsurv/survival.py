@@ -19,9 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expansions import delta_n, gamma_tilde, log_dirichlet_integrand, log_gaussian_integrand
+from .expansions import (
+    delta_n,
+    expansion_context,
+    gamma_tilde,
+    log_dirichlet_integrand,
+    log_gaussian_integrand,
+)
 from .model import SurvivalInstance, build_instance, reduce_thresholds
-from .quadrature import CostGuardError, QuadratureSpec, integrate_region
+from .quadrature import MIN_REPLICATIONS, CostGuardError, QuadratureSpec, integrate_region
 
 __all__ = [
     "MAX_LATTICE_POINTS",
@@ -124,8 +130,9 @@ def survival_gaussian(instance: SurvivalInstance, spec: QuadratureSpec | None = 
     reason = instance.gaussian_block_reason
     if reason is not None:
         raise ValueError(f"inapplicable (Gaussian route requires J_i >= 1): {reason}")
+    ctx = expansion_context(instance)
     value, _ = integrate_region(
-        instance.weights, lambda s: log_gaussian_integrand(instance, s), spec
+        instance.weights, lambda s: log_gaussian_integrand(ctx, s), spec
     )
     return _clamp_probability(value)
 
@@ -143,8 +150,8 @@ def survival_mc(instance: SurvivalInstance, replications: int, seed: int):
         Frequency estimate and its binomial standard error; fully determined
         by ``(seed, replications)``.
     """
-    if replications < 1000:
-        raise ValueError("replications must be >= 1000")
+    if replications < MIN_REPLICATIONS:
+        raise ValueError(f"replications must be >= {MIN_REPLICATIONS}")
     n, d = instance.n, instance.d
     kappa = instance.kappa
     prefix = instance.weights.prefix
@@ -239,21 +246,12 @@ def compare_routes(
     gaussian_reason = None
     dn = gt = None
 
-    if reduced is None:
-        # every constraint vacuous
-        if "exact" in routes:
-            exact = 1.0
-        if "dirichlet" in routes:
-            dirichlet = 1.0
-        if "gaussian" in routes:
-            gaussian = 1.0
-    elif reduced.impossible:
-        if "exact" in routes:
-            exact = 0.0
-        if "dirichlet" in routes:
-            dirichlet = 0.0
-        if "gaussian" in routes:
-            gaussian = 0.0
+    if reduced is None or reduced.impossible:
+        # every constraint vacuous (probability 1) or the event impossible (0)
+        value = 1.0 if reduced is None else 0.0
+        exact, dirichlet, gaussian = (
+            value if route in routes else None for route in DETERMINISTIC_ROUTES
+        )
     else:
         if "exact" in routes:
             exact = survival_exact(reduced)

@@ -92,6 +92,29 @@ class TestExitCodes:
         assert run(["eval", "--input", str(batch)]) == 2
         assert "invalid instance" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "record",
+        ['{"x": 1}', '{"n": null, "p": [0.3], "k": [1]}', '{"n": 1e999, "p": [0.3], "k": [1]}'],
+    )
+    def test_validation_error_on_record_without_valid_n(self, tmp_path, capsys, record):
+        batch = tmp_path / "batch.json"
+        batch.write_text(f'[{{"n": 5, "p": [0.3], "k": [1]}}, {record}]')
+        assert run(["eval", "--input", str(batch)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid instance: --input record 1: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["eval", "compare", "sweep"])
+    @pytest.mark.parametrize("nodes", ["1", "129"])
+    def test_usage_error_on_nodes_out_of_range(self, capsys, command, nodes):
+        assert run([command, "--n", "4", "--p", "0.5", "--k", "2", "--nodes", nodes]) == 1
+        assert capsys.readouterr().err.startswith("usage error: --nodes")
+
+    @pytest.mark.parametrize("command", ["eval", "compare", "sweep"])
+    def test_usage_error_on_too_few_mc_reps(self, capsys, command):
+        args = [command, "--n", "4", "--p", "0.5", "--k", "2", "--mc-reps", "999", "--seed", "1"]
+        assert run(args) == 1
+        assert capsys.readouterr().err.startswith("usage error: --mc-reps")
+
     def test_cost_guard_exit_code(self, capsys):
         args = ["eval", "--n", "1000", "--p", "0.2,0.3,0.2", "--k", "180,300,200",
                 "--routes", "exact"]

@@ -352,6 +352,31 @@ class TestIntegrands:
                 1 / (12 * j) for j in inst.J
             )
 
+    @pytest.mark.parametrize(
+        "n, p, k",
+        [(40, [0.2, 0.25, 0.2, 0.15], [6, 9, 7, 5]), (12, [0.3, 0.3], [3, 4]), (9, [0.4], [3])],
+    )
+    def test_memory_order_does_not_change_values(self, n, p, k):
+        inst = build_instance(n, p, k)
+        rng = np.random.default_rng(34)
+        pts = np.vstack([_interior(rng, inst) for _ in range(500)])
+        fortran = np.asfortranarray(pts)
+        assert pts.flags.c_contiguous and fortran.flags.f_contiguous
+        ctx = expansion_context(inst)
+        for logf in (
+            lambda s: log_dirichlet_integrand(inst, s),
+            lambda s: log_gaussian_integrand(inst, s),
+            lambda s: log_gaussian_integrand(ctx, s),
+        ):
+            np.testing.assert_allclose(logf(fortran), logf(pts), rtol=1e-15, atol=0)
+
+    def test_context_stands_in_for_instance(self):
+        inst = build_instance(40, [0.2, 0.25, 0.2, 0.15], [6, 9, 7, 5])
+        pts = np.vstack([_interior(np.random.default_rng(35), inst) for _ in range(50)])
+        ctx = expansion_context(inst)
+        assert np.array_equal(log_gaussian_integrand(ctx, pts), log_gaussian_integrand(inst, pts))
+        assert log_gaussian_integrand(ctx, pts[0]) == log_gaussian_integrand(inst, pts[0])
+
 
 def _interior(rng, inst):
     s = np.empty(inst.d)

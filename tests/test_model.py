@@ -47,6 +47,10 @@ class TestBuildInstance:
             (10, [0.3], [-1]),              # negative threshold
             (10, [0.3], [1.5]),             # non-integer threshold
             (0, [0.3], [1]),                # n < 1
+            (None, [0.3], [1]),             # n missing
+            ("5", [0.3], [1]),              # n not a number
+            (float("inf"), [0.3], [1]),     # n infinite
+            (10, [0.3], [float("inf")]),    # infinite threshold
         ],
     )
     def test_rejects_invalid_inputs(self, n, p, k):

@@ -134,8 +134,8 @@ class TestIntegrateRegion:
             integrate_region_mc(w, _const_logf, QuadratureSpec(nodes=8))
 
 
-def _whole_tensor_integral(weights, logf, g):
-    """Reference: all g**d nodes built at once and reduced by one fsum."""
+def _whole_tensor_nodes(weights, g):
+    """Reference: all g**d nodes and weights, built at once axis by axis."""
     x, w = legendre_rule(g)
     pts = np.zeros((1, 0))
     wts = np.ones(1)
@@ -144,6 +144,12 @@ def _whole_tensor_integral(weights, logf, g):
         upper = np.repeat(weights.prefix[i] - pts.sum(axis=1), g)
         pts = np.column_stack([np.repeat(pts, g, axis=0), upper * np.tile(x, m)])
         wts = np.repeat(wts, g) * upper * np.tile(w, m)
+    return pts, wts
+
+
+def _whole_tensor_integral(weights, logf, g):
+    """Reference: all g**d nodes built at once and reduced by one fsum."""
+    pts, wts = _whole_tensor_nodes(weights, g)
     shift = float(logf(weights.p.reshape(1, -1))[0])
     return math.fsum((wts * np.exp(logf(pts) - shift)).tolist()) * math.exp(shift)
 
@@ -189,6 +195,46 @@ class TestBlockedIntegration:
         first_bad = block[np.flatnonzero(block[:, 0] > 0.3 * x[-3])[0]]
         assert named == first_bad.tolist()
 
+    @pytest.mark.parametrize(
+        "n, p, k, g",
+        [
+            (20, [0.3], [6], 36),
+            (25, [0.3, 0.25], [6, 5], 36),
+            (30, [0.3, 0.2, 0.25], [8, 5, 6], 48),  # two blocks
+            (40, [0.2, 0.25, 0.2, 0.15], [6, 9, 7, 5], 20),  # three blocks
+        ],
+    )
+    def test_nodes_match_whole_tensor_bit_for_bit(self, n, p, k, g):
+        # g does not divide the block size, so blocks hold whole prefixes only
+        assert quadrature._BLOCK_NODES % g
+        inst = build_instance(n, p, k)
+        seen = []
+
+        def logf(s):
+            seen.append(np.array(s))
+            return log_dirichlet_integrand(inst, s)
+
+        value, _ = integrate_region(inst.weights, logf, QuadratureSpec(nodes=g))
+        recorded = np.concatenate(seen[1:])  # the first call is the reference point
+        reference, _ = _whole_tensor_nodes(inst.weights, g)
+        assert recorded.shape == reference.shape == (g**inst.d, inst.d)
+        assert max(block.shape[0] for block in seen) <= quadrature._BLOCK_NODES
+        assert np.array_equal(_sorted_rows(recorded), _sorted_rows(reference))
+        expected = _whole_tensor_integral(
+            inst.weights, lambda s: log_dirichlet_integrand(inst, s), g
+        )
+        assert abs(value - expected) <= 1e-14 * expected
+
+    def test_repeated_integral_is_bit_identical(self):
+        inst = build_instance(50, [0.2, 0.25, 0.2, 0.15], [8, 10, 8, 6])
+        spec = QuadratureSpec(nodes=20)
+        for logf in (
+            lambda s: log_dirichlet_integrand(inst, s),
+            lambda s: log_gaussian_integrand(inst, s),
+        ):
+            first = integrate_region(inst.weights, logf, spec)
+            assert integrate_region(inst.weights, logf, spec) == first
+
     def test_peak_memory_independent_of_node_count(self):
         w = make_weights([0.2, 0.2, 0.2, 0.2])
         tracemalloc.start()
@@ -200,6 +246,10 @@ class TestBlockedIntegration:
         # equal prefix steps h: volume h^d (d+1)^(d-1) / d! (parking functions)
         assert value == pytest.approx(0.2**4 * 5**3 / 24, rel=1e-13)
         assert peak < 32e6
+
+
+def _sorted_rows(pts):
+    return pts[np.lexsort(pts.T[::-1])]
 
 
 class TestSpecValidation:
