@@ -13,8 +13,9 @@ Subcommands
     Run the identity/consistency suite; exits 3 if anything fails.
 
 Exit codes: 0 success, 1 usage error (bad flags, including --nodes and
---mc-reps out of range), 2 invalid instance data (bad n/p/k), 3 check-suite
-failure, 4 cost guard (a route's cost bound refuses the instance).  All output is byte-deterministic for a given command line,
+--mc-reps out of range and a negative --seed), 2 invalid instance data (bad
+n/p/k), 3 check-suite failure, 4 cost guard (a route's cost bound refuses
+the instance).  All output is byte-deterministic for a given command line,
 including Monte Carlo results (seeds are mandatory).
 """
 
@@ -283,9 +284,15 @@ def _quadrature_spec(args):
     return QuadratureSpec(nodes=args.nodes)
 
 
+def _check_seed(args):
+    if args.seed is not None and args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
+
+
 def _mc_spec(args):
     if args.tolerance <= 0.0:
         raise UsageError("--tolerance must be positive")
+    _check_seed(args)
     if args.mc_reps is None:
         return None
     if args.mc_reps < MIN_REPLICATIONS:
@@ -365,6 +372,7 @@ def _enumerate_thresholds(d, n, prefix=()):
 def _run_check(args):
     if args.tol <= 0.0 or args.identity_tol <= 0.0:
         raise UsageError("tolerances must be positive")
+    _check_seed(args)
     results = run_check_suite(
         seed=args.seed, route_tol=args.tol, identity_tol=args.identity_tol
     )

@@ -29,6 +29,7 @@ __all__ = [
     "bilinear_form",
     "log_mvn_density",
     "last_axis_sum",
+    "as_columns",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -74,64 +75,112 @@ def sigma_inverse_entry(weights: ProbabilityWeights, i: int, j: int) -> float:
 def quad_form(weights: ProbabilityWeights, x) -> float | np.ndarray:
     """Quadratic form ``x^T Sigma^-1 x`` via the closed-form inverse.
 
-    ``x`` may be a single d-vector or an array of shape (..., d); the result
-    drops the last axis.  Equals ``sum(x_i^2 / p_i) + (sum x_i)^2 / p_last``.
+    ``x`` may be a single d-vector, an array of shape (..., d) or a tuple of
+    d broadcastable coordinate columns (see :func:`as_columns`); the result
+    has the leading (broadcast) shape.  Equals
+    ``sum(x_i^2 / p_i) + (sum x_i)^2 / p_last``.
     """
-    x = _check_last_axis(weights, x)
-    total = _scaled_dot(x, x, weights.p)
-    total += last_axis_sum(x) ** 2 / weights.p_last
-    return total if total.ndim else float(total)
+    return _scalar_or_array(_quad_form(weights, _checked_columns(weights, x)))
 
 
 def bilinear_form(weights: ProbabilityWeights, x, y) -> float | np.ndarray:
     """Bilinear form ``x^T Sigma^-1 y``; broadcasts over leading axes."""
-    x = _check_last_axis(weights, x)
-    y = _check_last_axis(weights, y)
+    x = _checked_columns(weights, x)
+    y = _checked_columns(weights, y)
     total = _scaled_dot(x, y, weights.p)
-    total += last_axis_sum(x) * last_axis_sum(y) / weights.p_last
-    return total if total.ndim else float(total)
+    cross = _column_sum(x) * _column_sum(y)
+    cross /= weights.p_last
+    return _scalar_or_array(_add_into(total, cross))
 
 
 def log_det(weights: ProbabilityWeights) -> float:
     return float(np.sum(np.log(weights.p_full)))
 
 
-def log_mvn_density(weights: ProbabilityWeights, x) -> float | np.ndarray:
+def log_mvn_density(weights, x) -> float | np.ndarray:
     """Log-density at ``x`` of the centered normal with covariance ``Sigma``.
 
-    Accepts a single point or an array of shape (..., d).
+    Accepts a single point, an array of shape (..., d) or a tuple of
+    coordinate columns.  ``weights`` may be a :class:`CovarianceStructure`,
+    whose stored log-determinant is then used instead of recomputing it.
     """
-    q = quad_form(weights, x)
-    return -0.5 * q - 0.5 * (weights.d * _LOG_2PI + log_det(weights))
+    if isinstance(weights, CovarianceStructure):
+        weights, ld = weights.weights, weights.log_det
+    else:
+        ld = log_det(weights)
+    out = _quad_form(weights, _checked_columns(weights, x))
+    out *= -0.5
+    out -= 0.5 * (weights.d * _LOG_2PI + ld)
+    return _scalar_or_array(out)
 
 
-# Sums over the last axis below go one coordinate at a time from the first.
-# A batch of points stored in Fortran order has each coordinate as one
-# contiguous column, so every step is a single long vector operation with
-# column-sized temporaries, and the fixed left-to-right order gives the same
-# bits for C- and Fortran-ordered input.
+# Batches of points travel as coordinate columns: one array per coordinate,
+# all mutually broadcastable.  A quadrature block passes its outer
+# coordinates as (rows, 1) columns, so any work done on them alone runs once
+# per row.  Sums over coordinates go left to right from the first column,
+# growing to the broadcast shape only when a larger column joins, which
+# gives the same bits as summing the materialised points column by column.
+
+def as_columns(x) -> tuple:
+    """Coordinate columns of a point or a batch of points.
+
+    A tuple is taken as the columns themselves; anything else is read as an
+    array of shape (..., k) and split into the views ``x[..., i]`` (numpy
+    scalars for a single point).
+    """
+    if isinstance(x, tuple):
+        return tuple([np.asarray(c, dtype=float) for c in x])
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        raise ValueError("a point needs at least one axis")
+    return tuple(x.transpose(-1, *range(x.ndim - 1)))
+
 
 def last_axis_sum(x) -> np.ndarray:
-    """``sum_i x_i`` over the last axis."""
-    total = np.array(x[..., 0])
-    for i in range(1, x.shape[-1]):
-        total += x[..., i]
+    """``sum_i x_i`` over the coordinates, as a new array."""
+    return _column_sum(as_columns(x))
+
+
+def _column_sum(x):
+    total = np.array(x[0])
+    for col in x[1:]:
+        total = _add_into(total, col)
     return total
+
+
+def _quad_form(weights, x):
+    total = _scaled_dot(x, x, weights.p)
+    square = _column_sum(x)
+    square *= square
+    square /= weights.p_last
+    return _add_into(total, square)
 
 
 def _scaled_dot(x, y, p):
-    """``sum_i x_i y_i / p_i`` over the last axis; broadcasts ``x`` and ``y``."""
-    total = x[..., 0] * y[..., 0]
+    """``sum_i x_i y_i / p_i`` over the columns; broadcasts ``x`` and ``y``."""
+    total = x[0] * y[0]
     total /= p[0]
     for i in range(1, p.shape[0]):
-        term = x[..., i] * y[..., i]
+        term = x[i] * y[i]
         term /= p[i]
-        total += term
+        total = _add_into(total, term)
     return total
 
 
-def _check_last_axis(weights: ProbabilityWeights, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0 or x.shape[-1] != weights.d:
-        raise ValueError(f"last axis must have length {weights.d}, got shape {x.shape}")
-    return x
+def _add_into(total, term):
+    """``total + term``, in place unless ``term`` has the larger shape."""
+    if term.ndim > total.ndim or term.size > total.size:
+        return total + term
+    total += term
+    return total
+
+
+def _scalar_or_array(value):
+    return value if value.ndim else float(value)
+
+
+def _checked_columns(weights: ProbabilityWeights, x) -> tuple:
+    cols = as_columns(x)
+    if len(cols) != weights.d:
+        raise ValueError(f"points must have {weights.d} coordinates, got {len(cols)}")
+    return cols

@@ -16,25 +16,31 @@ times an exact exponential tilt:
 * ``log_dirichlet_integrand`` / ``log_gaussian_integrand``: the two log-space
   integrands, equal pointwise on the interior of the region.
 
-All point-evaluating functions are vectorized over a leading batch axis: a
+All point-evaluating functions are vectorized over leading batch axes: a
 point is the last axis of length d (free coordinates) or d+1 (full simplex
-coordinates).
+coordinates).  A batch may also come as a tuple of broadcastable coordinate
+columns (see :func:`mnsurv.covariance.as_columns`), which is how the
+quadrature hands over its blocks; arrays are split into such columns on
+entry, so both forms take the same path and give the same bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .covariance import (
     CovarianceStructure,
+    as_columns,
     bilinear_form,
     covariance_structure,
     last_axis_sum,
     log_mvn_density,
     quad_form,
+    _add_into,
 )
 from .model import SurvivalInstance
 
@@ -227,15 +233,21 @@ def gamma_star(instance: SurvivalInstance, s) -> float | np.ndarray:
     coordinates positive); batch evaluation over the leading axes.
     """
     _require_n_positive(instance)
-    full = _simplex_point(instance, s, require_interior=True)
-    out = _entropy_first_sum(instance, full)
-    d = instance.d
-    diff = full[..., :d] - instance.weights.p
-    et = instance.eps_tilde[:d]
-    bracket = bilinear_form(instance.weights, et, diff)
-    bracket -= 0.5 * quad_form(instance.weights, diff)
-    out -= bracket
+    out = _gamma_star(instance, _simplex_point(instance, s, require_interior=True))
     return out if out.ndim else float(out)
+
+
+def _gamma_star(instance, full):
+    out = _entropy_first_sum(instance, full)
+    p = instance.weights.p
+    diff = tuple(full[i] - p[i] for i in range(instance.d))
+    et = instance.eps_tilde[: instance.d]
+    bracket = bilinear_form(instance.weights, et, diff)
+    half_quad = quad_form(instance.weights, diff)
+    half_quad *= 0.5
+    bracket -= half_quad
+    out -= bracket
+    return out
 
 
 def entropy_lhs(instance: SurvivalInstance, s) -> float | np.ndarray:
@@ -250,9 +262,8 @@ def h_value(instance: SurvivalInstance, s) -> float | np.ndarray:
     """Concave exponent ``H(s) = sum_{i<=d+1} (J_i/N) ln(s_i)``."""
     _require_n_positive(instance)
     full = _simplex_point(instance, s, require_interior=True)
-    jn = instance.J / instance.N
-    out = np.log(full) @ jn
-    return out if isinstance(out, np.ndarray) and out.ndim else float(out)
+    out = _weighted_log_sum(full, instance.J / instance.N)
+    return out if out.ndim else float(out)
 
 
 def h_grad(instance: SurvivalInstance, s) -> np.ndarray:
@@ -262,9 +273,7 @@ def h_grad(instance: SurvivalInstance, s) -> np.ndarray:
     identically at ``s = J/N``.
     """
     _require_n_positive(instance)
-    full = _simplex_point(instance, s, require_interior=True)
-    if full.ndim != 1:
-        raise ValueError("h_grad expects a single point")
+    full = _single_point(instance, s, "h_grad")
     jn = instance.J / instance.N
     d = instance.d
     return jn[:d] / full[:d] - jn[d] / full[d]
@@ -273,9 +282,7 @@ def h_grad(instance: SurvivalInstance, s) -> np.ndarray:
 def h_hessian(instance: SurvivalInstance, s) -> np.ndarray:
     """Hessian of ``H`` in the free coordinates: negative definite everywhere."""
     _require_n_positive(instance)
-    full = _simplex_point(instance, s, require_interior=True)
-    if full.ndim != 1:
-        raise ValueError("h_hessian expects a single point")
+    full = _single_point(instance, s, "h_hessian")
     jn = instance.J / instance.N
     d = instance.d
     hess = np.full((d, d), -jn[d] / full[d] ** 2)
@@ -292,14 +299,17 @@ def log_dirichlet_integrand(instance: SurvivalInstance, s) -> float | np.ndarray
     evaluation over leading axes; ``s`` has d free or d+1 full coordinates.
     """
     full = _simplex_point(instance, s, require_interior=False)
-    J = instance.J
-    const = log_factorial(instance.N + instance.d) - math.fsum(
-        log_factorial(int(j)) for j in J
-    )
     with np.errstate(divide="ignore"):
-        out = _weighted_log_sum(full, J.astype(float))
-    out += const
+        out = _weighted_log_sum(full, instance.J.astype(float))
+    out += _log_multinomial_constant(instance.N + instance.d, tuple(instance.J.tolist()))
     return out if out.ndim else float(out)
+
+
+@lru_cache(maxsize=64)
+def _log_multinomial_constant(total, J):
+    """``ln(total!) - sum_i ln(J_i!)``; cached, so a quadrature computes it
+    once per integral rather than once per block."""
+    return log_factorial(total) - math.fsum(log_factorial(j) for j in J)
 
 
 def log_gaussian_integrand(
@@ -319,12 +329,19 @@ def log_gaussian_integrand(
     full = _simplex_point(instance, s, require_interior=True)
     d = instance.d
     N = instance.N
-    out = np.asarray(gamma_star(instance, full)) * N
+    out = _gamma_star(instance, full)
+    out *= N
     out += ctx.delta_n + 0.5 * d * math.log(N)
-    z = instance.weights.p - full[..., :d]
-    z += instance.eps_tilde[:d]
-    z *= math.sqrt(N)
-    out += log_mvn_density(instance.weights, z)
+    p = instance.weights.p
+    et = instance.eps_tilde
+    root_n = math.sqrt(N)
+    z = []
+    for i in range(d):
+        zi = p[i] - full[i]
+        zi += et[i]
+        zi *= root_n
+        z.append(zi)
+    out += log_mvn_density(ctx.cov, tuple(z))
     return out if out.ndim else float(out)
 
 
@@ -333,44 +350,48 @@ def _entropy_first_sum(instance, full):
 
 
 def _weighted_log_sum(full, coef, scale=None):
-    """``sum_i coef_i ln(full_i / scale_i)`` over the last axis.
+    """``sum_i coef_i ln(full_i / scale_i)`` over the columns of ``full``.
 
     Cells with ``coef_i = 0`` are skipped, so they contribute exactly 0 even
-    where ``full_i = 0``.  Cells are taken one at a time in order, so the
-    result does not depend on the memory layout.
+    where ``full_i = 0``.  Cells are taken one at a time in order; a log of
+    a (rows, 1) column is taken once per row.
     """
-    out = np.zeros(full.shape[:-1])
+    out = None
     for i, c in enumerate(coef.tolist()):
         if c:
-            col = np.log(full[..., i] if scale is None else full[..., i] / scale[i])
+            col = np.log(full[i] if scale is None else full[i] / scale[i])
             col *= c
-            out += col
-    return out
+            out = col if out is None else _add_into(out, col)
+    shape = np.broadcast(*full).shape
+    if out is None:
+        return np.zeros(shape)
+    return out if out.shape == shape else np.broadcast_to(out, shape).copy()
 
 
 def _simplex_point(instance, s, require_interior):
-    """Normalize ``s`` to full simplex coordinates (..., d+1).
+    """The d+1 full simplex coordinates of ``s`` as a tuple of columns.
 
     Accepts the d free coordinates (the last one is completed to unit sum)
-    or all d+1 coordinates.
+    or all d+1 coordinates, as an array (..., d or d+1) or as columns.
     """
     d = instance.d
-    s = np.asarray(s, dtype=float)
-    if s.ndim == 0:
-        raise ValueError("s must have at least one axis")
-    if s.shape[-1] == d:
-        # same memory order as s, so Fortran-ordered batches keep
-        # contiguous columns
-        full = np.empty_like(s, shape=s.shape[:-1] + (d + 1,))
-        full[..., :d] = s
-        np.subtract(1.0, last_axis_sum(s), out=full[..., d])
-    elif s.shape[-1] == d + 1:
-        full = s
-    else:
-        raise ValueError(f"last axis must have length {d} or {d + 1}, got {s.shape}")
-    if require_interior and not np.all(full > 0.0):
+    full = as_columns(s)
+    if len(full) == d:
+        last = last_axis_sum(full)
+        np.subtract(1.0, last, out=last)
+        full += (last,)
+    elif len(full) != d + 1:
+        raise ValueError(f"a point must have {d} or {d + 1} coordinates, got {len(full)}")
+    if require_interior and not all((col > 0.0).all() for col in full):
         raise ValueError("point must lie strictly inside the simplex")
     return full
+
+
+def _single_point(instance, s, name):
+    full = _simplex_point(instance, s, require_interior=True)
+    if any(col.ndim for col in full):
+        raise ValueError(f"{name} expects a single point")
+    return np.array(full)
 
 
 def _require_n_positive(instance):

@@ -149,14 +149,19 @@ def integrate_region(weights: ProbabilityWeights, logf, spec=None, s_ref=None):
     weights : ProbabilityWeights
         Defines the nested region via its prefix sums.
     logf : callable
-        Log-integrand; must accept an ``(m, d)`` array of points and return
-        ``(m,)`` log-values, finite on the open interior.  Node blocks come
-        in Fortran order, one contiguous column per coordinate.
+        Log-integrand; takes a tuple of ``d`` broadcastable coordinate
+        columns and returns log-values of their broadcast shape, finite on
+        the open interior.  A block of nodes comes as ``(rows, 1)`` columns
+        for the outer coordinates (axes ``1..d-1``) and a ``(rows, G)``
+        column for the innermost one, so work on an outer coordinate alone
+        can be done once per row.  The columns belong to the integrator and
+        are reused across blocks; ``logf`` must not modify or keep them.
     spec : QuadratureSpec, optional
         Deterministic-mode parameters; defaults to 48 nodes per axis.
     s_ref : array_like, optional
         Interior reference point for the log-space shift; defaults to ``p``.
-        The computed value is invariant to this choice up to roundoff.
+        It is passed as ``(1,)`` columns.  The computed value is invariant
+        to this choice up to roundoff.
 
     Returns
     -------
@@ -179,41 +184,43 @@ def integrate_region(weights: ProbabilityWeights, logf, spec=None, s_ref=None):
         )
     x, w = legendre_rule(g)
     ref = weights.p if s_ref is None else np.asarray(s_ref, dtype=float)
-    shift = float(logf(ref.reshape(1, d))[0])
+    shift = float(logf(tuple(ref.reshape(1, d).T))[0])
 
     # A block is a run of outer prefixes (axes 1..d-1) times all g innermost
     # nodes; each prefix's coordinates and partial weight are built once.
+    # The node-sized arrays are allocated once per integral and reused, so
+    # the heap does not shrink after each block only to be faulted back in.
     outer = (g,) * (d - 1)
     rows_total = g ** (d - 1)
-    rows_per_block = _BLOCK_NODES // g
+    rows_per_block = min(_BLOCK_NODES // g, rows_total)
+    inner, wts, terms = np.empty((3, rows_per_block, g))
     partials = []
     for start in range(0, rows_total, rows_per_block):
         rows = np.arange(start, min(start + rows_per_block, rows_total))
         digits = np.unravel_index(rows, outer) if d > 1 else ()
-        # Fortran order: each coordinate is one contiguous column, seen here
-        # as a (rows, g) grid.
-        pts = np.empty((rows.size * g, d), order="F")
-        grid = pts.T.reshape(d, rows.size, g)
+        cols = []
         row_wts = np.ones(rows.size)
         running_sum = np.zeros(rows.size)
         for i, digit in enumerate(digits):
             upper = weights.prefix[i] - running_sum
             si = upper * x[digit]
-            grid[i] = si[:, None]
+            cols.append(si[:, None])
             running_sum += si
             row_wts = row_wts * upper * w[digit]
         upper = weights.prefix[d - 1] - running_sum
-        np.multiply.outer(upper, x, out=grid[d - 1])
-        wts = np.multiply.outer(row_wts * upper, w).ravel()
-        logs = np.asarray(logf(pts), dtype=float)
+        cols.append(np.multiply.outer(upper, x, out=inner[: rows.size]))
+        block_wts = np.multiply.outer(row_wts * upper, w, out=wts[: rows.size])
+        logs = np.asarray(logf(tuple(cols)), dtype=float)
         bad = ~np.isfinite(logs)
         if np.any(bad):
-            where = pts[int(np.argmax(bad))]
-            raise ValueError(f"log-integrand not finite at interior node {where.tolist()}")
-        terms = logs - shift
-        np.exp(terms, out=terms)
-        terms *= wts
-        partials.append(float(np.sum(terms)))
+            shape = block_wts.shape
+            node = np.unravel_index(int(np.argmax(np.broadcast_to(bad, shape))), shape)
+            where = [float(np.broadcast_to(col, shape)[node]) for col in cols]
+            raise ValueError(f"log-integrand not finite at interior node {where}")
+        block_terms = np.subtract(logs, shift, out=terms[: rows.size])
+        np.exp(block_terms, out=block_terms)
+        block_terms *= block_wts
+        partials.append(float(np.sum(block_terms)))
     total = math.fsum(partials)
     if total > 0.0:
         log_value = shift + math.log(total)
@@ -227,7 +234,9 @@ def integrate_region_mc(weights: ProbabilityWeights, logf, spec: QuadratureSpec)
 
     Samples each axis uniformly on its conditional interval and weights by
     the product of interval lengths, which is the exact density reciprocal
-    of the sampling scheme.  Fully determined by ``(seed, replications)``.
+    of the sampling scheme.  ``logf`` takes coordinate columns as in
+    :func:`integrate_region`, here ``d`` arrays of one sample chunk each.
+    Fully determined by ``(seed, replications)``.
 
     Returns
     -------
@@ -239,24 +248,23 @@ def integrate_region_mc(weights: ProbabilityWeights, logf, spec: QuadratureSpec)
     d = weights.d
     total = spec.replications
     rng = np.random.default_rng(spec.seed)
-    ref = weights.p
-    shift = float(logf(ref.reshape(1, d))[0])
+    shift = float(logf(tuple(weights.p.reshape(1, d).T))[0])
 
     done = 0
     sum1 = 0.0
     sum2 = 0.0
     while done < total:
         m = min(_MC_CHUNK, total - done)
-        pts = np.empty((m, d))
+        cols = []
         jac = np.ones(m)
         acc = np.zeros(m)
         for i in range(d):
             upper = weights.prefix[i] - acc
             si = upper * rng.random(m)
-            pts[:, i] = si
+            cols.append(si)
             acc += si
             jac *= upper
-        vals = np.exp(np.asarray(logf(pts), dtype=float) - shift) * jac
+        vals = np.exp(np.asarray(logf(tuple(cols)), dtype=float) - shift) * jac
         sum1 += math.fsum(vals.tolist())
         sum2 += math.fsum((vals * vals).tolist())
         done += m

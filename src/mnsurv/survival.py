@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expansions import (
+    ExpansionContext,
     delta_n,
     expansion_context,
     gamma_tilde,
@@ -119,18 +120,26 @@ def survival_dirichlet(instance: SurvivalInstance, spec: QuadratureSpec | None =
     return _clamp_probability(value)
 
 
-def survival_gaussian(instance: SurvivalInstance, spec: QuadratureSpec | None = None) -> float:
+def survival_gaussian(
+    instance: SurvivalInstance | ExpansionContext, spec: QuadratureSpec | None = None
+) -> float:
     """Survival probability via the Gaussian-representation integral.
 
     Requires ``J_i >= 1`` for every cell, i.e. every threshold ``k_i >= 2``
     and ``kappa_d <= n - 1``; an impossible instance short-circuits to 0.
+    An :class:`ExpansionContext` may stand in for the instance, so a caller
+    that already holds one does not recompute its ``delta_n``.
     """
+    ctx = instance if isinstance(instance, ExpansionContext) else None
+    if ctx is not None:
+        instance = ctx.instance
     if instance.impossible:
         return 0.0
     reason = instance.gaussian_block_reason
     if reason is not None:
         raise ValueError(f"inapplicable (Gaussian route requires J_i >= 1): {reason}")
-    ctx = expansion_context(instance)
+    if ctx is None:
+        ctx = expansion_context(instance)
     value, _ = integrate_region(
         instance.weights, lambda s: log_gaussian_integrand(ctx, s), spec
     )
@@ -257,13 +266,16 @@ def compare_routes(
             exact = survival_exact(reduced)
         if "dirichlet" in routes:
             dirichlet = survival_dirichlet(reduced, spec)
-        if "gaussian" in routes:
-            gaussian_reason = reduced.gaussian_block_reason
-            if gaussian_reason is None:
-                gaussian = survival_gaussian(reduced, spec)
         if reduced.gaussian_block_reason is None:
-            dn = delta_n(reduced)
+            if "gaussian" in routes:
+                ctx = expansion_context(reduced)
+                gaussian = survival_gaussian(ctx, spec)
+                dn = ctx.delta_n
+            else:
+                dn = delta_n(reduced)
             gt = gamma_tilde(reduced)
+        elif "gaussian" in routes:
+            gaussian_reason = reduced.gaussian_block_reason
 
     mc = None
     if "mc" in routes:

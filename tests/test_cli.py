@@ -115,6 +115,21 @@ class TestExitCodes:
         assert run(args) == 1
         assert capsys.readouterr().err.startswith("usage error: --mc-reps")
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["eval", "--n", "10", "--p", "0.3", "--k", "2", "--routes", "mc",
+             "--mc-reps", "1000", "--seed", "-5"],
+            ["compare", "--n", "10", "--p", "0.3", "--k", "2", "--mc-reps", "1000", "--seed", "-1"],
+            ["sweep", "--n", "10", "--p", "0.3", "--k", "2", "--mc-reps", "1000", "--seed", "-1"],
+            ["compare", "--n", "10", "--p", "0.3", "--k", "2", "--seed", "-1"],
+            ["check", "--seed", "-1"],
+        ],
+    )
+    def test_usage_error_on_negative_seed(self, capsys, args):
+        assert run(args) == 1
+        assert capsys.readouterr().err == "usage error: --seed must be non-negative, got %s\n" % args[-1]
+
     def test_cost_guard_exit_code(self, capsys):
         args = ["eval", "--n", "1000", "--p", "0.2,0.3,0.2", "--k", "180,300,200",
                 "--routes", "exact"]

@@ -7,6 +7,7 @@ import pytest
 from mnsurv import (
     build_instance,
     capital_lambda,
+    covariance_structure,
     delta_n,
     entropy_lhs,
     expansion_context,
@@ -19,6 +20,7 @@ from mnsurv import (
     log_dirichlet_integrand,
     log_factorial,
     log_gaussian_integrand,
+    log_mvn_density,
     quad_form,
     quadratic_cancellation_residual,
     stirling_lambda,
@@ -376,6 +378,78 @@ class TestIntegrands:
         ctx = expansion_context(inst)
         assert np.array_equal(log_gaussian_integrand(ctx, pts), log_gaussian_integrand(inst, pts))
         assert log_gaussian_integrand(ctx, pts[0]) == log_gaussian_integrand(inst, pts[0])
+
+
+# Gaussian-ready instances for d = 1..4 and 6
+COLUMN_INSTANCES = [
+    (30, [0.4], [10]),
+    (40, [0.3, 0.25], [10, 8]),
+    (50, [0.2, 0.3, 0.2], [9, 14, 8]),
+    (60, [0.2, 0.25, 0.2, 0.15], [10, 13, 10, 7]),
+    (70, [0.12, 0.1, 0.15, 0.12, 0.1, 0.14], [7, 6, 9, 7, 6, 8]),
+]
+
+
+def _row_block(rng, inst, rows, g):
+    """Interior points as a quadrature block: (rows, 1) outer columns and a
+    (rows, g) innermost column."""
+    cols = []
+    acc = np.zeros((rows, 1))
+    for i in range(inst.d - 1):
+        col = (inst.weights.prefix[i] - acc) * rng.uniform(0.02, 0.98, (rows, 1))
+        cols.append(col)
+        acc = acc + col
+    cols.append((inst.weights.prefix[-1] - acc) * rng.uniform(0.02, 0.98, (1, g)))
+    return tuple(cols)
+
+
+def _materialised(cols):
+    shape = np.broadcast_shapes(*(c.shape for c in cols))
+    return np.stack([np.broadcast_to(c, shape) for c in cols], axis=-1).reshape(-1, len(cols))
+
+
+class TestBroadcastColumns:
+    @pytest.mark.parametrize("n, p, k", COLUMN_INSTANCES)
+    def test_integrands_match_materialised_points_bit_for_bit(self, n, p, k):
+        inst = build_instance(n, p, k)
+        rows = 1 if inst.d == 1 else 7
+        cols = _row_block(np.random.default_rng(36), inst, rows, 11)
+        pts = _materialised(cols)
+        ctx = expansion_context(inst)
+        for logf in (
+            lambda s: log_dirichlet_integrand(inst, s),
+            lambda s: log_gaussian_integrand(inst, s),
+            lambda s: log_gaussian_integrand(ctx, s),
+        ):
+            on_cols = logf(cols)
+            assert on_cols.shape == (rows, 11)
+            assert np.array_equal(on_cols.ravel(), logf(pts))
+            assert np.array_equal(on_cols.ravel(), logf(np.asfortranarray(pts)))
+
+    @pytest.mark.parametrize("n, p, k", COLUMN_INSTANCES)
+    def test_log_mvn_density_matches_materialised_points_bit_for_bit(self, n, p, k):
+        inst = build_instance(n, p, k)
+        rows = 1 if inst.d == 1 else 7
+        cols = tuple(3.0 * c - 0.2 for c in _row_block(np.random.default_rng(37), inst, rows, 11))
+        pts = _materialised(cols)
+        reference = log_mvn_density(inst.weights, pts)
+        for weights in (inst.weights, covariance_structure(inst.weights)):
+            assert np.array_equal(np.ravel(log_mvn_density(weights, cols)), reference)
+            assert log_mvn_density(weights, pts[3]) == reference[3]
+
+    def test_columns_of_a_single_point_give_a_float(self):
+        inst = build_instance(*COLUMN_INSTANCES[3])
+        s = _interior(np.random.default_rng(38), inst)
+        for f in (log_dirichlet_integrand, log_gaussian_integrand, gamma_star, h_value):
+            value = f(inst, tuple(s))
+            assert isinstance(value, float) and value == f(inst, s)
+
+    def test_wrong_number_of_columns(self):
+        inst = build_instance(*COLUMN_INSTANCES[2])
+        with pytest.raises(ValueError, match="coordinates"):
+            log_dirichlet_integrand(inst, (np.ones(3),) * 5)
+        with pytest.raises(ValueError, match="coordinates"):
+            log_mvn_density(inst.weights, (np.ones(3),) * 2)
 
 
 def _interior(rng, inst):

@@ -61,8 +61,18 @@ class TestLegendreRule:
             legendre_rule(g)
 
 
+def _block_shape(cols):
+    return np.broadcast_shapes(*(np.shape(c) for c in cols))
+
+
+def _node_array(cols):
+    """The (m, d) array of the nodes that broadcast coordinate columns stand for."""
+    shape = _block_shape(cols)
+    return np.column_stack([np.broadcast_to(c, shape).ravel() for c in cols])
+
+
 def _const_logf(s):
-    return np.zeros(np.asarray(s).shape[0])
+    return np.zeros(_block_shape(s))
 
 
 class TestIntegrateRegion:
@@ -111,11 +121,11 @@ class TestIntegrateRegion:
     def test_rejects_nonfinite_integrand(self):
         w = make_weights([0.4])
 
-        def bad(s):
-            s = np.asarray(s)
+        def bad(cols):
+            s = _node_array(cols)
             out = np.zeros(s.shape[0])
             out[s[:, 0] > 0.2] = np.nan
-            return out
+            return out.reshape(_block_shape(cols))
 
         with pytest.raises(ValueError, match="not finite"):
             integrate_region(w, bad, QuadratureSpec(nodes=8))
@@ -179,13 +189,13 @@ class TestBlockedIntegration:
         x, _ = legendre_rule(g)
         calls = []
 
-        def bad_late(s):
+        def bad_late(cols):
             # the last first-axis nodes lie in the second block only
-            s = np.asarray(s)
-            calls.append(s.copy())
+            s = _node_array(cols)
+            calls.append(s)
             out = np.zeros(s.shape[0])
             out[s[:, 0] > 0.3 * x[-3]] = -np.inf
-            return out
+            return out.reshape(_block_shape(cols))
 
         with pytest.raises(ValueError, match="not finite") as info:
             integrate_region(w, bad_late, QuadratureSpec(nodes=g))
@@ -211,7 +221,7 @@ class TestBlockedIntegration:
         seen = []
 
         def logf(s):
-            seen.append(np.array(s))
+            seen.append(_node_array(s))
             return log_dirichlet_integrand(inst, s)
 
         value, _ = integrate_region(inst.weights, logf, QuadratureSpec(nodes=g))
@@ -224,6 +234,29 @@ class TestBlockedIntegration:
             inst.weights, lambda s: log_dirichlet_integrand(inst, s), g
         )
         assert abs(value - expected) <= 1e-14 * expected
+
+    @pytest.mark.parametrize(
+        "p, g",
+        [([0.3], 36), ([0.3, 0.25], 36), ([0.3, 0.2, 0.25], 48), ([0.2, 0.25, 0.2, 0.15], 20)],
+    )
+    def test_logf_sees_row_columns(self, p, g):
+        w = make_weights(p)
+        d = w.d
+        shapes = []
+
+        def logf(cols):
+            shapes.append([c.shape for c in cols])
+            return _const_logf(cols)
+
+        integrate_region(w, logf, QuadratureSpec(nodes=g))
+        assert shapes[0] == [(1,)] * d  # the reference point
+        rows_seen = 0
+        for block in shapes[1:]:
+            rows = block[-1][0]
+            assert block == [(rows, 1)] * (d - 1) + [(rows, g)]
+            rows_seen += rows
+        assert rows_seen == g ** (d - 1)
+        assert shapes[1][-1][0] == min(quadrature._BLOCK_NODES // g, g ** (d - 1))
 
     def test_repeated_integral_is_bit_identical(self):
         inst = build_instance(50, [0.2, 0.25, 0.2, 0.15], [8, 10, 8, 6])

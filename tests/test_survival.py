@@ -9,11 +9,13 @@ from mnsurv import (
     QuadratureSpec,
     build_instance,
     compare_routes,
+    expansion_context,
     survival_dirichlet,
     survival_exact,
     survival_gaussian,
     survival_mc,
 )
+from mnsurv import expansions, survival
 from mnsurv.checks import random_instance
 
 
@@ -234,9 +236,43 @@ class TestCompareRoutes:
         with pytest.raises(ValueError):
             compare_routes(build_instance(10, [0.3], [3]), routes=["exact", "bayes"])
 
+    def test_one_delta_n_per_gaussian_instance(self, monkeypatch):
+        calls = []
+        original = expansions.delta_n
+        for module in (expansions, survival):
+            monkeypatch.setattr(module, "delta_n", lambda inst: calls.append(inst) or original(inst))
+        report = compare_routes(build_instance(12, [0.3, 0.3], [3, 4]), QuadratureSpec(nodes=8))
+        assert report.gaussian is not None and len(calls) == 1
+        assert report.delta_n == original(build_instance(12, [0.3, 0.3], [3, 4]))
+
     def test_mc_needs_spec(self):
         with pytest.raises(ValueError):
             compare_routes(build_instance(10, [0.3], [3]), routes=["mc"])
+
+
+# (n, p, k, G, Dirichlet, Gaussian): values of an earlier release, whose
+# quadrature materialised every block as an (m, d) array of points
+FROZEN_VALUES = [
+    (20, [0.3], [6], 36, "0x1.2ad1715107843p-1", "0x1.2ad171510784fp-1"),
+    (25, [0.3, 0.25], [6, 5], 24, "0x1.898d68420ac1ap-1", "0x1.898d68420ac0ep-1"),
+    (60, [0.3, 0.2, 0.25], [15, 10, 12], 48, "0x1.9d4eb2b4e5afap-1", "0x1.9d4eb2b4e5a23p-1"),
+    (50, [0.2, 0.25, 0.2, 0.15], [8, 10, 8, 6], 20, "0x1.8b52d30f3f436p-1",
+     "0x1.8b52d30f3f377p-1"),
+    (48, [0.2, 0.15, 0.25, 0.1], [9, 6, 11, 4], 32, "0x1.0da0aea7e564bp-1",
+     "0x1.0da0aea7e568bp-1"),
+    (40, [0.12, 0.1, 0.15, 0.12, 0.1, 0.14], [4, 3, 5, 4, 3, 5], 6, "0x1.353e606124134p-1",
+     "0x1.353e6061241bap-1"),
+]
+
+
+class TestFrozenValues:
+    @pytest.mark.parametrize("n, p, k, g, dirichlet, gaussian", FROZEN_VALUES)
+    def test_integral_routes_are_bit_identical(self, n, p, k, g, dirichlet, gaussian):
+        inst = build_instance(n, p, k)
+        spec = QuadratureSpec(nodes=g)
+        assert survival_dirichlet(inst, spec).hex() == dirichlet
+        assert survival_gaussian(inst, spec).hex() == gaussian
+        assert survival_gaussian(expansion_context(inst), spec).hex() == gaussian
 
 
 class TestMonotonicity:
