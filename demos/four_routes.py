@@ -1,7 +1,7 @@
 """Evaluate one survival probability through all four routes.
 
 The event P(X_1 >= 2, X_1 + X_2 >= 5) for X ~ Multinomial(12, (0.3, 0.3, 0.4))
-is computed by exact enumeration, by the Dirichlet-type integral over the
+is computed by the exact sequential-binomial recursion, by the Dirichlet-type integral over the
 nested region, by the Gaussian-representation integral, and by simulating the
 underlying order-statistics event.  The three deterministic routes agree to
 near machine precision; the Monte Carlo estimate agrees within a few standard
@@ -32,7 +32,7 @@ diri = survival_dirichlet(inst, spec)
 gauss = survival_gaussian(inst, spec)
 mc_est, mc_se = survival_mc(inst, 500_000, seed=20240817)
 
-print(f"exact enumeration   {exact:.15f}")
+print(f"exact recursion     {exact:.15f}")
 print(f"dirichlet integral  {diri:.15f}   (rel diff {abs(diri-exact)/exact:.2e})")
 print(f"gaussian integral   {gauss:.15f}   (rel diff {abs(gauss-exact)/exact:.2e})")
 print(f"monte carlo         {mc_est:.6f} +- {mc_se:.6f}   ({abs(mc_est-exact)/mc_se:.2f} stderr off)")

@@ -21,7 +21,7 @@ from mnsurv import (
 inst = build_instance(60, [0.3, 0.3], [14, 20])
 logf = lambda s: log_dirichlet_integrand(inst, s)
 exact = survival_exact(inst)
-print(f"reference value by enumeration: {exact:.15f}")
+print(f"reference value by the exact route: {exact:.15f}")
 print()
 
 print("deterministic refinement (nodes per axis -> value, change):")

@@ -2,7 +2,7 @@
 
 Four mathematically equivalent evaluation routes for
 ``P(X_1 + ... + X_i >= kappa_i for all i)`` with ``X ~ Multinomial(n, p)``:
-exact lattice enumeration, a Dirichlet-type integral over a nested region,
+an exact sequential-binomial recursion, a Dirichlet-type integral over a nested region,
 an equivalent Gaussian integral with exact exponential corrections, and
 order-statistics Monte Carlo.  The expansions module exposes every scalar
 building block of the Gaussian representation, and the checks module turns

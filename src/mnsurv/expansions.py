@@ -27,7 +27,7 @@ entry, so both forms take the same path and give the same bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -108,13 +108,14 @@ def stirling_lambda(m: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ExpansionContext:
-    """Per-instance bundle of Stirling errors and prefactor corrections."""
+    """Per-instance bundle of Stirling errors, tilt and prefactor correction."""
 
     instance: SurvivalInstance
     cov: CovarianceStructure
     lambda_n: float
     lambda_j: np.ndarray     # stirling_lambda(J_i), i = 1..d+1
     capital_lambda: float    # lambda_n - sum(lambda_j), as stored
+    gamma_tilde: float
     delta_n: float
 
 
@@ -123,14 +124,17 @@ def expansion_context(instance: SurvivalInstance) -> ExpansionContext:
     lambda_j = np.array([stirling_lambda(int(j)) for j in instance.J])
     lambda_n = stirling_lambda(instance.N)
     lambda_j.setflags(write=False)
-    return ExpansionContext(
+    ctx = ExpansionContext(
         instance=instance,
         cov=covariance_structure(instance.weights),
         lambda_n=lambda_n,
         lambda_j=lambda_j,
         capital_lambda=lambda_n - math.fsum(lambda_j.tolist()),
-        delta_n=delta_n(instance),
+        gamma_tilde=gamma_tilde(instance),
+        delta_n=math.nan,
     )
+    # delta_n of a context reuses its capital_lambda and gamma_tilde
+    return replace(ctx, delta_n=delta_n(ctx))
 
 
 def capital_lambda(instance: SurvivalInstance) -> float:
@@ -210,18 +214,25 @@ def quadratic_cancellation_residual(instance: SurvivalInstance) -> float:
     return 0.5 * double_sum - 0.5 * quad_form(instance.weights, e)
 
 
-def delta_n(instance: SurvivalInstance) -> float:
+def delta_n(instance: SurvivalInstance | ExpansionContext) -> float:
     """Total log-prefactor correction of the Gaussian representation.
 
     ``ln((N+d)!/(N! N^d)) + capital_lambda - sum_i ln(1+eps_i)/2 -
     N*gamma_tilde``; the factorial ratio is accumulated as
-    ``sum_{i<=d} ln(1 + i/N)`` so no large factorials are ever formed.
+    ``sum_{i<=d} ln(1 + i/N)`` so no large factorials are ever formed.  An
+    :class:`ExpansionContext` may stand in for the instance; its stored
+    ``capital_lambda`` and ``gamma_tilde`` are then used, not recomputed.
     """
-    _require_gaussian(instance)
+    if isinstance(instance, ExpansionContext):
+        cap, tilt = instance.capital_lambda, instance.gamma_tilde
+        instance = instance.instance
+    else:
+        _require_gaussian(instance)
+        cap, tilt = capital_lambda(instance), gamma_tilde(instance)
     N = instance.N
     ratio = math.fsum(math.log1p(i / N) for i in range(1, instance.d + 1))
     half_logs = 0.5 * float(np.sum(np.log1p(instance.eps)))
-    return ratio + capital_lambda(instance) - half_logs - N * gamma_tilde(instance)
+    return ratio + cap - half_logs - N * tilt
 
 
 def gamma_star(instance: SurvivalInstance, s) -> float | np.ndarray:

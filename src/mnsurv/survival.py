@@ -1,7 +1,11 @@
 """The four evaluation routes for the joint survival probability.
 
-* :func:`survival_exact` enumerates the constrained count lattice and sums
-  the multinomial pmf in log space with compensated summation.
+* :func:`survival_exact` runs the sequential-binomial recursion: the
+  cumulated counts form a Markov chain with binomial steps, so the value is a
+  d-step forward recursion on the distribution of ``S_i`` over ``0..n``,
+  truncated below ``kappa_i`` after each step, at ``O(d n^2)`` cost.  It
+  refuses instances whose transition matrices exceed
+  ``MAX_TRANSITION_BYTES``.
 * :func:`survival_dirichlet` integrates the Dirichlet-type integrand over
   the nested region (valid whenever every gap ``j_i >= 1``).
 * :func:`survival_gaussian` integrates the equivalent Gaussian-representation
@@ -14,11 +18,14 @@ pairwise discrepancies, and never raises on mere inapplicability.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+# delta_n and gamma_tilde are not called here: the benchmark's tracer
+# (bench/tracing.py) wraps them in this module as well as in expansions.
 from .expansions import (
     ExpansionContext,
     delta_n,
@@ -31,7 +38,7 @@ from .model import SurvivalInstance, build_instance, reduce_thresholds
 from .quadrature import MIN_REPLICATIONS, CostGuardError, QuadratureSpec, integrate_region
 
 __all__ = [
-    "MAX_LATTICE_POINTS",
+    "MAX_TRANSITION_BYTES",
     "McResult",
     "RouteReport",
     "survival_exact",
@@ -41,20 +48,29 @@ __all__ = [
     "compare_routes",
 ]
 
-# Enumeration refuses instances whose full lattice C(n+d, d) exceeds this.
-MAX_LATTICE_POINTS = 10**7
+# The exact route refuses instances whose d transition matrices, 8 d (n+1)^2
+# bytes, exceed this; d = 6 at n = 1000 takes 48 MB.
+MAX_TRANSITION_BYTES = 200 * 10**6
 
-_MC_CHUNK_VALUES = 4_000_000  # uniforms held in memory per simulation chunk
+# Uniforms per simulation chunk; a chunk is held twice (drawn, then transposed).
+_MC_CHUNK_VALUES = 2_000_000
 
 DETERMINISTIC_ROUTES = ("exact", "dirichlet", "gaussian")
 
 
 def survival_exact(instance: SurvivalInstance) -> float:
-    """Exact survival probability by constrained lattice enumeration.
+    """Exact survival probability by the sequential-binomial recursion.
 
-    Sums the multinomial pmf over all count vectors ``x`` with
-    ``x_1 + ... + x_i >= kappa_i`` for every i and ``sum(x) <= n``; terms are
-    formed in log space and accumulated with compensated summation.
+    The cumulated counts ``S_i = X_1 + ... + X_i`` form a Markov chain whose
+    step from ``S_{i-1} = s`` is ``Binomial(n - s, p_i / (p_i + ... +
+    p_{d+1}))``.  A length-``(n+1)`` vector holding ``P(S_i = s, S_1 >=
+    kappa_1, ..., S_i >= kappa_i)`` is multiplied by one transition matrix
+    per step and zeroed below ``kappa_i``; after each step it is rescaled by
+    a power of two so that its maximum lies in ``[1/2, 1)``, and the binary
+    exponents are added up, so deep tails keep their relative accuracy.
+    Every term is nonnegative, so nothing cancels.  The matrices depend on
+    ``(n, p)`` only and are cached, so consecutive calls on one ``(n, p)``
+    (a sweep over thresholds) build them once.
     """
     n, d = instance.n, instance.d
     kappa = instance.kappa
@@ -62,39 +78,53 @@ def survival_exact(instance: SurvivalInstance) -> float:
         return 0.0
     if kappa[-1] == 0:
         return 1.0
-    if math.comb(n + d, d) > MAX_LATTICE_POINTS:
+    size = 8 * d * (n + 1) ** 2
+    if size > MAX_TRANSITION_BYTES:
         raise CostGuardError(
-            f"enumeration lattice C({n + d},{d}) exceeds {MAX_LATTICE_POINTS} points"
+            f"transition matrices of {size} bytes (8 d (n+1)^2, n = {n}, d = {d}) "
+            f"exceed {MAX_TRANSITION_BYTES} bytes"
         )
+    mats = _transition_matrices(n, tuple(instance.weights.p_full.tolist()))
+    f = np.zeros(n + 1)
+    f[0] = 1.0
+    exponent = 0
+    for mat, kap in zip(mats, kappa.tolist()):
+        # einsum sums in a fixed order; a BLAS product's order can depend
+        # on its thread count, and with it the last bits
+        f = np.einsum("s,st->t", f, mat)
+        f[:kap] = 0.0
+        e = math.frexp(float(f.max()))[1]  # 0 once every entry has underflowed
+        np.ldexp(f, -e, out=f)
+        exponent += e
+    return _clamp_probability(math.ldexp(math.fsum(f.tolist()), exponent))
 
-    logfact = [math.lgamma(m + 1.0) for m in range(n + 1)]
-    logp = np.log(instance.weights.p_full)
-    base = logfact[n]
 
-    # Neumaier-compensated accumulation of pmf terms.
-    total = 0.0
-    comp = 0.0
+@functools.lru_cache(maxsize=1)
+def _transition_matrices(n: int, p_full: tuple) -> np.ndarray:
+    """``M[i, s, t] = P(S_{i+1} = t | S_i = s)``, shape ``(d, n+1, n+1)``.
 
-    def add(term):
-        nonlocal total, comp
-        t = total + term
-        if abs(total) >= abs(term):
-            comp += (total - t) + term
-        else:
-            comp += (term - t) + total
-        total = t
-
-    def recurse(axis, used, logacc):
-        if axis == d:
-            rest = n - used
-            add(math.exp(logacc - logfact[rest] + rest * logp[d]))
-            return
-        lo = max(0, int(kappa[axis]) - used)
-        for x in range(lo, n - used + 1):
-            recurse(axis + 1, used + x, logacc - logfact[x] + x * logp[axis])
-
-    recurse(0, 0, base)
-    return _clamp_probability(total + comp)
+    Row ``s`` of step ``i`` is the pmf of ``Binomial(n - s, q_i)`` shifted
+    right by ``s``, with ``q_i = p_i / R_i`` and ``1 - q_i = R_{i+1} / R_i``
+    for the tail sums ``R_i = p_i + ... + p_{d+1}``.  Rows are built from
+    the last up by Pascal's rule, ``M[s, t] = (1 - q) M[s+1, t+1] + q M[s+1,
+    t]``, which adds nonnegative terms only: each entry keeps a relative
+    error of a few ulps per trial, with no large logarithms to cancel.  One
+    matrix product per row applies the rule to every step at once.
+    """
+    p_full = np.asarray(p_full)
+    tail = np.cumsum(p_full[::-1])[::-1]
+    weights = np.stack([p_full[:-1] / tail[:-1], tail[1:] / tail[:-1]], axis=1)[:, :, None]
+    d = weights.shape[0]
+    # one zero column past t = n feeds the (1 - q) term of the last column
+    mats = np.zeros((d, n + 1, n + 2))
+    mats[:, n, n] = 1.0
+    pairs = np.lib.stride_tricks.sliding_window_view(mats, 2, axis=2)  # (M[s, t], M[s, t+1])
+    rows = mats[:, :, :, None]
+    for s in range(n - 1, -1, -1):
+        np.matmul(pairs[:, s + 1, s : n + 1], weights, out=rows[:, s, s : n + 1])
+    mats = mats[:, :, : n + 1]
+    mats.flags.writeable = False
+    return mats
 
 
 def _clamp_probability(value: float) -> float:
@@ -171,12 +201,13 @@ def survival_mc(instance: SurvivalInstance, replications: int, seed: int):
     hits = 0
     while done < replications:
         m = min(chunk, replications - done)
-        u = rng.random((m, n))
+        # one replication per column: each count sums n contiguous rows
+        ut = np.ascontiguousarray(rng.random((m, n)).T)
         ok = np.ones(m, dtype=bool)
         for i in range(d):
             if kappa[i] == 0:
                 continue
-            ok &= np.count_nonzero(u <= prefix[i], axis=1) >= kappa[i]
+            ok &= np.add.reduce(ut <= prefix[i], axis=0, dtype=np.int64) >= kappa[i]
         hits += int(np.count_nonzero(ok))
         done += m
 
@@ -248,8 +279,11 @@ def compare_routes(
     if "mc" in routes and mc_spec is None:
         raise ValueError("mc route requested without an mc_spec")
 
-    rp, rk = reduce_thresholds(instance.p, instance.k)
-    reduced = build_instance(instance.n, rp, rk) if rk.size else None
+    if np.all(instance.k >= 1):
+        reduced = instance  # nothing to merge: the instance is already reduced
+    else:
+        rp, rk = reduce_thresholds(instance.p, instance.k)
+        reduced = build_instance(instance.n, rp, rk) if rk.size else None
 
     exact = dirichlet = gaussian = None
     gaussian_reason = None
@@ -267,13 +301,10 @@ def compare_routes(
         if "dirichlet" in routes:
             dirichlet = survival_dirichlet(reduced, spec)
         if reduced.gaussian_block_reason is None:
+            ctx = expansion_context(reduced)
             if "gaussian" in routes:
-                ctx = expansion_context(reduced)
                 gaussian = survival_gaussian(ctx, spec)
-                dn = ctx.delta_n
-            else:
-                dn = delta_n(reduced)
-            gt = gamma_tilde(reduced)
+            dn, gt = ctx.delta_n, ctx.gamma_tilde
         elif "gaussian" in routes:
             gaussian_reason = reduced.gaussian_block_reason
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mnsurv import QuadratureSpec, build_instance, compare_routes
+from mnsurv import QuadratureSpec, build_instance, compare_routes, survival
 from mnsurv.cli import emit_report, report_to_dict, run
 
 
@@ -131,11 +131,18 @@ class TestExitCodes:
         assert capsys.readouterr().err == "usage error: --seed must be non-negative, got %s\n" % args[-1]
 
     def test_cost_guard_exit_code(self, capsys):
-        args = ["eval", "--n", "1000", "--p", "0.2,0.3,0.2", "--k", "180,300,200",
+        args = ["eval", "--n", "10000", "--p", "0.2,0.3,0.2", "--k", "1800,3000,2000",
                 "--routes", "exact"]
         assert run(args) == 4
         err = capsys.readouterr().err
         assert err.startswith("cost guard: ") and err.count("\n") == 1
+
+    def test_exact_route_at_n_1000_is_in_scope(self, tmp_path):
+        code, out = run_to_file(tmp_path, [
+            "eval", "--n", "1000", "--p", "0.2,0.3,0.2", "--k", "180,300,200",
+            "--routes", "exact", "--format", "json"])
+        assert code == 0
+        assert 0.0 < json.loads(out)["routes"]["exact"] < 1.0
 
     def test_success(self, tmp_path):
         code, _ = run_to_file(
@@ -145,6 +152,16 @@ class TestExitCodes:
 
 
 class TestSubcommands:
+    def test_sweep_builds_transition_matrices_once(self, tmp_path):
+        survival._transition_matrices.cache_clear()
+        code, out = run_to_file(tmp_path, ["sweep", "--n", "9", "--p", "0.3,0.25", "--k-all",
+                                           "--nodes", "8", "--format", "csv"])
+        assert code == 0
+        rows = out.decode().count("\n") - 1
+        assert rows == 36  # C(9, 2)
+        info = survival._transition_matrices.cache_info()
+        assert (info.misses, info.hits) == (1, rows - 1)
+
     def test_eval_routes_filter(self, tmp_path):
         code, payload = run_to_file(
             tmp_path,

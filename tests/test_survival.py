@@ -1,4 +1,8 @@
+import importlib.util
+import itertools
 import math
+import pathlib
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -20,10 +24,52 @@ from mnsurv.checks import random_instance
 
 
 def binomial_tail(n, p_float, k):
-    """Exact-rational tail P(Bin(n, p) >= k) for the binary value of p."""
-    p = Fraction(p_float)
-    q = 1 - p
-    return float(sum(Fraction(math.comb(n, x)) * p**x * q ** (n - x) for x in range(k, n + 1)))
+    """Exact tail P(Bin(n, p) >= k) for the binary value of p.
+
+    ``p = a / 2^e`` exactly, so the tail is a ratio of integers; Python's
+    integer division rounds it to the nearest float.
+    """
+    a, den = Fraction(p_float).as_integer_ratio()
+    b = den - a
+    return sum(math.comb(n, x) * a**x * b ** (n - x) for x in range(k, n + 1)) / den**n
+
+
+def _compositions(n, parts):
+    if parts == 1:
+        yield (n,)
+        return
+    for first in range(n + 1):
+        for rest in _compositions(n - first, parts - 1):
+            yield (first,) + rest
+
+
+def brute_force_survival(n, p, k):
+    """Exact-rational sum of the multinomial pmf over every count vector of the event.
+
+    The last cell gets ``1 - sum(p)`` exactly, where an instance stores it
+    rounded to a float.
+    """
+    p_full = [Fraction(v) for v in p]
+    p_full.append(1 - sum(p_full))
+    kappa = list(itertools.accumulate(k))
+    total = Fraction(0)
+    for x in _compositions(n, len(p_full)):
+        if all(s >= kap for s, kap in zip(itertools.accumulate(x), kappa)):
+            term = Fraction(math.factorial(n))
+            for xi, pi in zip(x, p_full):
+                term *= pi**xi / math.factorial(xi)
+            total += term
+    return float(total)
+
+
+def _bench_oracle():
+    """``bench/oracle.py``, a scipy log-space recursion that shares no code with mnsurv."""
+    pytest.importorskip("scipy")
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("bench_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestExact:
@@ -53,6 +99,57 @@ class TestExact:
     def test_cost_guard(self):
         with pytest.raises(CostGuardError):
             survival_exact(build_instance(10_000, [0.2, 0.2, 0.2], [2, 2, 2]))
+
+    def test_matches_brute_force_enumeration(self):
+        rng = np.random.default_rng(47)
+        for _ in range(60):
+            d = int(rng.integers(1, 5))
+            n = int(rng.integers(1, 13))
+            p = np.round(rng.dirichlet(np.full(d + 1, 2.0))[:d], 4)
+            if p.min() < 0.01 or p.sum() > 0.99:
+                continue
+            k = [int(v) for v in rng.integers(0, n // d + 2, d)]
+            truth = brute_force_survival(n, p.tolist(), k)
+            value = survival_exact(build_instance(n, p, k))
+            assert value == pytest.approx(truth, rel=1e-13, abs=0.0)
+
+    def test_binomial_tail_at_n_1000(self):
+        # Pascal's rule keeps these within a few ulps; pmf terms formed from
+        # log-factorials near ln(1000!) ~ 5912 would be off by about 3e-13
+        for p, k in [(0.7, 720), (0.9, 900)]:
+            value = survival_exact(build_instance(1000, [p], [k]))
+            assert value == pytest.approx(binomial_tail(1000, p, k), rel=1e-13, abs=0.0)
+
+    def test_deep_tail_keeps_relative_accuracy(self):
+        value = survival_exact(build_instance(300, [0.1], [150]))
+        assert value < 1e-60
+        assert value == pytest.approx(binomial_tail(300, 0.1, 150), rel=1e-13, abs=0.0)
+        # P(S_1 >= 45, S_2 >= 78) at n = 80 is about 6e-52
+        truth = brute_force_survival(80, [0.1, 0.1], [45, 33])
+        assert truth < 1e-50
+        value = survival_exact(build_instance(80, [0.1, 0.1], [45, 33]))
+        assert value == pytest.approx(truth, rel=1e-13, abs=0.0)
+
+    def test_d6_n1000_within_the_guard(self):
+        inst = build_instance(1000, [0.12, 0.1, 0.15, 0.12, 0.1, 0.14],
+                              [110, 95, 140, 110, 90, 130])
+        start = time.perf_counter()
+        value = survival_exact(inst)
+        elapsed = time.perf_counter() - start
+        assert 0.0 < value < 1.0
+        assert elapsed < 20.0  # about 0.1 s; the bound only catches a lost O(d n^2)
+
+    @pytest.mark.parametrize("n, p, k", [
+        (1000, [0.2, 0.3, 0.2], [180, 300, 200]),
+        (700, [0.15, 0.2, 0.25, 0.1], [90, 150, 160, 80]),
+        (400, [0.1, 0.2, 0.15, 0.2, 0.1], [50, 70, 60, 90, 50]),
+        (1000, [0.12, 0.1, 0.15, 0.12, 0.1, 0.14], [110, 95, 140, 110, 90, 130]),
+        (1000, [0.12, 0.1, 0.15, 0.12, 0.1, 0.14], [160, 95, 140, 110, 90, 130]),
+    ])
+    def test_matches_independent_recursion(self, n, p, k):
+        truth = _bench_oracle().survival(n, p, k)
+        assert truth > 1e-280
+        assert survival_exact(build_instance(n, p, k)) == pytest.approx(truth, rel=1e-12, abs=0.0)
 
 
 class TestDirichlet:
@@ -125,6 +222,19 @@ class TestGaussian:
         assert survival_gaussian(build_instance(2, [0.5], [5])) == 0.0
 
 
+# (n, p, k, replications, seed, estimate, stderr): values of an earlier
+# release, which counted hits along the rows of the untransposed draws and
+# held 4e6 uniforms per chunk (the last case spans several chunks)
+FROZEN_MC = [
+    (10, [0.3], [3], 2000, 1, "0x1.399999999999ap-1", "0x1.64f6a95486d30p-7"),
+    (25, [0.3, 0.25], [6, 5], 5000, 7, "0x1.88ce703afb7e9p-1", "0x1.87b03b31b507cp-8"),
+    (16, [0.2, 0.3, 0.2], [2, 0, 4], 3000, 11, "0x1.b851eb851eb85p-1", "0x1.9f2d218740d7dp-8"),
+    (40, [0.1, 0.2, 0.15, 0.2], [3, 6, 5, 7], 4000, 3, "0x1.647ae147ae148p-1",
+     "0x1.dc87cd64cc2e6p-8"),
+    (100, [0.3, 0.3], [25, 30], 50000, 5, "0x1.99335d249e450p-1", "0x1.d59f33130dbaap-10"),
+]
+
+
 class TestMonteCarlo:
     def test_vacuous(self):
         est, se = survival_mc(build_instance(5, [0.3], [0]), 2000, 1)
@@ -142,6 +252,11 @@ class TestMonteCarlo:
     def test_deterministic(self):
         inst = build_instance(10, [0.3, 0.3], [2, 3])
         assert survival_mc(inst, 5000, 7) == survival_mc(inst, 5000, 7)
+
+    @pytest.mark.parametrize("n, p, k, reps, seed, estimate, stderr", FROZEN_MC)
+    def test_estimates_are_bit_identical(self, n, p, k, reps, seed, estimate, stderr):
+        est, se = survival_mc(build_instance(n, p, k), reps, seed)
+        assert (est.hex(), se.hex()) == (estimate, stderr)
 
     def test_rejects_small_replications(self):
         with pytest.raises(ValueError):
@@ -244,6 +359,29 @@ class TestCompareRoutes:
         report = compare_routes(build_instance(12, [0.3, 0.3], [3, 4]), QuadratureSpec(nodes=8))
         assert report.gaussian is not None and len(calls) == 1
         assert report.delta_n == original(build_instance(12, [0.3, 0.3], [3, 4]))
+
+    @pytest.mark.parametrize("routes", [None, ["exact", "dirichlet"]])
+    def test_one_gamma_tilde_per_gaussian_instance(self, monkeypatch, routes):
+        calls = []
+        original = expansions.gamma_tilde
+        for module in (expansions, survival):
+            monkeypatch.setattr(module, "gamma_tilde", lambda inst: calls.append(inst) or original(inst))
+        inst = build_instance(12, [0.3, 0.3], [3, 4])
+        report = compare_routes(inst, QuadratureSpec(nodes=8), routes=routes)
+        assert len(calls) == 1
+        assert (report.gaussian is None) == (routes is not None)
+        assert report.gamma_tilde == original(inst)
+        assert report.delta_n == expansions.delta_n(inst)
+
+    def test_reduced_instance_is_built_only_when_cells_merge(self, monkeypatch):
+        calls = []
+        original = survival.build_instance
+        monkeypatch.setattr(survival, "build_instance",
+                            lambda *args: calls.append(args) or original(*args))
+        compare_routes(build_instance(10, [0.2, 0.3, 0.1], [2, 1, 3]), QuadratureSpec(nodes=8))
+        assert calls == []
+        compare_routes(build_instance(10, [0.2, 0.3, 0.1], [2, 0, 3]), QuadratureSpec(nodes=8))
+        assert len(calls) == 1
 
     def test_mc_needs_spec(self):
         with pytest.raises(ValueError):
