@@ -8,8 +8,6 @@ near machine precision; the Monte Carlo estimate agrees within a few standard
 errors.
 """
 
-import numpy as np
-
 from mnsurv import (
     QuadratureSpec,
     build_instance,
@@ -39,9 +37,7 @@ print(f"monte carlo         {mc_est:.6f} +- {mc_se:.6f}   ({abs(mc_est-exact)/mc
 print()
 
 # the report object bundles the same information plus diagnostics
-report = compare_routes(
-    inst, spec, mc_spec=QuadratureSpec(mode="monte-carlo", replications=500_000, seed=1)
-)
+report = compare_routes(inst, spec, replications=500_000, seed=1)
 print(f"max relative difference across deterministic routes: {report.max_rel_diff:.2e}")
 print(f"diagnostics: delta_N = {report.delta_n:.6f}, gamma_tilde = {report.gamma_tilde:.6f}")
 print()

@@ -52,7 +52,6 @@ from .quadrature import (
     CostGuardError,
     QuadratureSpec,
     integrate_region,
-    integrate_region_mc,
     legendre_rule,
 )
 from .survival import (
@@ -106,7 +105,6 @@ __all__ = [
     "CostGuardError",
     "legendre_rule",
     "integrate_region",
-    "integrate_region_mc",
     "McResult",
     "RouteReport",
     "survival_exact",

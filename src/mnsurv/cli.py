@@ -13,7 +13,8 @@ Subcommands
     Run the identity/consistency suite; exits 3 if anything fails.
 
 Exit codes: 0 success, 1 usage error (bad flags, including --nodes and
---mc-reps out of range and a negative --seed), 2 invalid instance data (bad
+--mc-reps out of range, a negative --seed and a tolerance that is not
+positive and finite), 2 invalid instance data (bad
 n/p/k), 3 check-suite failure, 4 cost guard (a route's cost bound refuses
 the instance).  All output is byte-deterministic for a given command line,
 including Monte Carlo results (seeds are mandatory).
@@ -23,11 +24,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .model import build_instance
-from .quadrature import MAX_NODES, MIN_NODES, MIN_REPLICATIONS, CostGuardError, QuadratureSpec
-from .survival import DETERMINISTIC_ROUTES, RouteReport, compare_routes
+from .quadrature import MAX_NODES, MIN_NODES, CostGuardError, QuadratureSpec
+from .survival import DETERMINISTIC_ROUTES, MIN_REPLICATIONS, RouteReport, compare_routes
 from .checks import run_check_suite
 
 __all__ = ["run", "main", "emit_report", "emit_reports", "report_to_dict"]
@@ -289,19 +291,25 @@ def _check_seed(args):
         raise UsageError(f"--seed must be non-negative, got {args.seed}")
 
 
-def _mc_spec(args):
-    if args.tolerance <= 0.0:
-        raise UsageError("--tolerance must be positive")
+def _check_tolerance(flag, value):
+    if not 0.0 < value < math.inf:
+        raise UsageError(f"{flag} must be positive and finite, got {value}")
+
+
+def _check_flags(args):
+    _check_tolerance("--tolerance", args.tolerance)
     _check_seed(args)
     if args.mc_reps is None:
-        return None
+        return
     if args.mc_reps < MIN_REPLICATIONS:
         raise UsageError(f"--mc-reps must be >= {MIN_REPLICATIONS}, got {args.mc_reps}")
     if args.seed is None:
         raise UsageError("--seed is required whenever MC is requested")
-    return QuadratureSpec(
-        mode="monte-carlo", replications=args.mc_reps, seed=args.seed
-    )
+
+
+def _seed(args, idx):
+    """Instance ``idx`` of a batch, or sweep row ``idx``, draws with ``seed + idx``."""
+    return None if args.seed is None else args.seed + idx
 
 
 def _write(args, payload: bytes):
@@ -315,26 +323,22 @@ def _write(args, payload: bytes):
 
 def _run_eval(args, routes):
     spec = _quadrature_spec(args)
-    base_mc = _mc_spec(args)
-    if routes is not None and "mc" in routes and base_mc is None:
+    _check_flags(args)
+    if routes is not None and "mc" in routes and args.mc_reps is None:
         raise UsageError("route 'mc' requires --mc-reps and --seed")
     instances = _instances_from_args(args)
-    reports = []
-    for idx, inst in enumerate(instances):
-        mc = base_mc
-        if mc is not None and len(instances) > 1:
-            mc = QuadratureSpec(mode="monte-carlo", replications=mc.replications,
-                                seed=mc.seed + idx)
-        reports.append(
-            compare_routes(inst, spec, mc_spec=mc, routes=routes, tolerance=args.tolerance)
-        )
+    reports = [
+        compare_routes(inst, spec, routes=routes, tolerance=args.tolerance,
+                       replications=args.mc_reps, seed=_seed(args, idx))
+        for idx, inst in enumerate(instances)
+    ]
     _write(args, emit_reports(reports, args.format, single=len(reports) == 1))
     return 0
 
 
 def _run_sweep(args):
     spec = _quadrature_spec(args)
-    base_mc = _mc_spec(args)
+    _check_flags(args)
     p = _float_list(args.p)
     d = len(p)
     grid = []
@@ -344,14 +348,11 @@ def _run_sweep(args):
                 grid.append((n, k))
         else:
             grid.append((n, _int_list(args.k)))
-    reports = []
-    for idx, (n, k) in enumerate(grid):
-        inst = build_instance(n, p, k)
-        mc = base_mc
-        if mc is not None:
-            mc = QuadratureSpec(mode="monte-carlo", replications=mc.replications,
-                                seed=mc.seed + idx)
-        reports.append(compare_routes(inst, spec, mc_spec=mc, tolerance=args.tolerance))
+    reports = [
+        compare_routes(build_instance(n, p, k), spec, tolerance=args.tolerance,
+                       replications=args.mc_reps, seed=_seed(args, idx))
+        for idx, (n, k) in enumerate(grid)
+    ]
     if not reports:
         raise UsageError("sweep grid is empty")
     _write(args, emit_reports(reports, args.format))
@@ -370,8 +371,8 @@ def _enumerate_thresholds(d, n, prefix=()):
 
 
 def _run_check(args):
-    if args.tol <= 0.0 or args.identity_tol <= 0.0:
-        raise UsageError("tolerances must be positive")
+    _check_tolerance("--tol", args.tol)
+    _check_tolerance("--identity-tol", args.identity_tol)
     _check_seed(args)
     results = run_check_suite(
         seed=args.seed, route_tol=args.tol, identity_tol=args.identity_tol
@@ -393,15 +394,12 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "eval":
-            if args.routes is None:
-                routes = list(DETERMINISTIC_ROUTES)
-                if args.mc_reps is not None:
-                    routes.append("mc")
-            else:
+            routes = None
+            if args.routes is not None:
                 routes = [tok.strip() for tok in args.routes.split(",") if tok.strip()]
-            unknown = set(routes) - set(DETERMINISTIC_ROUTES + ("mc",))
-            if unknown:
-                raise UsageError(f"unknown routes: {sorted(unknown)}")
+                unknown = set(routes) - set(DETERMINISTIC_ROUTES + ("mc",))
+                if unknown:
+                    raise UsageError(f"unknown routes: {sorted(unknown)}")
             return _run_eval(args, routes)
         if args.command == "compare":
             return _run_eval(args, None)

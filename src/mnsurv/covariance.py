@@ -40,14 +40,11 @@ class CovarianceStructure:
     """The covariance kernel of a weight vector with its log-determinant."""
 
     weights: ProbabilityWeights
-    sigma: np.ndarray   # shape (d, d)
     log_det: float      # sum of log(p_i) over all d+1 cells
 
 
 def covariance_structure(weights: ProbabilityWeights) -> CovarianceStructure:
-    sigma = sigma_matrix(weights)
-    sigma.setflags(write=False)
-    return CovarianceStructure(weights=weights, sigma=sigma, log_det=log_det(weights))
+    return CovarianceStructure(weights=weights, log_det=log_det(weights))
 
 
 def sigma_matrix(weights: ProbabilityWeights) -> np.ndarray:

@@ -411,8 +411,7 @@ def _require_n_positive(instance):
 
 
 def _require_gaussian(instance):
-    if instance.eps is None:
-        raise ValueError("operation requires N = n - d >= 1")
+    _require_n_positive(instance)
     if not np.all(instance.J >= 1):
         raise ValueError(
             "Gaussian-route expansions require J_i >= 1 for every cell "

@@ -165,7 +165,7 @@ class SurvivalInstance:
     @property
     def gaussian_applicable(self) -> bool:
         """Gaussian-route expansions need ``J_i >= 1`` for every cell."""
-        return self.N >= 1 and bool(np.all(self.J >= 1))
+        return self.gaussian_block_reason is None
 
     @property
     def gaussian_block_reason(self) -> str | None:

@@ -1,15 +1,11 @@
 """Numerical integration over the nested prefix-constrained region.
 
-Deterministic integration is iterated Gauss-Legendre with variable upper
-limits ``U_i = prefix_i - (s_1 + ... + s_{i-1})``; the open rule keeps every
-node strictly inside the region so log-singular boundaries are never touched.
+Integration is iterated Gauss-Legendre with variable upper limits
+``U_i = prefix_i - (s_1 + ... + s_{i-1})``; the open rule keeps every node
+strictly inside the region so log-singular boundaries are never touched.
 Integrands are consumed in log space and rescaled by a single interior
 reference value, so the machinery survives integrands whose linear-scale
 values overflow or underflow.
-
-The Monte Carlo integrator samples the axes sequentially, each uniform on its
-conditional interval ``[0, U_i]``, and weights every draw by the exact
-sampling Jacobian ``prod_i U_i``.
 """
 
 from __future__ import annotations
@@ -27,18 +23,15 @@ __all__ = [
     "CostGuardError",
     "legendre_rule",
     "integrate_region",
-    "integrate_region_mc",
     "MAX_NODE_EVALS",
     "MIN_NODES",
     "MAX_NODES",
-    "MIN_REPLICATIONS",
 ]
 
-# Accepted Gauss-Legendre nodes per axis, and the smallest Monte Carlo sample.
+# Accepted Gauss-Legendre nodes per axis.
 MIN_NODES, MAX_NODES = 2, 128
-MIN_REPLICATIONS = 1000
 
-# Deterministic integration refuses more than this many integrand evaluations.
+# Integration refuses more than this many integrand evaluations.
 # The guard bounds time only: nodes are streamed in blocks, so memory is a
 # fixed per-block amount whatever the node count.
 MAX_NODE_EVALS = 10**8
@@ -48,8 +41,6 @@ MAX_NODE_EVALS = 10**8
 # reduction order, so results are reproducible for a given node count.
 _BLOCK_NODES = 1 << 16
 
-_MC_CHUNK = 1 << 16
-
 
 class CostGuardError(RuntimeError):
     """A requested computation exceeds the configured cost bounds."""
@@ -57,38 +48,13 @@ class CostGuardError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Parameters of an integration run.
-
-    Parameters
-    ----------
-    nodes : int
-        Gauss-Legendre nodes per axis, ``2 <= nodes <= 128``.  Cost grows as
-        ``nodes**d``.
-    mode : str
-        ``"deterministic"`` or ``"monte-carlo"``.
-    replications : int, optional
-        Monte Carlo sample size, ``>= 1000``; required in MC mode.
-    seed : int, optional
-        RNG seed; required in MC mode, ignored otherwise.
-    """
+    """Gauss-Legendre nodes per axis, ``2 <= nodes <= 128``; cost grows as ``nodes**d``."""
 
     nodes: int = 48
-    mode: str = "deterministic"
-    replications: int | None = None
-    seed: int | None = None
 
     def __post_init__(self):
-        if self.mode not in ("deterministic", "monte-carlo"):
-            raise ValueError(f"unknown quadrature mode {self.mode!r}")
         if not MIN_NODES <= self.nodes <= MAX_NODES:
             raise ValueError(f"nodes must be in [{MIN_NODES}, {MAX_NODES}], got {self.nodes}")
-        if self.mode == "monte-carlo":
-            if self.replications is None or self.replications < MIN_REPLICATIONS:
-                raise ValueError(
-                    f"monte-carlo mode requires replications >= {MIN_REPLICATIONS}"
-                )
-            if self.seed is None:
-                raise ValueError("monte-carlo mode requires an explicit seed")
 
 
 @lru_cache(maxsize=None)
@@ -157,7 +123,7 @@ def integrate_region(weights: ProbabilityWeights, logf, spec=None, s_ref=None):
         can be done once per row.  The columns belong to the integrator and
         are reused across blocks; ``logf`` must not modify or keep them.
     spec : QuadratureSpec, optional
-        Deterministic-mode parameters; defaults to 48 nodes per axis.
+        Nodes per axis; defaults to 48.
     s_ref : array_like, optional
         Interior reference point for the log-space shift; defaults to ``p``.
         It is passed as ``(1,)`` columns.  The computed value is invariant
@@ -173,8 +139,6 @@ def integrate_region(weights: ProbabilityWeights, logf, spec=None, s_ref=None):
         node count.
     """
     spec = spec if spec is not None else QuadratureSpec()
-    if spec.mode != "deterministic":
-        raise ValueError("integrate_region requires a deterministic-mode spec")
     d = weights.d
     g = spec.nodes
     count = g**d
@@ -228,48 +192,3 @@ def integrate_region(weights: ProbabilityWeights, logf, spec=None, s_ref=None):
         log_value = -math.inf
     return total * math.exp(shift), log_value
 
-
-def integrate_region_mc(weights: ProbabilityWeights, logf, spec: QuadratureSpec):
-    """Monte Carlo integral of ``exp(logf)`` over the region.
-
-    Samples each axis uniformly on its conditional interval and weights by
-    the product of interval lengths, which is the exact density reciprocal
-    of the sampling scheme.  ``logf`` takes coordinate columns as in
-    :func:`integrate_region`, here ``d`` arrays of one sample chunk each.
-    Fully determined by ``(seed, replications)``.
-
-    Returns
-    -------
-    (float, float)
-        Mean estimate and its standard error.
-    """
-    if spec.mode != "monte-carlo":
-        raise ValueError("integrate_region_mc requires a monte-carlo-mode spec")
-    d = weights.d
-    total = spec.replications
-    rng = np.random.default_rng(spec.seed)
-    shift = float(logf(tuple(weights.p.reshape(1, d).T))[0])
-
-    done = 0
-    sum1 = 0.0
-    sum2 = 0.0
-    while done < total:
-        m = min(_MC_CHUNK, total - done)
-        cols = []
-        jac = np.ones(m)
-        acc = np.zeros(m)
-        for i in range(d):
-            upper = weights.prefix[i] - acc
-            si = upper * rng.random(m)
-            cols.append(si)
-            acc += si
-            jac *= upper
-        vals = np.exp(np.asarray(logf(tuple(cols)), dtype=float) - shift) * jac
-        sum1 += math.fsum(vals.tolist())
-        sum2 += math.fsum((vals * vals).tolist())
-        done += m
-
-    mean = sum1 / total
-    var = max(sum2 - total * mean * mean, 0.0) / (total - 1)
-    scale = math.exp(shift)
-    return scale * mean, scale * math.sqrt(var / total)

@@ -35,10 +35,11 @@ from .expansions import (
     log_gaussian_integrand,
 )
 from .model import SurvivalInstance, build_instance, reduce_thresholds
-from .quadrature import MIN_REPLICATIONS, CostGuardError, QuadratureSpec, integrate_region
+from .quadrature import CostGuardError, QuadratureSpec, integrate_region
 
 __all__ = [
     "MAX_TRANSITION_BYTES",
+    "MIN_REPLICATIONS",
     "McResult",
     "RouteReport",
     "survival_exact",
@@ -51,6 +52,9 @@ __all__ = [
 # The exact route refuses instances whose d transition matrices, 8 d (n+1)^2
 # bytes, exceed this; d = 6 at n = 1000 takes 48 MB.
 MAX_TRANSITION_BYTES = 200 * 10**6
+
+# The smallest Monte Carlo sample.
+MIN_REPLICATIONS = 1000
 
 # Uniforms per simulation chunk; a chunk is held twice (drawn, then transposed).
 _MC_CHUNK_VALUES = 2_000_000
@@ -252,9 +256,11 @@ def _rel_diff(a, b):
 def compare_routes(
     instance: SurvivalInstance,
     spec: QuadratureSpec | None = None,
-    mc_spec: QuadratureSpec | None = None,
     routes=None,
     tolerance: float = 1e-8,
+    *,
+    replications: int | None = None,
+    seed: int | None = None,
 ) -> RouteReport:
     """Run the requested routes on one instance and report the comparison.
 
@@ -264,20 +270,25 @@ def compare_routes(
 
     Parameters
     ----------
+    spec : QuadratureSpec, optional
+        Nodes per axis of the two integral routes; defaults to 48.
     routes : iterable of str, optional
         Subset of ``{"exact", "dirichlet", "gaussian", "mc"}``.  Defaults to
-        the three deterministic routes, plus ``"mc"`` when ``mc_spec`` is
-        given.
+        the three deterministic routes, plus ``"mc"`` when ``replications``
+        is given.
+    replications, seed : int, optional
+        Sample size (``>= MIN_REPLICATIONS``) and RNG seed of the ``"mc"``
+        route; both are required when it runs.
     """
     spec = spec if spec is not None else QuadratureSpec()
     if routes is None:
-        routes = list(DETERMINISTIC_ROUTES) + (["mc"] if mc_spec is not None else [])
+        routes = DETERMINISTIC_ROUTES + (("mc",) if replications is not None else ())
     routes = set(routes)
     unknown = routes.difference(DETERMINISTIC_ROUTES + ("mc",))
     if unknown:
         raise ValueError(f"unknown routes: {sorted(unknown)}")
-    if "mc" in routes and mc_spec is None:
-        raise ValueError("mc route requested without an mc_spec")
+    if "mc" in routes and (replications is None or seed is None):
+        raise ValueError("mc route needs both replications and a seed")
 
     if np.all(instance.k >= 1):
         reduced = instance  # nothing to merge: the instance is already reduced
@@ -311,8 +322,8 @@ def compare_routes(
     mc = None
     if "mc" in routes:
         target = reduced if reduced is not None else instance
-        est, se = survival_mc(target, mc_spec.replications, mc_spec.seed)
-        mc = McResult(est, se, mc_spec.replications, mc_spec.seed)
+        est, se = survival_mc(target, replications, seed)
+        mc = McResult(est, se, replications, seed)
 
     values = [v for v in (exact, dirichlet, gaussian) if v is not None]
     max_rel = None

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mnsurv import QuadratureSpec, build_instance, compare_routes, survival
+from mnsurv import QuadratureSpec, build_instance, compare_routes, reduce_thresholds, survival
 from mnsurv.cli import emit_report, report_to_dict, run
 
 
@@ -16,11 +16,7 @@ def run_to_file(tmp_path, args, name="out.bin"):
 class TestEmit:
     def test_json_round_trip_is_bit_exact(self):
         inst = build_instance(10, [0.3, 0.3], [2, 3])
-        report = compare_routes(
-            inst,
-            QuadratureSpec(nodes=32),
-            mc_spec=QuadratureSpec(mode="monte-carlo", replications=5000, seed=3),
-        )
+        report = compare_routes(inst, QuadratureSpec(nodes=32), replications=5000, seed=3)
         parsed = json.loads(emit_report(report, "json"))
         assert parsed["routes"]["exact"] == report.exact
         assert parsed["routes"]["dirichlet"] == report.dirichlet
@@ -77,7 +73,12 @@ class TestExitCodes:
         assert run(["sweep", "--n", "10:5:2", "--p", "0.3", "--k", "2"]) == 1
 
     def test_usage_error_on_nonpositive_tolerance(self, capsys):
-        assert run(["eval", "--n", "4", "--p", "0.5", "--k", "2", "--tolerance", "0"]) == 1
+        for value in ("0", "nan", "inf"):
+            for command in ("eval", "compare", "sweep"):
+                args = [command, "--n", "10", "--p", "0.3", "--k", "2", "--tolerance", value]
+                assert run(args) == 1
+            assert run(["check", "--tol", value]) == 1
+            assert run(["check", "--identity-tol", value]) == 1
         assert run(["check", "--tol", "-1"]) == 1
 
     def test_validation_error_on_bad_weights(self, capsys):
@@ -234,6 +235,54 @@ class TestSubcommands:
     def test_check_fails_with_impossible_tolerance(self, capsys):
         assert run(["check", "--identity-tol", "1e-30", "--seed", "42"]) == 3
         assert "FAIL" in capsys.readouterr().out
+
+
+def _mc_target(n, p, k):
+    """The instance ``survival_mc`` runs on: the reduced one, if any cell is left."""
+    rp, rk = reduce_thresholds(p, k)
+    return build_instance(n, rp, rk) if rk.size else build_instance(n, p, k)
+
+
+class TestMcSeedRule:
+    RECORDS = [
+        {"n": 10, "p": [0.3, 0.3], "k": [2, 3]},
+        {"n": 12, "p": [0.2, 0.25, 0.3], "k": [1, 0, 4]},
+        {"n": 8, "p": [0.4], "k": [3]},
+    ]
+
+    @staticmethod
+    def _assert_mc(record, mc, reps, seed):
+        target = _mc_target(record["n"], record["p"], record["k"])
+        est, se = survival.survival_mc(target, reps, seed)
+        assert mc == {"estimate": est, "stderr": se, "replications": reps, "seed": seed}
+
+    def test_batch_records_take_consecutive_seeds(self, tmp_path):
+        batch = tmp_path / "batch.json"
+        batch.write_text(json.dumps(self.RECORDS))
+        code, payload = run_to_file(tmp_path, ["compare", "--input", str(batch), "--mc-reps",
+                                               "2000", "--seed", "5", "--nodes", "8"])
+        assert code == 0
+        parsed = json.loads(payload)
+        assert [rec["routes"]["mc"]["seed"] for rec in parsed] == [5, 6, 7]
+        for idx, (record, rec) in enumerate(zip(self.RECORDS, parsed)):
+            self._assert_mc(record, rec["routes"]["mc"], 2000, 5 + idx)
+
+    def test_single_instance_keeps_its_seed(self, tmp_path):
+        code, payload = run_to_file(tmp_path, ["compare", "--n", "10", "--p", "0.3,0.3", "--k",
+                                               "2,3", "--mc-reps", "2000", "--seed", "5"])
+        assert code == 0
+        self._assert_mc(self.RECORDS[0], json.loads(payload)["routes"]["mc"], 2000, 5)
+
+    def test_sweep_row_i_takes_seed_plus_i(self, tmp_path):
+        code, payload = run_to_file(tmp_path, ["sweep", "--n", "6:10:2", "--p", "0.3,0.2", "--k",
+                                               "2,1", "--mc-reps", "1000", "--seed", "2",
+                                               "--nodes", "8"])
+        assert code == 0
+        parsed = json.loads(payload)
+        assert [rec["routes"]["mc"]["seed"] for rec in parsed] == [2, 3, 4]
+        for idx, rec in enumerate(parsed):
+            record = {"n": rec["instance"]["n"], "p": [0.3, 0.2], "k": [2, 1]}
+            self._assert_mc(record, rec["routes"]["mc"], 1000, 2 + idx)
 
 
 class TestFloatFormatting:

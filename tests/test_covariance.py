@@ -18,12 +18,12 @@ from mnsurv.checks import random_weights
 class TestClosedForms:
     def test_scalar_case(self):
         w = make_weights([0.5])
-        assert sigma_inverse_entry(w, 1, 1) == pytest.approx(4.0, rel=1e-15)
+        assert sigma_inverse_entry(w, 1, 1) == pytest.approx(4.0, rel=1e-15, abs=0.0)
 
     def test_two_cell_entries(self):
         w = make_weights([0.3, 0.3])
-        assert sigma_inverse_entry(w, 1, 1) == pytest.approx(35 / 6, rel=1e-14)
-        assert sigma_inverse_entry(w, 1, 2) == pytest.approx(2.5, rel=1e-15)
+        assert sigma_inverse_entry(w, 1, 1) == pytest.approx(35 / 6, rel=1e-14, abs=0.0)
+        assert sigma_inverse_entry(w, 1, 2) == pytest.approx(2.5, rel=1e-15, abs=0.0)
         for i in range(1, 3):
             for j in range(1, 3):
                 assert sigma_inverse_entry(w, i, j) == sigma_inverse_entry(w, j, i)
@@ -70,11 +70,11 @@ class TestQuadForm:
 
     def test_scalar(self):
         w = make_weights([0.5])
-        assert quad_form(w, [0.1]) == pytest.approx(0.04, rel=1e-14)
+        assert quad_form(w, [0.1]) == pytest.approx(0.04, rel=1e-14, abs=0.0)
 
     def test_antisymmetric_vector(self):
         w = make_weights([0.3, 0.3])
-        assert quad_form(w, [0.1, -0.1]) == pytest.approx(1 / 15, rel=1e-14)
+        assert quad_form(w, [0.1, -0.1]) == pytest.approx(1 / 15, rel=1e-14, abs=0.0)
 
     def test_matches_matrix_product(self):
         rng = np.random.default_rng(13)
@@ -83,7 +83,7 @@ class TestQuadForm:
             w = make_weights(random_weights(rng, d))
             x = rng.normal(size=d)
             oracle = x @ sigma_inverse_matrix(w) @ x
-            assert quad_form(w, x) == pytest.approx(oracle, rel=1e-12)
+            assert quad_form(w, x) == pytest.approx(oracle, rel=1e-12, abs=0.0)
             y = rng.normal(size=d)
             oracle_b = x @ sigma_inverse_matrix(w) @ y
             assert bilinear_form(w, x, y) == pytest.approx(oracle_b, rel=1e-11, abs=1e-13)
@@ -110,7 +110,7 @@ class TestLogDensity:
     def test_two_cell_value(self):
         w = make_weights([0.3, 0.3])
         expected = -0.5 * (2 * np.log(2 * np.pi) + np.log(0.036))
-        assert log_mvn_density(w, [0.0, 0.0]) == pytest.approx(expected, rel=1e-14)
+        assert log_mvn_density(w, [0.0, 0.0]) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     def test_maximum_at_origin(self):
         rng = np.random.default_rng(15)
@@ -131,9 +131,9 @@ class TestLogDensity:
     def test_normalization(self):
         w1 = make_weights([0.5])
         val, _ = scipy.integrate.quad(lambda x: np.exp(log_mvn_density(w1, [x])), -8, 8)
-        assert val == pytest.approx(1.0, rel=1e-8)
+        assert val == pytest.approx(1.0, rel=1e-8, abs=0.0)
         w2 = make_weights([0.3, 0.3])
         val2, _ = scipy.integrate.dblquad(
             lambda y, x: np.exp(log_mvn_density(w2, [x, y])), -4, 4, -4, 4
         )
-        assert val2 == pytest.approx(1.0, rel=1e-6)
+        assert val2 == pytest.approx(1.0, rel=1e-6, abs=0.0)

@@ -59,8 +59,17 @@ class TestStirlingLambda:
         assert 1 / 25 <= stirling_lambda(2) <= 1 / 24
 
     def test_against_high_precision(self):
-        for m in list(range(1, 31)) + [50, 100, 1000, 12345]:
-            assert stirling_lambda(m) == pytest.approx(lambda_oracle(m), rel=1e-13)
+        for m in list(range(21, 31)) + [50, 100, 1000, 12345]:
+            assert stirling_lambda(m) == pytest.approx(lambda_oracle(m), rel=1e-13, abs=0.0)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="for m <= 20, stirling_lambda subtracts the Stirling main term from a tabled "
+        "ln(m!), which cancels: 4.1e-13 relative off at m = 10, 1.74e-12 at m = 19",
+    )
+    def test_small_m_against_high_precision(self):
+        for m in range(1, 21):
+            assert stirling_lambda(m) == pytest.approx(lambda_oracle(m), rel=1e-13, abs=0.0)
 
     def test_bounds_sweep(self):
         for m in list(range(1, 1001)) + [10**6]:
@@ -74,7 +83,9 @@ class TestStirlingLambda:
     def test_log_factorial(self):
         for m in range(0, 25):
             assert log_factorial(m) == pytest.approx(math.log(math.factorial(m)), rel=1e-14, abs=1e-14)
-        assert log_factorial(500) == pytest.approx(float(mp.log(mp.factorial(500))), rel=1e-13)
+        assert log_factorial(500) == pytest.approx(
+            float(mp.log(mp.factorial(500))), rel=1e-13, abs=0.0
+        )
 
 
 class TestCapitalLambda:
@@ -117,7 +128,7 @@ class TestGammaTilde:
     def test_series_example(self):
         inst = example_instance()
         # cubic term cancels by symmetry; quartic = (1/12)(1/6)^4 * 16 = 1/972
-        assert gamma_tilde_series(inst) == pytest.approx(1 / 972, rel=1e-14)
+        assert gamma_tilde_series(inst) == pytest.approx(1 / 972, rel=1e-14, abs=0.0)
 
     def test_series_close_for_small_offsets(self):
         rng = np.random.default_rng(21)

@@ -13,7 +13,6 @@ from mnsurv import (
     QuadratureSpec,
     build_instance,
     integrate_region,
-    integrate_region_mc,
     legendre_rule,
     log_dirichlet_integrand,
     log_gaussian_integrand,
@@ -53,7 +52,7 @@ class TestLegendreRule:
         nodes, weights = legendre_rule(g)
         degree = 2 * g - 1
         approx = math.fsum(weights * nodes**degree)
-        assert approx == pytest.approx(1 / (degree + 1), rel=1e-13)
+        assert approx == pytest.approx(1 / (degree + 1), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("g", [1, 0, 129])
     def test_node_count_bounds(self, g):
@@ -79,14 +78,14 @@ class TestIntegrateRegion:
     def test_interval_length(self):
         w = make_weights([0.3])
         value, logv = integrate_region(w, _const_logf, QuadratureSpec(nodes=8))
-        assert value == pytest.approx(0.3, rel=1e-14)
-        assert logv == pytest.approx(math.log(0.3), rel=1e-14)
+        assert value == pytest.approx(0.3, rel=1e-14, abs=0.0)
+        assert logv == pytest.approx(math.log(0.3), rel=1e-14, abs=0.0)
 
     def test_planar_area(self):
         # {s >= 0, s1 <= 0.3, s1+s2 <= 0.6} has area 0.3*0.6 - 0.3^2/2
         w = make_weights([0.3, 0.3])
         value, _ = integrate_region(w, _const_logf, QuadratureSpec(nodes=8))
-        assert value == pytest.approx(0.135, rel=1e-14)
+        assert value == pytest.approx(0.135, rel=1e-14, abs=0.0)
 
     def test_linear_integrand_closed_form(self):
         inst = build_instance(2, [0.5], [1])
@@ -134,14 +133,6 @@ class TestIntegrateRegion:
         w = make_weights([0.15, 0.15, 0.15, 0.1, 0.1, 0.1])
         with pytest.raises(CostGuardError):
             integrate_region(w, _const_logf, QuadratureSpec(nodes=128))
-
-    def test_mode_mismatch(self):
-        w = make_weights([0.3])
-        mc = QuadratureSpec(mode="monte-carlo", replications=1000, seed=1)
-        with pytest.raises(ValueError):
-            integrate_region(w, _const_logf, mc)
-        with pytest.raises(ValueError):
-            integrate_region_mc(w, _const_logf, QuadratureSpec(nodes=8))
 
 
 def _whole_tensor_nodes(weights, g):
@@ -277,7 +268,7 @@ class TestBlockedIntegration:
         finally:
             tracemalloc.stop()
         # equal prefix steps h: volume h^d (d+1)^(d-1) / d! (parking functions)
-        assert value == pytest.approx(0.2**4 * 5**3 / 24, rel=1e-13)
+        assert value == pytest.approx(0.2**4 * 5**3 / 24, rel=1e-13, abs=0.0)
         assert peak < 32e6
 
 
@@ -286,57 +277,8 @@ def _sorted_rows(pts):
 
 
 class TestSpecValidation:
-    def test_mc_requires_seed_and_replications(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(mode="monte-carlo", replications=1000)
-        with pytest.raises(ValueError):
-            QuadratureSpec(mode="monte-carlo", seed=1, replications=10)
+    def test_rejects_nodes_out_of_range(self):
         with pytest.raises(ValueError):
             QuadratureSpec(nodes=1)
         with pytest.raises(ValueError):
-            QuadratureSpec(mode="importance")
-
-
-class TestIntegrateRegionMc:
-    def test_planar_area(self):
-        w = make_weights([0.3, 0.3])
-        spec = QuadratureSpec(mode="monte-carlo", replications=200_000, seed=42)
-        est, se = integrate_region_mc(w, _const_logf, spec)
-        assert abs(est - 0.135) <= 4 * se
-
-    def test_two_seeds_overlap(self):
-        w = make_weights([0.3, 0.3])
-        est1, se1 = integrate_region_mc(
-            w, _const_logf, QuadratureSpec(mode="monte-carlo", replications=50_000, seed=1)
-        )
-        est2, se2 = integrate_region_mc(
-            w, _const_logf, QuadratureSpec(mode="monte-carlo", replications=50_000, seed=2)
-        )
-        assert est1 != est2
-        assert abs(est1 - est2) <= 4 * math.hypot(se1, se2)
-
-    def test_known_integrand(self):
-        inst = build_instance(2, [0.5], [1])
-        spec = QuadratureSpec(mode="monte-carlo", replications=100_000, seed=5)
-        est, se = integrate_region_mc(
-            inst.weights, lambda s: log_dirichlet_integrand(inst, s), spec
-        )
-        assert abs(est - 0.75) <= 4 * se
-
-    def test_deterministic_given_seed(self):
-        w = make_weights([0.25, 0.3])
-        spec = QuadratureSpec(mode="monte-carlo", replications=20_000, seed=99)
-        first = integrate_region_mc(w, _const_logf, spec)
-        second = integrate_region_mc(w, _const_logf, spec)
-        assert first == second
-
-    def test_coverage_over_seeds(self):
-        # 4-sigma coverage: expect at most a rare excursion in 50 runs
-        w = make_weights([0.3, 0.3])
-        hits = 0
-        for seed in range(50):
-            est, se = integrate_region_mc(
-                w, _const_logf, QuadratureSpec(mode="monte-carlo", replications=20_000, seed=seed)
-            )
-            hits += abs(est - 0.135) <= 4 * se
-        assert hits >= 48
+            QuadratureSpec(nodes=129)

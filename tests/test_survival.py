@@ -77,11 +77,12 @@ class TestExact:
         assert survival_exact(build_instance(5, [0.3, 0.3], [0, 0])) == 1.0
 
     def test_single_cell(self):
-        assert survival_exact(build_instance(2, [0.5], [1])) == pytest.approx(0.75, rel=1e-14)
+        inst = build_instance(2, [0.5], [1])
+        assert survival_exact(inst) == pytest.approx(0.75, rel=1e-14, abs=0.0)
 
     def test_two_cells_one_active(self):
         inst = build_instance(2, [0.3, 0.3], [1, 0])
-        assert survival_exact(inst) == pytest.approx(0.51, rel=1e-13)
+        assert survival_exact(inst) == pytest.approx(0.51, rel=1e-13, abs=0.0)
 
     def test_impossible(self):
         assert survival_exact(build_instance(2, [0.5], [5])) == 0.0
@@ -160,7 +161,7 @@ class TestDirichlet:
     def test_binomial_case(self):
         inst = build_instance(4, [0.5], [2])
         assert survival_dirichlet(inst, QuadratureSpec(nodes=16)) == pytest.approx(
-            11 / 16, rel=1e-13
+            11 / 16, rel=1e-13, abs=0.0
         )
 
     def test_matches_enumeration(self):
@@ -181,8 +182,8 @@ class TestDirichlet:
         inst = build_instance(2, [0.3, 0.3], [1, 1])
         exact = survival_exact(inst)
         diri = survival_dirichlet(inst, QuadratureSpec(nodes=8))
-        assert diri == pytest.approx(exact, rel=1e-12)
-        assert exact == pytest.approx(0.27, rel=1e-12)
+        assert diri == pytest.approx(exact, rel=1e-12, abs=0.0)
+        assert exact == pytest.approx(0.27, rel=1e-12, abs=0.0)
 
 
 class TestGaussian:
@@ -297,11 +298,7 @@ class TestMonteCarlo:
 class TestCompareRoutes:
     def test_full_report(self):
         inst = build_instance(10, [0.3, 0.3], [2, 3])
-        report = compare_routes(
-            inst,
-            QuadratureSpec(nodes=48),
-            mc_spec=QuadratureSpec(mode="monte-carlo", replications=100_000, seed=11),
-        )
+        report = compare_routes(inst, QuadratureSpec(nodes=48), replications=100_000, seed=11)
         assert report.max_rel_diff <= 1e-6
         assert report.gaussian is not None
         assert report.delta_n is not None and report.gamma_tilde is not None
@@ -330,8 +327,8 @@ class TestCompareRoutes:
         # zero thresholds are fine: routes see the reduced instance
         report = compare_routes(build_instance(10, [0.2, 0.3, 0.1], [2, 0, 3]))
         merged = compare_routes(build_instance(10, [0.2, 0.4], [2, 3]))
-        assert report.exact == pytest.approx(merged.exact, rel=1e-13)
-        assert report.dirichlet == pytest.approx(merged.dirichlet, rel=1e-12)
+        assert report.exact == pytest.approx(merged.exact, rel=1e-13, abs=0.0)
+        assert report.dirichlet == pytest.approx(merged.dirichlet, rel=1e-12, abs=0.0)
 
     def test_gaussian_inapplicable_is_reported(self):
         report = compare_routes(build_instance(10, [0.3, 0.3], [1, 3]))
@@ -384,8 +381,13 @@ class TestCompareRoutes:
         assert len(calls) == 1
 
     def test_mc_needs_spec(self):
+        inst = build_instance(10, [0.3], [3])
         with pytest.raises(ValueError):
-            compare_routes(build_instance(10, [0.3], [3]), routes=["mc"])
+            compare_routes(inst, routes=["mc"])
+        with pytest.raises(ValueError):
+            compare_routes(inst, replications=2000)
+        with pytest.raises(ValueError):
+            compare_routes(inst, replications=999, seed=1)
 
 
 # (n, p, k, G, Dirichlet, Gaussian): values of an earlier release, whose
