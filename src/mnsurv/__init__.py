@@ -12,13 +12,9 @@ the underlying algebraic identities into a runnable verification suite.
 from .model import (
     ProbabilityWeights,
     SurvivalInstance,
-    Thresholds,
     build_instance,
-    make_thresholds,
     make_weights,
-    nested_upper_limit,
     reduce_thresholds,
-    region_contains,
 )
 from .covariance import (
     CovarianceStructure,
@@ -69,14 +65,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ProbabilityWeights",
-    "Thresholds",
     "SurvivalInstance",
     "build_instance",
     "make_weights",
-    "make_thresholds",
     "reduce_thresholds",
-    "region_contains",
-    "nested_upper_limit",
     "CovarianceStructure",
     "covariance_structure",
     "sigma_matrix",

@@ -13,8 +13,9 @@ Subcommands
     Run the identity/consistency suite; exits 3 if anything fails.
 
 Exit codes: 0 success, 1 usage error (bad flags, including --nodes and
---mc-reps out of range, a negative --seed and a tolerance that is not
-positive and finite), 2 invalid instance data (bad
+--mc-reps out of range, a negative --seed, a tolerance that is not
+positive and finite, a --routes that names no route, and an --input or
+--out path that cannot be read or written), 2 invalid instance data (bad
 n/p/k), 3 check-suite failure, 4 cost guard (a route's cost bound refuses
 the instance).  All output is byte-deterministic for a given command line,
 including Monte Carlo results (seeds are mandatory).
@@ -23,6 +24,7 @@ including Monte Carlo results (seeds are mandatory).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -45,45 +47,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# serialization: floats carry 17 significant digits so parsing returns the
-# exact same binary value.
-
-def _fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def _json_value(obj, indent, level):
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [_json_value(v, indent, level + 1) for v in obj]
-        return "[\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            f"{inner}{json.dumps(str(k))}: {_json_value(v, indent, level + 1)}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
-
-
-def _dumps(obj) -> str:
-    return _json_value(obj, 2, 0) + "\n"
-
+# serialization: floats are written as their shortest round-trip ``repr``, so
+# parsing returns the exact same binary value.
 
 def report_to_dict(report: RouteReport) -> dict:
     gaussian = report.gaussian
@@ -123,7 +88,7 @@ def _csv_cell(value):
     if value is None:
         return ""
     if isinstance(value, float):
-        return _fmt_float(value)
+        return repr(float(value))  # numpy 2 writes repr(np.float64(x)) as "np.float64(x)"
     return str(value)
 
 
@@ -141,7 +106,7 @@ def _csv_lines(reports):
     lines = [",".join(header)]
     for r in reports:
         row = [str(r.n), str(r.d)]
-        row += [_fmt_float(v) for v in r.p]
+        row += [_csv_cell(v) for v in r.p]
         row += [str(v) for v in r.k]
         row += [_csv_cell(r.exact), _csv_cell(r.dirichlet), _csv_cell(r.gaussian)]
         row += [
@@ -161,7 +126,7 @@ def emit_report(report: RouteReport, fmt: str = "json") -> bytes:
 def emit_reports(reports, fmt: str = "json", single: bool = False) -> bytes:
     if fmt == "json":
         payload = report_to_dict(reports[0]) if single else [report_to_dict(r) for r in reports]
-        return _dumps(payload).encode()
+        return (json.dumps(payload, indent=2) + "\n").encode()
     if fmt == "csv":
         return _csv_lines(reports).encode()
     raise UsageError(f"unknown format {fmt!r}")
@@ -314,8 +279,11 @@ def _seed(args, idx):
 
 def _write(args, payload: bytes):
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "wb") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc}")
     else:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()
@@ -359,15 +327,14 @@ def _run_sweep(args):
     return 0
 
 
-def _enumerate_thresholds(d, n, prefix=()):
-    """All k with every k_i >= 1 and kappa_d <= n, in lexicographic order."""
-    used = sum(prefix)
-    if len(prefix) == d:
-        yield list(prefix)
-        return
-    remaining_axes = d - len(prefix) - 1
-    for v in range(1, n - used - remaining_axes + 1):
-        yield from _enumerate_thresholds(d, n, prefix + (v,))
+def _enumerate_thresholds(d, n):
+    """All k with every k_i >= 1 and kappa_d <= n, in lexicographic order.
+
+    The running sums kappa are exactly the d-subsets of {1..n}, and
+    lexicographic order of kappa is lexicographic order of k.
+    """
+    for kappa in itertools.combinations(range(1, n + 1), d):
+        yield [b - a for a, b in zip((0,) + kappa, kappa)]
 
 
 def _run_check(args):
@@ -397,6 +364,8 @@ def run(argv=None) -> int:
             routes = None
             if args.routes is not None:
                 routes = [tok.strip() for tok in args.routes.split(",") if tok.strip()]
+                if not routes:
+                    raise UsageError(f"--routes names no route: {args.routes!r}")
                 unknown = set(routes) - set(DETERMINISTIC_ROUTES + ("mc",))
                 if unknown:
                     raise UsageError(f"unknown routes: {sorted(unknown)}")

@@ -4,7 +4,7 @@ The event of interest is ``P(X_1 + ... + X_i >= kappa_i for all i <= d)`` where
 ``X ~ Multinomial(n, p)`` over d+1 cells, ``k`` holds the per-cell thresholds
 and ``kappa`` their running sums.  This module validates inputs, derives the
 integer gap vectors ``j``/``J`` and the relative offsets ``eps``/``eps_tilde``
-used by the integral routes, and describes the nested integration region.
+used by the integral routes, and merges away zero thresholds.
 """
 
 from __future__ import annotations
@@ -15,14 +15,10 @@ import numpy as np
 
 __all__ = [
     "ProbabilityWeights",
-    "Thresholds",
     "SurvivalInstance",
     "make_weights",
-    "make_thresholds",
     "build_instance",
     "reduce_thresholds",
-    "region_contains",
-    "nested_upper_limit",
     "WEIGHT_MARGIN",
 ]
 
@@ -93,15 +89,7 @@ def make_weights(p) -> ProbabilityWeights:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class Thresholds:
-    """Per-cell thresholds ``k`` and their running sums ``kappa``."""
-
-    k: np.ndarray       # shape (d,), nonnegative integers
-    kappa: np.ndarray   # kappa[i-1] = k_1 + ... + k_i
-
-
-def make_thresholds(k) -> Thresholds:
+def _validate_thresholds(k) -> np.ndarray:
     k = np.asarray(k)
     if k.ndim != 1 or k.size == 0:
         raise ValueError("k must be a non-empty 1-d vector")
@@ -112,8 +100,7 @@ def make_thresholds(k) -> Thresholds:
         k = kf.astype(np.int64)
     if np.any(k < 0):
         raise ValueError("thresholds must be nonnegative")
-    k = k.astype(np.int64)
-    return Thresholds(k=_frozen(k, np.int64), kappa=_frozen(np.cumsum(k), np.int64))
+    return k.astype(np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,7 +116,8 @@ class SurvivalInstance:
 
     n: int
     weights: ProbabilityWeights
-    thresholds: Thresholds
+    k: np.ndarray                 # shape (d,), nonnegative integer thresholds
+    kappa: np.ndarray             # kappa[i-1] = k_1 + ... + k_i
     N: int
     j: np.ndarray                 # shape (d+1,), integer gaps, sum = n + 1
     J: np.ndarray                 # j - 1, sum = N
@@ -145,27 +133,9 @@ class SurvivalInstance:
         return self.weights.p
 
     @property
-    def k(self) -> np.ndarray:
-        return self.thresholds.k
-
-    @property
-    def kappa(self) -> np.ndarray:
-        return self.thresholds.kappa
-
-    @property
     def impossible(self) -> bool:
         """True when ``kappa_d > n``: the survival event has probability 0."""
         return int(self.kappa[-1]) > self.n
-
-    @property
-    def dirichlet_applicable(self) -> bool:
-        """Integral representation needs every gap ``j_i >= 1``."""
-        return bool(np.all(self.j >= 1))
-
-    @property
-    def gaussian_applicable(self) -> bool:
-        """Gaussian-route expansions need ``J_i >= 1`` for every cell."""
-        return self.gaussian_block_reason is None
 
     @property
     def gaussian_block_reason(self) -> str | None:
@@ -207,13 +177,11 @@ def build_instance(n, p, k) -> SurvivalInstance:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     n = int(n)
     weights = make_weights(p)
-    thresholds = make_thresholds(k)
-    if weights.d != thresholds.k.shape[0]:
-        raise ValueError(
-            f"p and k must have the same length; got {weights.d} and {thresholds.k.shape[0]}"
-        )
+    k = _validate_thresholds(k)
+    if weights.d != k.shape[0]:
+        raise ValueError(f"p and k must have the same length; got {weights.d} and {k.shape[0]}")
     d = weights.d
-    kappa = thresholds.kappa
+    kappa = np.cumsum(k)
     j = np.empty(d + 1, dtype=np.int64)
     j[0] = kappa[0]
     j[1:d] = kappa[1:] - kappa[:-1]
@@ -234,7 +202,8 @@ def build_instance(n, p, k) -> SurvivalInstance:
     return SurvivalInstance(
         n=n,
         weights=weights,
-        thresholds=thresholds,
+        k=_frozen(k, np.int64),
+        kappa=_frozen(kappa, np.int64),
         N=N,
         j=_frozen(j, np.int64),
         J=_frozen(J, np.int64),
@@ -273,43 +242,3 @@ def reduce_thresholds(p, k):
             carry = 0.0
     return np.asarray(out_p, dtype=float), np.asarray(out_k, dtype=np.int64)
 
-
-def region_contains(weights: ProbabilityWeights, s) -> bool:
-    """Membership test for the nested integration region.
-
-    The region consists of the points ``s >= 0`` whose prefix sums satisfy
-    ``s_1 + ... + s_i <= p_1 + ... + p_i`` for every ``i <= d``; boundary
-    points count as inside.
-    """
-    s = np.asarray(s, dtype=float)
-    if s.shape != (weights.d,):
-        raise ValueError(f"s must have shape ({weights.d},), got {s.shape}")
-    if np.any(s < 0.0):
-        return False
-    return bool(np.all(np.cumsum(s) <= weights.prefix))
-
-
-def nested_upper_limit(weights: ProbabilityWeights, i: int, s_prefix) -> float:
-    """Upper integration limit of axis ``i`` given the coordinates before it.
-
-    For the iterated integral over the nested region, axis ``i`` (1-based)
-    runs over ``[0, U_i]`` with ``U_i = (p_1 + ... + p_i) - (s_1 + ... +
-    s_{i-1})``.
-
-    Raises
-    ------
-    ValueError
-        If ``s_prefix`` already violates one of the earlier limits.
-    """
-    d = weights.d
-    if not 1 <= i <= d:
-        raise ValueError(f"axis index must be in [1, {d}], got {i}")
-    s_prefix = np.asarray(s_prefix, dtype=float)
-    if s_prefix.shape != (i - 1,):
-        raise ValueError(f"s_prefix must have shape ({i - 1},), got {s_prefix.shape}")
-    running = 0.0
-    for t in range(i - 1):
-        if s_prefix[t] < 0.0 or running + s_prefix[t] > weights.prefix[t]:
-            raise ValueError(f"s_prefix violates the limit on axis {t + 1}")
-        running += s_prefix[t]
-    return float(weights.prefix[i - 1] - running)

@@ -192,9 +192,16 @@ def survival_mc(instance: SurvivalInstance, replications: int, seed: int):
     (float, float)
         Frequency estimate and its binomial standard error; fully determined
         by ``(seed, replications)``.
+
+    Raises
+    ------
+    ValueError
+        If ``replications < MIN_REPLICATIONS`` or ``seed`` is ``None``.
     """
     if replications < MIN_REPLICATIONS:
         raise ValueError(f"replications must be >= {MIN_REPLICATIONS}")
+    if seed is None:
+        raise ValueError("survival_mc requires a seed")
     n, d = instance.n, instance.d
     kappa = instance.kappa
     prefix = instance.weights.prefix

@@ -1,3 +1,7 @@
+import csv
+import dataclasses
+import io
+import itertools
 import json
 
 import numpy as np
@@ -42,10 +46,16 @@ class TestEmit:
             "n,d,p_1,p_2,k_1,k_2,exact,dirichlet,gaussian,"
             "mc_est,mc_se,delta_n,gamma_tilde,max_rel_diff"
         )
-        cells = row.split(",")
-        assert cells[0] == "10" and cells[1] == "2"
-        assert float(cells[6]) == report.exact
-        assert cells[9] == "" and cells[10] == ""  # no MC requested
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["n"] == "10" and cells["d"] == "2"
+        assert cells["k_1"] == "2" and cells["k_2"] == "3"
+        assert cells["mc_est"] == "" and cells["mc_se"] == ""  # no MC requested
+        fields = {"p_1": report.p[0], "p_2": report.p[1], "exact": report.exact,
+                  "dirichlet": report.dirichlet, "gaussian": report.gaussian,
+                  "delta_n": report.delta_n, "gamma_tilde": report.gamma_tilde,
+                  "max_rel_diff": report.max_rel_diff}
+        for column, value in fields.items():
+            assert float(cells[column]).hex() == value.hex(), column
 
     def test_report_dict_none_routes(self):
         report = compare_routes(build_instance(10, [0.3], [3]), routes=["exact"])
@@ -62,7 +72,9 @@ class TestExitCodes:
         assert run(["eval", "--n", "10"]) == 1
 
     def test_usage_error_on_bad_route(self, capsys):
-        assert run(["eval", "--n", "4", "--p", "0.5", "--k", "2", "--routes", "magic"]) == 1
+        for routes in ("magic", ",", " "):
+            assert run(["eval", "--n", "4", "--p", "0.5", "--k", "2", "--routes", routes]) == 1
+            assert capsys.readouterr().err.startswith("usage error: ")
 
     def test_usage_error_on_mc_without_seed(self, capsys):
         args = ["eval", "--n", "4", "--p", "0.5", "--k", "2",
@@ -130,6 +142,12 @@ class TestExitCodes:
     def test_usage_error_on_negative_seed(self, capsys, args):
         assert run(args) == 1
         assert capsys.readouterr().err == "usage error: --seed must be non-negative, got %s\n" % args[-1]
+
+    def test_usage_error_on_unwritable_out(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.json"
+        assert run(["compare", "--n", "10", "--p", "0.3", "--k", "3", "--out", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: cannot write {path}: ") and err.count("\n") == 1
 
     def test_cost_guard_exit_code(self, capsys):
         args = ["eval", "--n", "10000", "--p", "0.2,0.3,0.2", "--k", "1800,3000,2000",
@@ -204,6 +222,24 @@ class TestSubcommands:
         # grid size: all k with k_i >= 1, k_1 + k_2 <= n, for n in 5..7
         expected = sum((n - 1) * n // 2 for n in (5, 6, 7))
         assert len(lines) - 1 == expected
+
+    @pytest.mark.parametrize("p", ["0.2", "0.2,0.3", "0.2,0.3,0.1"])
+    def test_sweep_k_all_grid_order(self, tmp_path, p):
+        d = p.count(",") + 1
+        code, payload = run_to_file(
+            tmp_path,
+            ["sweep", "--n", "3:7:2", "--p", p, "--k-all", "--format", "csv", "--nodes", "8"],
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(payload.decode())))
+        got = [(int(r["n"]),) + tuple(int(r[f"k_{i + 1}"]) for i in range(d)) for r in rows]
+        expected = [
+            (n,) + k
+            for n in (3, 5, 7)
+            for k in sorted(itertools.product(range(1, n + 1), repeat=d))
+            if sum(k) <= n
+        ]
+        assert got == expected
 
     def test_sweep_fixed_k_json(self, tmp_path):
         code, payload = run_to_file(
@@ -286,10 +322,15 @@ class TestMcSeedRule:
 
 
 class TestFloatFormatting:
-    def test_seventeen_digits_round_trip(self):
+    def test_shortest_repr_round_trip(self):
         rng = np.random.default_rng(70)
-        from mnsurv.cli import _fmt_float
-
+        base = compare_routes(build_instance(10, [0.3], [3]), routes=["exact"])
         for _ in range(1000):
             x = float(rng.uniform(-1, 1)) * 10.0 ** int(rng.integers(-12, 12))
-            assert float(_fmt_float(x)) == x
+            report = dataclasses.replace(base, exact=x)
+            text = emit_report(report, "json").decode()
+            assert f'"exact": {x!r},' in text
+            assert json.loads(text)["routes"]["exact"].hex() == x.hex()
+            _, row = emit_report(report, "csv").decode().splitlines()
+            cell = row.split(",")[4]
+            assert cell == repr(x) and float(cell).hex() == x.hex()

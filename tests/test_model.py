@@ -5,10 +5,7 @@ from hypothesis import strategies as st
 
 from mnsurv import (
     build_instance,
-    make_weights,
-    nested_upper_limit,
     reduce_thresholds,
-    region_contains,
     survival_exact,
 )
 
@@ -25,8 +22,7 @@ class TestBuildInstance:
     def test_zero_threshold_blocks_integral_routes(self):
         inst = build_instance(5, [0.3, 0.3], [0, 2])
         assert inst.j[0] == 0
-        assert not inst.dirichlet_applicable
-        assert not inst.gaussian_applicable
+        assert inst.gaussian_block_reason == "J_i = 0"
 
     def test_impossible_event_is_still_valid(self):
         inst = build_instance(2, [0.5], [5])
@@ -141,43 +137,3 @@ class TestReduceThresholds:
         # total constrained mass is conserved up to the dropped tail cells
         assert p1.sum() <= p.sum() + 1e-15
 
-
-class TestRegion:
-    def test_examples(self):
-        w = make_weights([0.3, 0.3])
-        assert region_contains(w, [0.2, 0.35])
-        assert not region_contains(w, [0.31, 0.1])
-        assert region_contains(w, w.p)  # boundary counts as inside
-        assert not region_contains(w, [-0.01, 0.2])
-
-    def test_dimension_mismatch(self):
-        w = make_weights([0.3, 0.3])
-        with pytest.raises(ValueError):
-            region_contains(w, [0.1])
-
-    def test_upper_limits(self):
-        w = make_weights([0.3, 0.3])
-        assert nested_upper_limit(w, 1, []) == pytest.approx(0.3)
-        assert nested_upper_limit(w, 2, [0.2]) == pytest.approx(0.4)
-        assert nested_upper_limit(w, 2, [0.3]) == pytest.approx(0.3)
-        with pytest.raises(ValueError):
-            nested_upper_limit(w, 2, [0.35])
-        with pytest.raises(ValueError):
-            nested_upper_limit(w, 3, [0.1, 0.1])
-
-    def test_membership_agrees_with_limits(self):
-        rng = np.random.default_rng(7)
-        w = make_weights([0.25, 0.3, 0.2])
-        for _ in range(10_000):
-            s = rng.uniform(0, 0.6, size=3)
-            inside = True
-            for i in range(3):
-                try:
-                    upper = nested_upper_limit(w, i + 1, s[:i])
-                except ValueError:
-                    inside = False
-                    break
-                if not 0.0 <= s[i] <= upper:
-                    inside = False
-                    break
-            assert inside == region_contains(w, s)

@@ -263,6 +263,10 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             survival_mc(build_instance(2, [0.5], [1]), 100, 1)
 
+    def test_rejects_missing_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            survival_mc(build_instance(10, [0.3], [3]), 2000, None)
+
     def test_panel_consistency(self):
         rng = np.random.default_rng(43)
         hits = total = 0
