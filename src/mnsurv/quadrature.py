@@ -5,12 +5,16 @@ Integration is iterated Gauss-Legendre with variable upper limits
 strictly inside the region so log-singular boundaries are never touched.
 Integrands are consumed in log space and rescaled by a single interior
 reference value, so the machinery survives integrands whose linear-scale
-values overflow or underflow.
+values overflow or underflow.  The blocks of one integral are evaluated
+concurrently on a shared thread pool; their partials are summed exactly,
+so values do not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,13 +37,53 @@ MIN_NODES, MAX_NODES = 2, 128
 
 # Integration refuses more than this many integrand evaluations.
 # The guard bounds time only: nodes are streamed in blocks, so memory is a
-# fixed per-block amount whatever the node count.
+# fixed per-block amount per thread whatever the node count.
 MAX_NODE_EVALS = 10**8
 
 # Most nodes per block of the streamed tensor product; a block holds
 # ``_BLOCK_NODES // nodes`` whole outer prefixes.  Fixing it fixes the
 # reduction order, so results are reproducible for a given node count.
 _BLOCK_NODES = 1 << 16
+
+# Threads that evaluate blocks after the first: the CPU affinity mask, so
+# ``taskset`` restricts it.  With one, every block runs on the caller.
+try:
+    _WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity mask outside Linux
+    _WORKERS = os.cpu_count() or 1
+
+# Created on first use, under the lock, and shared by every integral; its
+# threads see ``_pool_thread.active`` set.
+_pool = None
+_pool_lock = threading.Lock()
+_pool_thread = threading.local()
+
+
+def _mark_pool_thread():
+    _pool_thread.active = True
+
+
+def _block_pool():
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            # imported here: it costs ~10 ms, which single-block callers skip
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(
+                _WORKERS, thread_name_prefix="mnsurv-quadrature", initializer=_mark_pool_thread
+            )
+        return _pool
+
+
+def _forget_pool():
+    """A forked child inherits the pool without its threads: start afresh."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 class CostGuardError(RuntimeError):
@@ -122,6 +166,7 @@ def integrate_region(weights: ProbabilityWeights, logf, spec=None, s_ref=None):
         column for the innermost one, so work on an outer coordinate alone
         can be done once per row.  The columns belong to the integrator and
         are reused across blocks; ``logf`` must not modify or keep them.
+        ``logf`` may be called from several threads at once.
     spec : QuadratureSpec, optional
         Nodes per axis; defaults to 48.
     s_ref : array_like, optional
@@ -132,11 +177,16 @@ def integrate_region(weights: ProbabilityWeights, logf, spec=None, s_ref=None):
     Returns
     -------
     (float, float)
-        The integral and its natural log.  Nodes are visited in a fixed
-        order, in blocks of whole outer prefixes (at most ``_BLOCK_NODES``
-        nodes).  Each block is reduced with ``np.sum`` and the block
-        partials with ``math.fsum``, so results are reproducible for a given
-        node count.
+        The integral and its natural log.  Nodes are split into fixed
+        blocks of whole outer prefixes (at most ``_BLOCK_NODES`` nodes).
+        Block 0 is evaluated on the calling thread; when two or more blocks
+        remain, they are evaluated concurrently in strided shares on a
+        shared thread pool, one per CPU the process may run on.  Each block
+        is reduced with ``np.sum`` and the block partials with the exact
+        ``math.fsum``, which does not depend on their order, so results are
+        bit-reproducible for a given node count whatever the thread count.
+        A failure is reported from the lowest-indexed failing block, as if
+        the blocks had run in order.
     """
     spec = spec if spec is not None else QuadratureSpec()
     d = weights.d
@@ -152,14 +202,15 @@ def integrate_region(weights: ProbabilityWeights, logf, spec=None, s_ref=None):
 
     # A block is a run of outer prefixes (axes 1..d-1) times all g innermost
     # nodes; each prefix's coordinates and partial weight are built once.
-    # The node-sized arrays are allocated once per integral and reused, so
-    # the heap does not shrink after each block only to be faulted back in.
+    # Each share of blocks owns one node-sized buffer, reused block after
+    # block, so the heap does not shrink after each block only to be
+    # faulted back in.
     outer = (g,) * (d - 1)
     rows_total = g ** (d - 1)
     rows_per_block = min(_BLOCK_NODES // g, rows_total)
-    inner, wts, terms = np.empty((3, rows_per_block, g))
-    partials = []
-    for start in range(0, rows_total, rows_per_block):
+
+    def block_sum(start, buffer):
+        inner, wts, terms = buffer
         rows = np.arange(start, min(start + rows_per_block, rows_total))
         digits = np.unravel_index(rows, outer) if d > 1 else ()
         cols = []
@@ -184,11 +235,48 @@ def integrate_region(weights: ProbabilityWeights, logf, spec=None, s_ref=None):
         block_terms = np.subtract(logs, shift, out=terms[: rows.size])
         np.exp(block_terms, out=block_terms)
         block_terms *= block_wts
-        partials.append(float(np.sum(block_terms)))
-    total = math.fsum(partials)
+        return float(np.sum(block_terms))
+
+    def block_sums(starts, buffer):
+        """Partials of the blocks at ``starts``, in order; the first
+        exception raised takes its block's place and ends the list."""
+        sums = []
+        for start in starts:
+            try:
+                sums.append(block_sum(start, buffer))
+            except Exception as exc:
+                sums.append(exc)
+                break
+        return sums
+
+    buffer = np.empty((3, rows_per_block, g))
+    # Block 0 runs first and alone: if it fails no thread is started, and
+    # lazy caches of logf are filled before any concurrent call.
+    partials = [block_sum(0, buffer)]
+    rest = range(rows_per_block, rows_total, rows_per_block)
+    shares = min(_WORKERS, len(rest))
+    if shares > 1 and not getattr(_pool_thread, "active", False):
+        buffers = [buffer] + [np.empty_like(buffer) for _ in range(shares - 1)]
+        futures = [
+            _block_pool().submit(block_sums, rest[j::shares], buffers[j])
+            for j in range(shares)
+        ]
+        results = [future.result() for future in futures]
+    else:
+        # One CPU, or a logf nested in a pool thread: waiting on the pool
+        # from inside it could deadlock, so run every block here.
+        shares, results = 1, [block_sums(rest, buffer)]
+    ordered = [None] * len(rest)
+    for j, sums in enumerate(results):
+        ordered[j : j + shares * len(sums) : shares] = sums
+    # A share stops at its first failure, so in block order the first
+    # entry that is not a partial is the lowest-indexed failure.
+    for value in ordered:
+        if isinstance(value, Exception):
+            raise value
+    total = math.fsum(partials + ordered)
     if total > 0.0:
         log_value = shift + math.log(total)
     else:
         log_value = -math.inf
     return total * math.exp(shift), log_value
-

@@ -156,6 +156,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("cost guard: ") and err.count("\n") == 1
 
+    def test_cost_guard_on_k_all_grid(self, capsys):
+        # C(200, 3) = 1,313,400 rows, refused before any is enumerated
+        assert run(["sweep", "--n", "200", "--p", "0.1,0.1,0.1", "--k-all", "--nodes", "2"]) == 4
+        err = capsys.readouterr().err
+        assert err == "cost guard: --k-all grid of 1313400 rows exceeds the 1000000 row guard\n"
+
     def test_exact_route_at_n_1000_is_in_scope(self, tmp_path):
         code, out = run_to_file(tmp_path, [
             "eval", "--n", "1000", "--p", "0.2,0.3,0.2", "--k", "180,300,200",

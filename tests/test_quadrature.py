@@ -1,6 +1,9 @@
 import ast
 import math
+import multiprocessing
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -12,6 +15,7 @@ from mnsurv import (
     CostGuardError,
     QuadratureSpec,
     build_instance,
+    expansion_context,
     integrate_region,
     legendre_rule,
     log_dirichlet_integrand,
@@ -274,6 +278,184 @@ class TestBlockedIntegration:
 
 def _sorted_rows(pts):
     return pts[np.lexsort(pts.T[::-1])]
+
+
+@pytest.fixture
+def pooled(monkeypatch):
+    """At least two block workers, so the pool runs even on a one-CPU machine."""
+    monkeypatch.setattr(quadrature, "_WORKERS", max(2, quadrature._WORKERS))
+
+
+def _block_of(weights, g, cols):
+    """Index of the block whose nodes the coordinate columns hold; None for
+    the reference point."""
+    if cols[-1].ndim == 1:
+        return None
+    x, _ = legendre_rule(g)
+    running = np.zeros(cols[0].shape[0])
+    row = np.zeros(cols[0].shape[0], dtype=np.int64)
+    for i, col in enumerate(cols[:-1]):
+        upper = weights.prefix[i] - running
+        digit = np.abs((col[:, 0] / upper)[:, None] - x).argmin(axis=1)
+        row = row * g + digit
+        running = running + col[:, 0]
+    blocks = row // (quadrature._BLOCK_NODES // g)
+    assert np.all(blocks == blocks[0])
+    return int(blocks[0])
+
+
+def _d4_g40_integral(logf):
+    w = make_weights([0.2, 0.2, 0.2, 0.2])
+    assert -(-(40**3) // (quadrature._BLOCK_NODES // 40)) == 40  # blocks
+    return integrate_region(w, logf, QuadratureSpec(nodes=40))
+
+
+class TestBlockPool:
+    @pytest.mark.parametrize(
+        "n, p, k, g",
+        [
+            (50, [0.2, 0.25, 0.2, 0.15], [8, 10, 8, 6], 40),  # 40 blocks
+            (60, [0.15, 0.2, 0.15, 0.2, 0.1], [6, 9, 6, 9, 4], 16),  # 16 blocks
+            (70, [0.1, 0.15, 0.1, 0.15, 0.1, 0.15], [5, 8, 5, 8, 5, 8], 10),  # 16 blocks
+        ],
+    )
+    def test_threaded_equals_serial_bit_for_bit(self, monkeypatch, pooled, n, p, k, g):
+        inst = build_instance(n, p, k)
+        ctx = expansion_context(inst)
+        spec = QuadratureSpec(nodes=g)
+        threads = set()
+
+        def dirichlet(s):
+            threads.add(threading.get_ident())
+            return log_dirichlet_integrand(inst, s)
+
+        def gaussian(s):
+            threads.add(threading.get_ident())
+            return log_gaussian_integrand(ctx, s)
+
+        for logf in (dirichlet, gaussian):
+            threaded = integrate_region(inst.weights, logf, spec)
+            with monkeypatch.context() as serial:
+                serial.setattr(quadrature, "_WORKERS", 1)
+                assert integrate_region(inst.weights, logf, spec) == threaded
+        assert len(threads) > 1
+
+    @pytest.mark.parametrize("workers", [2, 3, 5])
+    def test_lowest_failing_block_is_named(self, monkeypatch, workers):
+        # with 2 shares blocks 3 and 7 share one; with 3 or 5 they do not,
+        # so block 7 may fail first and must still lose to block 3
+        monkeypatch.setattr(quadrature, "_WORKERS", workers)
+        w = make_weights([0.2, 0.2, 0.2, 0.2])
+        g = 40
+        first_bad = {}
+
+        def planted(cols):
+            logs = np.zeros(_block_shape(cols))
+            block = _block_of(w, g, cols)
+            if block in (3, 7):
+                logs[:, g // 2 :] = np.nan
+                first_bad[block] = [float(np.broadcast_to(c, logs.shape)[0, g // 2]) for c in cols]
+            return logs
+
+        for _ in range(20):
+            with pytest.raises(ValueError, match="not finite") as info:
+                _d4_g40_integral(planted)
+            named = ast.literal_eval(re.search(r"\[.*\]", str(info.value)).group(0))
+            assert named == first_bad[3]
+
+    def test_exception_from_pool_block_propagates(self, pooled):
+        w = make_weights([0.2, 0.2, 0.2, 0.2])
+        raised_on = []
+
+        def failing(cols):
+            if _block_of(w, 40, cols) == 5:
+                raised_on.append(threading.get_ident())
+                raise ValueError("planted in block 5")
+            return _const_logf(cols)
+
+        with pytest.raises(ValueError) as info:
+            _d4_g40_integral(failing)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "planted in block 5"
+        assert raised_on and raised_on[0] != threading.get_ident()
+
+    def test_single_block_stays_on_caller(self, pooled):
+        w = make_weights([0.3, 0.2, 0.25])
+        threads = []
+
+        def logf(cols):
+            threads.append(threading.get_ident())
+            return _const_logf(cols)
+
+        integrate_region(w, logf, QuadratureSpec(nodes=24))  # 576 rows: one block
+        assert len(threads) == 2  # reference point, the block
+        assert set(threads) == {threading.get_ident()}
+
+    def test_fork_child_integrates_after_parent(self, pooled):
+        expected = _d4_g40_integral(_const_logf)  # the parent's pool now exists
+        ctx = multiprocessing.get_context("fork")
+        results = ctx.Queue()
+        child = ctx.Process(target=lambda: results.put(_d4_g40_integral(_const_logf)))
+        child.start()
+        try:
+            assert results.get(timeout=60) == expected
+            child.join(timeout=60)
+            assert not child.is_alive()
+            assert child.exitcode == 0
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join()
+
+    def test_nested_integral_in_pool_thread_finishes(self, pooled):
+        w = make_weights([0.2, 0.25, 0.2, 0.15])
+        spec = QuadratureSpec(nodes=20)  # three blocks: two go to the pool
+        inner_value, _ = integrate_region(w, _const_logf, spec)
+        nested = []
+
+        def logf(cols):
+            nested.append((threading.get_ident(), integrate_region(w, _const_logf, spec)[0]))
+            return _const_logf(cols)
+
+        outer = []
+        thread = threading.Thread(target=lambda: outer.append(integrate_region(w, logf, spec)))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert outer[0][0] == inner_value
+        assert {value for _, value in nested} == {inner_value}
+        assert any(ident != thread.ident for ident, _ in nested)  # some ran on the pool
+
+    def test_concurrent_callers_agree(self, monkeypatch):
+        # more shares than cores, several callers, short switch interval:
+        # a partial lost or misplaced would change some caller's bits
+        monkeypatch.setattr(quadrature, "_WORKERS", 5)
+        inst = build_instance(50, [0.2, 0.25, 0.2, 0.15], [8, 10, 8, 6])
+        spec = QuadratureSpec(nodes=24)
+        logf = lambda s: log_dirichlet_integrand(inst, s)
+        with monkeypatch.context() as serial:
+            serial.setattr(quadrature, "_WORKERS", 1)
+            expected = integrate_region(inst.weights, logf, spec)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [
+                threading.Thread(
+                    target=lambda: results.extend(
+                        integrate_region(inst.weights, logf, spec) for _ in range(3)
+                    )
+                )
+                for _ in range(4)
+            ]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+                assert not caller.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * 12
 
 
 class TestSpecValidation:
