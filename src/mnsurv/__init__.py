@@ -17,9 +17,7 @@ from .model import (
     reduce_thresholds,
 )
 from .covariance import (
-    CovarianceStructure,
     bilinear_form,
-    covariance_structure,
     log_mvn_density,
     quad_form,
     sigma_inverse_entry,
@@ -69,8 +67,6 @@ __all__ = [
     "build_instance",
     "make_weights",
     "reduce_thresholds",
-    "CovarianceStructure",
-    "covariance_structure",
     "sigma_matrix",
     "sigma_inverse_matrix",
     "sigma_inverse_entry",

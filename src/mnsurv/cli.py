@@ -17,7 +17,7 @@ Exit codes: 0 success, 1 usage error (bad flags, including --nodes and
 positive and finite, a --routes that names no route, and an --input or
 --out path that cannot be read or written), 2 invalid instance data (bad
 n/p/k), 3 check-suite failure, 4 cost guard (a route's cost bound refuses
-the instance, or a --k-all grid exceeds MAX_SWEEP_ROWS rows).  All output
+the instance, or a sweep grid exceeds MAX_SWEEP_ROWS rows).  All output
 is byte-deterministic for a given command line, including Monte Carlo
 results (seeds are mandatory).
 """
@@ -41,7 +41,7 @@ __all__ = ["run", "main", "emit_report", "emit_reports", "report_to_dict"]
 # A sweep holds every report until it writes them.  Measured with
 # tracemalloc at d = 3 and 6, a row holds 6.1-6.8 kB until JSON is written
 # and 1.1-1.2 kB for CSV, so a million JSON rows take more than 6 GB, most
-# of an 8 GB machine.  ``--k-all`` grids beyond this are refused.
+# of an 8 GB machine.  Grids beyond this are refused.
 MAX_SWEEP_ROWS = 10**6
 
 
@@ -158,16 +158,16 @@ def _int_list(text):
 
 
 def _int_range(text):
-    """``start:stop:step`` (inclusive) or a single integer."""
+    """``start:stop:step`` (inclusive) or a single integer, as a ``range``."""
     parts = text.split(":")
     try:
         if len(parts) == 1:
-            return [int(parts[0])]
+            return range(int(parts[0]), int(parts[0]) + 1)
         if len(parts) == 3:
             start, stop, step = (int(v) for v in parts)
             if step <= 0 or stop < start:
                 raise ValueError
-            return list(range(start, stop + 1, step))
+            return range(start, stop + 1, step)
     except ValueError:
         pass
     raise UsageError(f"expected INT or START:STOP:STEP, got {text!r}")
@@ -319,11 +319,11 @@ def _run_sweep(args):
     d = len(p)
     ns = _int_range(args.n)
     if args.k_all:
-        rows = sum(math.comb(max(n, 0), d) for n in ns)
-        if rows > MAX_SWEEP_ROWS:
-            raise CostGuardError(
-                f"--k-all grid of {rows} rows exceeds the {MAX_SWEEP_ROWS} row guard"
-            )
+        kind, rows = "--k-all", sum(math.comb(max(n, 0), d) for n in ns)
+    else:
+        kind, rows = "--n", len(ns)
+    if rows > MAX_SWEEP_ROWS:
+        raise CostGuardError(f"{kind} grid of {rows} rows exceeds the {MAX_SWEEP_ROWS} row guard")
     grid = []
     for n in ns:
         if args.k_all:

@@ -4,7 +4,8 @@ For weights ``p`` over d+1 cells the d-dimensional covariance kernel is
 ``Sigma = diag(p) - p p^T`` with the classical closed forms
 
 * inverse entries ``(Sigma^-1)_{ij} = 1/p_i * 1(i=j) + 1/p_{d+1}``,
-* determinant ``p_1 * ... * p_d * p_{d+1}``.
+* determinant ``p_1 * ... * p_d * p_{d+1}``, whose log is
+  :attr:`ProbabilityWeights.log_det <mnsurv.model.ProbabilityWeights.log_det>`.
 
 Everything here evaluates those closed forms; dense linear algebra appears
 only in the test suite as an independent oracle.
@@ -13,15 +14,12 @@ only in the test suite as an independent oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ProbabilityWeights
 
 __all__ = [
-    "CovarianceStructure",
-    "covariance_structure",
     "sigma_matrix",
     "sigma_inverse_matrix",
     "sigma_inverse_entry",
@@ -33,18 +31,6 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
-
-
-@dataclass(frozen=True, eq=False)
-class CovarianceStructure:
-    """The covariance kernel of a weight vector with its log-determinant."""
-
-    weights: ProbabilityWeights
-    log_det: float      # sum of log(p_i) over all d+1 cells
-
-
-def covariance_structure(weights: ProbabilityWeights) -> CovarianceStructure:
-    return CovarianceStructure(weights=weights, log_det=log_det(weights))
 
 
 def sigma_matrix(weights: ProbabilityWeights) -> np.ndarray:
@@ -90,24 +76,16 @@ def bilinear_form(weights: ProbabilityWeights, x, y) -> float | np.ndarray:
     return _scalar_or_array(_add_into(total, cross))
 
 
-def log_det(weights: ProbabilityWeights) -> float:
-    return float(np.sum(np.log(weights.p_full)))
-
-
-def log_mvn_density(weights, x) -> float | np.ndarray:
+def log_mvn_density(weights: ProbabilityWeights, x) -> float | np.ndarray:
     """Log-density at ``x`` of the centered normal with covariance ``Sigma``.
 
     Accepts a single point, an array of shape (..., d) or a tuple of
-    coordinate columns.  ``weights`` may be a :class:`CovarianceStructure`,
-    whose stored log-determinant is then used instead of recomputing it.
+    coordinate columns.  The log-determinant is ``weights.log_det``, which
+    the weights compute once and keep.
     """
-    if isinstance(weights, CovarianceStructure):
-        weights, ld = weights.weights, weights.log_det
-    else:
-        ld = log_det(weights)
     out = _quad_form(weights, _checked_columns(weights, x))
     out *= -0.5
-    out -= 0.5 * (weights.d * _LOG_2PI + ld)
+    out -= 0.5 * (weights.d * _LOG_2PI + weights.log_det)
     return _scalar_or_array(out)
 
 

@@ -33,10 +33,8 @@ from functools import lru_cache
 import numpy as np
 
 from .covariance import (
-    CovarianceStructure,
     as_columns,
     bilinear_form,
-    covariance_structure,
     last_axis_sum,
     log_mvn_density,
     quad_form,
@@ -108,28 +106,19 @@ def stirling_lambda(m: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ExpansionContext:
-    """Per-instance bundle of Stirling errors, tilt and prefactor correction."""
+    """:func:`capital_lambda`, :func:`gamma_tilde` and :func:`delta_n` of
+    ``instance``, computed once for the Gaussian integrand's many calls."""
 
     instance: SurvivalInstance
-    cov: CovarianceStructure
-    lambda_n: float
-    lambda_j: np.ndarray     # stirling_lambda(J_i), i = 1..d+1
-    capital_lambda: float    # lambda_n - sum(lambda_j), as stored
+    capital_lambda: float
     gamma_tilde: float
     delta_n: float
 
 
 def expansion_context(instance: SurvivalInstance) -> ExpansionContext:
-    _require_gaussian(instance)
-    lambda_j = np.array([stirling_lambda(int(j)) for j in instance.J])
-    lambda_n = stirling_lambda(instance.N)
-    lambda_j.setflags(write=False)
     ctx = ExpansionContext(
         instance=instance,
-        cov=covariance_structure(instance.weights),
-        lambda_n=lambda_n,
-        lambda_j=lambda_j,
-        capital_lambda=lambda_n - math.fsum(lambda_j.tolist()),
+        capital_lambda=capital_lambda(instance),
         gamma_tilde=gamma_tilde(instance),
         delta_n=math.nan,
     )
@@ -352,7 +341,7 @@ def log_gaussian_integrand(
         zi += et[i]
         zi *= root_n
         z.append(zi)
-    out += log_mvn_density(ctx.cov, tuple(z))
+    out += log_mvn_density(instance.weights, tuple(z))
     return out if out.ndim else float(out)
 
 

@@ -10,6 +10,7 @@ used by the integral routes, and merges away zero thresholds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +25,9 @@ __all__ = [
 
 # Weights must stay at least this far from the boundary of the simplex.
 WEIGHT_MARGIN = 1e-12
+
+# Counts are int64, so n + 1 and the threshold sum must not exceed this.
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _frozen(a, dtype=float):
@@ -46,6 +50,8 @@ class ProbabilityWeights:
         ``prefix[i-1] = p_1 + ... + p_i``; strictly increasing, ``< 1``.
     p_full : ndarray, shape (d+1,)
         All cell weights including the implicit last one.
+    log_det : float
+        ``sum(ln p_full)``, the log-determinant of ``diag(p) - p p^T``; cached.
     """
 
     p: np.ndarray
@@ -56,6 +62,10 @@ class ProbabilityWeights:
     @property
     def d(self) -> int:
         return self.p.shape[0]
+
+    @cached_property
+    def log_det(self) -> float:
+        return float(np.sum(np.log(self.p_full)))
 
 
 def make_weights(p) -> ProbabilityWeights:
@@ -97,9 +107,11 @@ def _validate_thresholds(k) -> np.ndarray:
         kf = np.asarray(k, dtype=float)
         if not np.all(np.isfinite(kf) & (kf == np.floor(kf))):
             raise ValueError("thresholds must be integers")
-        k = kf.astype(np.int64)
+        k = kf
     if np.any(k < 0):
         raise ValueError("thresholds must be nonnegative")
+    if sum(map(int, k.tolist())) > _INT64_MAX:  # exact, before the int64 cast
+        raise ValueError(f"the threshold sum must not exceed {_INT64_MAX} (int64)")
     return k.astype(np.int64)
 
 
@@ -152,11 +164,12 @@ def build_instance(n, p, k) -> SurvivalInstance:
     Parameters
     ----------
     n : int
-        Number of trials, ``>= 1``.
+        Number of trials, ``>= 1``, with ``n + 1`` within int64.
     p : array_like, shape (d,)
         Cell weights; must satisfy the ``make_weights`` constraints.
     k : array_like, shape (d,)
-        Nonnegative integer thresholds on the cumulated counts.
+        Nonnegative integer thresholds on the cumulated counts, whose sum
+        ``kappa_d`` is within int64.
 
     Returns
     -------
@@ -175,6 +188,8 @@ def build_instance(n, p, k) -> SurvivalInstance:
         valid = False
     if not valid:
         raise ValueError(f"n must be a positive integer, got {n!r}")
+    if n >= _INT64_MAX:
+        raise ValueError(f"n must be below {_INT64_MAX} (n + 1 must fit in int64), got {n}")
     n = int(n)
     weights = make_weights(p)
     k = _validate_thresholds(k)

@@ -3,10 +3,10 @@
 Integration is iterated Gauss-Legendre with variable upper limits
 ``U_i = prefix_i - (s_1 + ... + s_{i-1})``; the open rule keeps every node
 strictly inside the region so log-singular boundaries are never touched.
-Integrands are consumed in log space and rescaled by a single interior
-reference value, so the machinery survives integrands whose linear-scale
-values overflow or underflow.  The blocks of one integral are evaluated
-concurrently on a shared thread pool; their partials are summed exactly,
+Integrands are consumed in log space and rescaled by their value at ``p``
+(by a block's own maximum where that overflows), so the machinery survives
+integrands whose linear-scale values overflow or underflow.  The blocks of
+one integral are evaluated concurrently on a shared thread pool; their partials are summed exactly,
 so values do not depend on the thread count.
 """
 
@@ -151,7 +151,7 @@ def _legendre_and_derivative(g, x):
     return p1, dp
 
 
-def integrate_region(weights: ProbabilityWeights, logf, spec=None, s_ref=None):
+def integrate_region(weights: ProbabilityWeights, logf, spec=None):
     """Iterated Gauss-Legendre integral of ``exp(logf)`` over the region.
 
     Parameters
@@ -169,10 +169,6 @@ def integrate_region(weights: ProbabilityWeights, logf, spec=None, s_ref=None):
         ``logf`` may be called from several threads at once.
     spec : QuadratureSpec, optional
         Nodes per axis; defaults to 48.
-    s_ref : array_like, optional
-        Interior reference point for the log-space shift; defaults to ``p``.
-        It is passed as ``(1,)`` columns.  The computed value is invariant
-        to this choice up to roundoff.
 
     Returns
     -------
@@ -187,6 +183,10 @@ def integrate_region(weights: ProbabilityWeights, logf, spec=None, s_ref=None):
         bit-reproducible for a given node count whatever the thread count.
         A failure is reported from the lowest-indexed failing block, as if
         the blocks had run in order.
+
+        Values are exponentiated relative to ``logf(p)``; a block that
+        overflows against it is taken relative to its own largest log-value,
+        and the partials are brought to the largest scale before the sum.
     """
     spec = spec if spec is not None else QuadratureSpec()
     d = weights.d
@@ -197,8 +197,7 @@ def integrate_region(weights: ProbabilityWeights, logf, spec=None, s_ref=None):
             f"{g}^{d} = {count} node evaluations exceed the {MAX_NODE_EVALS} guard"
         )
     x, w = legendre_rule(g)
-    ref = weights.p if s_ref is None else np.asarray(s_ref, dtype=float)
-    shift = float(logf(tuple(ref.reshape(1, d).T))[0])
+    shift = float(logf(tuple(weights.p.reshape(1, d).T))[0])
 
     # A block is a run of outer prefixes (axes 1..d-1) times all g innermost
     # nodes; each prefix's coordinates and partial weight are built once.
@@ -233,9 +232,14 @@ def integrate_region(weights: ProbabilityWeights, logf, spec=None, s_ref=None):
             where = [float(np.broadcast_to(col, shape)[node]) for col in cols]
             raise ValueError(f"log-integrand not finite at interior node {where}")
         block_terms = np.subtract(logs, shift, out=terms[: rows.size])
-        np.exp(block_terms, out=block_terms)
+        with np.errstate(over="ignore"):
+            np.exp(block_terms, out=block_terms)
         block_terms *= block_wts
-        return float(np.sum(block_terms))
+        partial = float(np.sum(block_terms))
+        if partial < math.inf:
+            return partial, shift
+        top = float(np.max(logs))  # exp overflowed: rescale by the block's own maximum
+        return float(np.sum(np.exp(logs - top) * block_wts)), top
 
     def block_sums(starts, buffer):
         """Partials of the blocks at ``starts``, in order; the first
@@ -274,9 +278,9 @@ def integrate_region(weights: ProbabilityWeights, logf, spec=None, s_ref=None):
     for value in ordered:
         if isinstance(value, Exception):
             raise value
-    total = math.fsum(partials + ordered)
-    if total > 0.0:
-        log_value = shift + math.log(total)
-    else:
-        log_value = -math.inf
-    return total * math.exp(shift), log_value
+    # with no overflow every scale is ``shift`` and each factor is exp(0) = 1
+    partials += ordered
+    top = max(scale for _, scale in partials)
+    total = math.fsum([value * math.exp(scale - top) for value, scale in partials])
+    log_value = top + math.log(total) if total > 0.0 else -math.inf
+    return total * math.exp(top), log_value

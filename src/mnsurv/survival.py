@@ -56,7 +56,8 @@ MAX_TRANSITION_BYTES = 200 * 10**6
 # The smallest Monte Carlo sample.
 MIN_REPLICATIONS = 1000
 
-# Uniforms per simulation chunk; a chunk is held twice (drawn, then transposed).
+# Uniforms per simulation chunk, held twice (drawn, then transposed); a chunk
+# holds one replication or more, so Monte Carlo refuses n above this.
 _MC_CHUNK_VALUES = 2_000_000
 
 DETERMINISTIC_ROUTES = ("exact", "dirichlet", "gaussian")
@@ -197,17 +198,21 @@ def survival_mc(instance: SurvivalInstance, replications: int, seed: int):
     ------
     ValueError
         If ``replications < MIN_REPLICATIONS`` or ``seed`` is ``None``.
+    CostGuardError
+        If ``n`` exceeds ``_MC_CHUNK_VALUES``, the uniforms of one chunk.
     """
     if replications < MIN_REPLICATIONS:
         raise ValueError(f"replications must be >= {MIN_REPLICATIONS}")
     if seed is None:
         raise ValueError("survival_mc requires a seed")
     n, d = instance.n, instance.d
+    if n > _MC_CHUNK_VALUES:
+        raise CostGuardError(f"Monte Carlo needs n <= {_MC_CHUNK_VALUES}, got n = {n}")
     kappa = instance.kappa
     prefix = instance.weights.prefix
     rng = np.random.default_rng(seed)
 
-    chunk = max(1, _MC_CHUNK_VALUES // n)
+    chunk = _MC_CHUNK_VALUES // n
     done = 0
     hits = 0
     while done < replications:

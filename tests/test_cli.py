@@ -162,6 +162,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "cost guard: --k-all grid of 1313400 rows exceeds the 1000000 row guard\n"
 
+    def test_validation_error_on_n_past_int64(self, capsys):
+        args = ["eval", "--n", "100000000000000000000", "--p", "0.5", "--k", "1",
+                "--routes", "dirichlet"]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid instance: n must be below ") and err.count("\n") == 1
+
+    def test_cost_guard_on_fixed_k_grid(self, capsys):
+        # counted from the range, before any row is built
+        assert run(["sweep", "--n", "1:2000000:1", "--p", "0.5", "--k", "1", "--nodes", "2"]) == 4
+        err = capsys.readouterr().err
+        assert err == "cost guard: --n grid of 2000000 rows exceeds the 1000000 row guard\n"
+
+    def test_cost_guard_on_monte_carlo_n(self, capsys):
+        args = ["eval", "--n", "3000000", "--p", "0.5", "--k", "1", "--routes", "mc",
+                "--mc-reps", "1000", "--seed", "1"]
+        assert run(args) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("cost guard: Monte Carlo ") and err.count("\n") == 1
+
     def test_exact_route_at_n_1000_is_in_scope(self, tmp_path):
         code, out = run_to_file(tmp_path, [
             "eval", "--n", "1000", "--p", "0.2,0.3,0.2", "--k", "180,300,200",
@@ -177,6 +197,20 @@ class TestExitCodes:
 
 
 class TestSubcommands:
+    @pytest.mark.parametrize("k", ["1,1", "2,2"])
+    def test_integral_routes_far_from_the_mean_give_valid_json(self, tmp_path, k):
+        code, out = run_to_file(tmp_path, ["compare", "--n", "1000", "--p", "0.3,0.3", "--k", k])
+        assert code == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} is not valid JSON")
+
+        parsed = json.loads(out, parse_constant=refuse)
+        for route in ("exact", "dirichlet", "gaussian"):
+            value = parsed["routes"][route]
+            assert isinstance(value, dict) or 0.0 <= value <= 1.0
+        assert 0.0 <= parsed["diagnostics"]["max_rel_diff"] <= 1e-5
+
     def test_sweep_builds_transition_matrices_once(self, tmp_path):
         survival._transition_matrices.cache_clear()
         code, out = run_to_file(tmp_path, ["sweep", "--n", "9", "--p", "0.3,0.25", "--k-all",

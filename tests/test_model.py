@@ -47,6 +47,11 @@ class TestBuildInstance:
             ("5", [0.3], [1]),              # n not a number
             (float("inf"), [0.3], [1]),     # n infinite
             (10, [0.3], [float("inf")]),    # infinite threshold
+            (10**20, [0.3], [1]),           # n past int64
+            (2**63 - 1, [0.3], [1]),        # n + 1 past int64
+            (10, [0.3], [10**20]),          # threshold past int64
+            (10, [0.3, 0.3], [2**62, 2**62]),  # running sum past int64
+            (10, [0.3, 0.3], [2.0**62, 2.0**62]),  # the same, as floats
         ],
     )
     def test_rejects_invalid_inputs(self, n, p, k):

@@ -101,13 +101,15 @@ class TestIntegrateRegion:
         assert abs(value - 0.75) <= 1e-12
 
     def test_shift_invariance(self):
+        # adding c to the log-integrand adds c to the log of the integral,
+        # also where exp(c) alone underflows
         inst = build_instance(10, [0.3, 0.3], [2, 3])
         logf = lambda s: log_dirichlet_integrand(inst, s)
         spec = QuadratureSpec(nodes=24)
-        base, _ = integrate_region(inst.weights, logf, spec)
-        for ref in ([0.05, 0.05], [0.25, 0.3], [0.1, 0.4]):
-            alt, _ = integrate_region(inst.weights, logf, spec, s_ref=ref)
-            assert abs(alt - base) / base <= 1e-13
+        _, base = integrate_region(inst.weights, logf, spec)
+        for c in (-800.0, -3.5, 2.0, 700.0):
+            _, alt = integrate_region(inst.weights, lambda s: logf(s) + c, spec)
+            assert abs(alt - (base + c)) <= 1e-14 * (abs(base) + abs(c))
 
     def test_refinement_differences_shrink(self):
         # high-degree integrand so no rule in the sweep is already exact
@@ -199,6 +201,24 @@ class TestBlockedIntegration:
         block = calls[-1]
         first_bad = block[np.flatnonzero(block[:, 0] > 0.3 * x[-3])[0]]
         assert named == first_bad.tolist()
+
+    def test_blocks_that_overflow_against_the_reference_are_rescaled(self):
+        # logf(p) = -1000; exp(logf - logf(p)) overflows where s_1 < 0.058,
+        # which blocks 0 and 1 reach and blocks 2 and 3 do not
+        g = 64
+        w = make_weights([0.2, 0.3, 0.2])
+        assert g**3 // quadrature._BLOCK_NODES == 4
+
+        def logf(s):
+            return -5000.0 * s[0] + np.zeros(np.broadcast(*s).shape)
+
+        value, log_value = integrate_region(w, logf, QuadratureSpec(nodes=g))
+        pts, wts = _whole_tensor_nodes(w, g)
+        logs = -5000.0 * pts[:, 0]
+        top = float(logs.max())
+        reference = top + math.log(math.fsum((wts * np.exp(logs - top)).tolist()))
+        assert abs(log_value - reference) <= 1e-14 * abs(reference)
+        assert value == pytest.approx(math.exp(reference), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize(
         "n, p, k, g",

@@ -327,6 +327,17 @@ class TestCompareRoutes:
         for value in (report.exact, report.dirichlet, report.gaussian):
             assert 0.0 <= value <= 1.0
 
+    @pytest.mark.parametrize("k", [[1, 1], [2, 2]])
+    def test_integral_routes_stay_finite_far_from_the_mean(self, k):
+        # the integrand's mode sits more than 709 above its value at p,
+        # where a single shift by logf(p) overflows
+        report = compare_routes(build_instance(1000, [0.3, 0.3], k))
+        assert report.exact == 1.0
+        for value in (report.dirichlet, report.gaussian):
+            if value is not None:
+                assert 0.0 <= value <= 1.0 and abs(value - report.exact) <= 1e-5
+        assert 0.0 <= report.max_rel_diff <= 1e-5
+
     def test_reduction_is_internal(self):
         # zero thresholds are fine: routes see the reduced instance
         report = compare_routes(build_instance(10, [0.2, 0.3, 0.1], [2, 0, 3]))
