@@ -25,14 +25,17 @@ from .covariance import (
     sigma_matrix,
 )
 from .expansions import (
+    ChainFactors,
     ExpansionContext,
     capital_lambda,
     delta_n,
+    dirichlet_factors,
     entropy_lhs,
     expansion_context,
     gamma_star,
     gamma_tilde,
     gamma_tilde_series,
+    gaussian_factors,
     h_grad,
     h_hessian,
     h_value,
@@ -45,6 +48,7 @@ from .expansions import (
 from .quadrature import (
     CostGuardError,
     QuadratureSpec,
+    integrate_chain,
     integrate_region,
     legendre_rule,
 )
@@ -89,9 +93,13 @@ __all__ = [
     "h_hessian",
     "log_dirichlet_integrand",
     "log_gaussian_integrand",
+    "ChainFactors",
+    "dirichlet_factors",
+    "gaussian_factors",
     "QuadratureSpec",
     "CostGuardError",
     "legendre_rule",
+    "integrate_chain",
     "integrate_region",
     "McResult",
     "RouteReport",

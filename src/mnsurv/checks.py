@@ -275,15 +275,17 @@ def check_remainder_rates(rng) -> CheckResult:
     return CheckResult("remainder_rates", 0.0, 0.0, ok_tilde and ok_star, detail)
 
 
-def check_route_agreement(tolerance, nodes=32) -> CheckResult:
+def check_route_agreement(tolerance) -> CheckResult:
     panel = [
         (10, [0.3], [3]),
         (12, [0.25], [4]),
         (10, [0.3, 0.3], [2, 3]),
         (14, [0.2, 0.5], [2, 5]),
         (12, [0.2, 0.3, 0.25], [2, 3, 2]),
+        (1000, [0.15] * 5, [145] * 5),
+        (1000, [0.12, 0.1, 0.15, 0.12, 0.1, 0.14], [110, 95, 140, 110, 90, 130]),
     ]
-    spec = QuadratureSpec(nodes=nodes)
+    spec = QuadratureSpec()
     worst = 0.0
     for n, p, k in panel:
         inst = build_instance(n, p, k)
@@ -291,7 +293,7 @@ def check_route_agreement(tolerance, nodes=32) -> CheckResult:
         diri = survival_dirichlet(inst, spec)
         gauss = survival_gaussian(inst, spec)
         worst = max(worst, abs(diri - exact) / exact, abs(gauss - diri) / diri)
-    return _result("route_agreement", worst, tolerance, f"{len(panel)} instances, G={nodes}")
+    return _result("route_agreement", worst, tolerance, f"{len(panel)} instances, G={spec.nodes}")
 
 
 def check_monotonicity(rng, draws=60) -> CheckResult:

@@ -31,7 +31,7 @@ import math
 import sys
 
 from .model import build_instance
-from .quadrature import MAX_NODES, MIN_NODES, CostGuardError, QuadratureSpec
+from .quadrature import MAX_NODES, MIN_NODES, MIN_PANEL_NODES, CostGuardError, QuadratureSpec
 from .survival import DETERMINISTIC_ROUTES, MIN_REPLICATIONS, RouteReport, compare_routes
 from .checks import run_check_suite
 
@@ -174,7 +174,11 @@ def _int_range(text):
 
 
 def _add_common(sub):
-    sub.add_argument("--nodes", type=int, default=48, help="Gauss-Legendre nodes per axis")
+    sub.add_argument(
+        "--nodes", type=int, default=64,
+        help=f"Gauss-Legendre nodes per panel of the integral routes' chain rule, "
+        f"{MIN_NODES}-{MAX_NODES}; at least {MIN_PANEL_NODES} are used (default 64)",
+    )
     sub.add_argument("--tolerance", type=float, default=1e-8, help="recorded agreement tolerance")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--out", help="output path (default: standard output)")
@@ -319,11 +323,17 @@ def _run_sweep(args):
     d = len(p)
     ns = _int_range(args.n)
     if args.k_all:
-        kind, rows = "--k-all", sum(math.comb(max(n, 0), d) for n in ns)
+        kind, rows = "--k-all", 0
+        for n in ns:  # counted only until the guard is passed
+            rows += math.comb(max(n, 0), d)
+            if rows > MAX_SWEEP_ROWS:
+                break
+        size = f"at least {rows}" if n != ns[-1] else rows
     else:
         kind, rows = "--n", len(ns)
+        size = rows
     if rows > MAX_SWEEP_ROWS:
-        raise CostGuardError(f"{kind} grid of {rows} rows exceeds the {MAX_SWEEP_ROWS} row guard")
+        raise CostGuardError(f"{kind} grid of {size} rows exceeds the {MAX_SWEEP_ROWS} row guard")
     grid = []
     for n in ns:
         if args.k_all:

@@ -13,15 +13,20 @@ times an exact exponential tilt:
 * ``gamma_star`` / ``entropy_lhs``: the position-dependent tilt;
 * ``h_value`` / ``h_grad`` / ``h_hessian``: the concave exponent of the
   Laplace-type decomposition;
-* ``log_dirichlet_integrand`` / ``log_gaussian_integrand``: the two log-space
-  integrands, equal pointwise on the interior of the region.
+* ``dirichlet_factors`` / ``gaussian_factors``: the two integrands, each
+  defined once as a :class:`ChainFactors`, a constant plus one log factor per
+  spacing ``s_i = T_i - T_{i-1}`` of the cumulated coordinates and one of
+  ``T_d``, which is the form :func:`mnsurv.quadrature.integrate_chain`
+  integrates;
+* ``log_dirichlet_integrand`` / ``log_gaussian_integrand``: the sums of
+  those factors at points, equal pointwise on the interior of the region.
 
 All point-evaluating functions are vectorized over leading batch axes: a
 point is the last axis of length d (free coordinates) or d+1 (full simplex
 coordinates).  A batch may also come as a tuple of broadcastable coordinate
 columns (see :func:`mnsurv.covariance.as_columns`), which is how the
-quadrature hands over its blocks; arrays are split into such columns on
-entry, so both forms take the same path and give the same bits.
+tensor-product quadrature hands over its blocks; arrays are split into such
+columns on entry, so both forms take the same path and give the same bits.
 """
 
 from __future__ import annotations
@@ -29,12 +34,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+# log_mvn_density is not called here: the benchmark's tracer
+# (bench/tracing.py) wraps it in this module.
 from .covariance import (
     as_columns,
-    bilinear_form,
     last_axis_sum,
     log_mvn_density,
     quad_form,
@@ -43,6 +50,9 @@ from .covariance import (
 from .model import SurvivalInstance
 
 __all__ = [
+    "ChainFactors",
+    "dirichlet_factors",
+    "gaussian_factors",
     "ExpansionContext",
     "expansion_context",
     "stirling_lambda",
@@ -68,6 +78,32 @@ _LOG_FACTORIAL_TABLE = tuple(
     math.fsum(math.log(j) for j in range(2, m + 1)) for m in range(21)
 )
 
+# lambda_1..lambda_20, each the double nearest to a 50-digit mpmath value of
+# ln(m!) - ln(2 pi m)/2 - m ln(m) + m.  Forming that difference in double
+# precision cancels and loses up to three digits.
+_LAMBDA_TABLE = (
+    0.08106146679532726,
+    0.0413406959554093,
+    0.02767792568499834,
+    0.020790672103765093,
+    0.016644691189821193,
+    0.013876128823070748,
+    0.01189670994589177,
+    0.010411265261972096,
+    0.009255462182712733,
+    0.00833056343336287,
+    0.007573675487951841,
+    0.00694284010720953,
+    0.006408994188004207,
+    0.0059513701127588475,
+    0.005554733551962801,
+    0.0052076559196096404,
+    0.004901395948434738,
+    0.004629153749334028,
+    0.004385560249232324,
+    0.004166319691996922,
+)
+
 # Coefficients of the asymptotic series lambda_m = sum B_{2n} / (2n(2n-1) m^{2n-1});
 # five terms keep the absolute error below 1e-17 for every m > 20.
 _LAMBDA_SERIES = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188)
@@ -86,17 +122,17 @@ def log_factorial(m: int) -> float:
 def stirling_lambda(m: int) -> float:
     """Error term of Stirling's approximation for ``ln(m!)``, ``m >= 1``.
 
-    Satisfies ``1/(12m+1) <= lambda_m <= 1/(12m)``.  Small arguments are
-    evaluated from the exact ``ln(m!)``; beyond m = 20 the value is taken
+    Satisfies ``1/(12m+1) <= lambda_m <= 1/(12m)``.  Up to m = 20 the value
+    is read from a table computed in high precision; beyond, it is taken
     from the asymptotic series directly, because forming it as a difference
-    of log-gamma terms loses all significant digits long before m = 1e6.
+    of log-factorial terms loses digits at every m and all of them long
+    before m = 1e6.
     """
     if m < 1 or int(m) != m:
         raise ValueError(f"m must be a positive integer, got {m!r}")
     m = int(m)
     if m <= 20:
-        main = 0.5 * math.log(2.0 * math.pi * m) + m * math.log(m) - m
-        return _LOG_FACTORIAL_TABLE[m] - main
+        return _LAMBDA_TABLE[m - 1]
     r = 1.0 / (m * m)
     acc = _LAMBDA_SERIES[-1]
     for c in _LAMBDA_SERIES[-2::-1]:
@@ -230,24 +266,14 @@ def gamma_star(instance: SurvivalInstance, s) -> float | np.ndarray:
     ``sum_{i<=d+1} (J_i/N) ln(s_i/p_i)`` minus the affine-quadratic part
     ``et^T Sigma^-1 (s-p) - (s-p)^T Sigma^-1 (s-p)/2`` over the free
     coordinates.  ``s`` must be strictly inside the simplex (all d+1
-    coordinates positive); batch evaluation over the leading axes.
+    coordinates positive); batch evaluation over the leading axes.  It is
+    evaluated as the sum of the tilt parts of the Gaussian factors (see
+    :func:`gaussian_factors`), divided by ``N``.
     """
     _require_n_positive(instance)
-    out = _gamma_star(instance, _simplex_point(instance, s, require_interior=True))
-    return out if out.ndim else float(out)
-
-
-def _gamma_star(instance, full):
-    out = _entropy_first_sum(instance, full)
-    p = instance.weights.p
-    diff = tuple(full[i] - p[i] for i in range(instance.d))
-    et = instance.eps_tilde[: instance.d]
-    bracket = bilinear_form(instance.weights, et, diff)
-    half_quad = quad_form(instance.weights, diff)
-    half_quad *= 0.5
-    bracket -= half_quad
-    out -= bracket
-    return out
+    tilts = [cell.tilt for cell in _gaussian_cells(instance)]
+    cols, total = _cumulated(instance, s, require_interior=True)
+    return _factor_sum(0.0, tilts[:-1], _at_end(tilts[-1]), cols, total) / instance.N
 
 
 def entropy_lhs(instance: SurvivalInstance, s) -> float | np.ndarray:
@@ -259,11 +285,12 @@ def entropy_lhs(instance: SurvivalInstance, s) -> float | np.ndarray:
 
 
 def h_value(instance: SurvivalInstance, s) -> float | np.ndarray:
-    """Concave exponent ``H(s) = sum_{i<=d+1} (J_i/N) ln(s_i)``."""
+    """Concave exponent ``H(s) = sum_{i<=d+1} (J_i/N) ln(s_i)``: the
+    Dirichlet factors without their constant, divided by ``N``."""
     _require_n_positive(instance)
-    full = _simplex_point(instance, s, require_interior=True)
-    out = _weighted_log_sum(full, instance.J / instance.N)
-    return out if out.ndim else float(out)
+    steps, end = _dirichlet_cells(instance)
+    cols, total = _cumulated(instance, s, require_interior=True)
+    return _factor_sum(0.0, steps, end, cols, total) / instance.N
 
 
 def h_grad(instance: SurvivalInstance, s) -> np.ndarray:
@@ -290,26 +317,155 @@ def h_hessian(instance: SurvivalInstance, s) -> np.ndarray:
     return hess
 
 
-def log_dirichlet_integrand(instance: SurvivalInstance, s) -> float | np.ndarray:
-    """Log of the Dirichlet-type integrand for the survival probability.
+_LOG_2PI = math.log(2.0 * math.pi)
 
-    ``ln((N+d)!) - sum_i ln(J_i!) + sum_i J_i ln(s_i)`` over all d+1 cells,
-    where cells with ``J_i = 0`` contribute exactly 0 whatever ``s_i``.
-    Returns ``-inf`` when some ``s_i = 0`` with ``J_i >= 1``.  Batch
-    evaluation over leading axes; ``s`` has d free or d+1 full coordinates.
+
+class ChainFactors(NamedTuple):
+    """A log-integrand in the cumulated coordinates ``T_i = s_1 + ... + s_i``.
+
+    Its value is ``constant + sum_i steps[i](s_i, ln s_i) + end(T_d)``, the
+    form :func:`mnsurv.quadrature.integrate_chain` integrates.  As its
+    spacing ``u`` goes to 0, ``steps[i]`` behaves as ``powers[i] * ln u``
+    plus a smooth function.  The callables are elementwise and return new
+    arrays.
     """
-    full = _simplex_point(instance, s, require_interior=False)
-    with np.errstate(divide="ignore"):
-        out = _weighted_log_sum(full, instance.J.astype(float))
-    out += _log_multinomial_constant(instance.N + instance.d, tuple(instance.J.tolist()))
-    return out if out.ndim else float(out)
+
+    constant: float
+    steps: tuple
+    end: Callable
+    powers: tuple
+
+
+def dirichlet_factors(instance: SurvivalInstance) -> ChainFactors:
+    """The Dirichlet-type integrand as factors.
+
+    ``steps[i](u) = J_i ln u`` for ``i <= d``, ``end(T) = J_{d+1} ln(1 - T)``
+    and the constant ``ln((N+d)!) - sum_i ln(J_i!)`` over all d+1 cells.  A
+    factor with ``J_i = 0`` is exactly 0, even where its argument is 0.
+    """
+    steps, end = _dirichlet_cells(instance)
+    J = instance.J.tolist()
+    constant = _log_multinomial_constant(instance.N + instance.d, tuple(J))
+    return ChainFactors(constant, steps, end, tuple(J[: instance.d]))
+
+
+def _dirichlet_cells(instance):
+    cells = [_power(j) for j in instance.J.tolist()]
+    return tuple(cells[:-1]), _at_end(cells[-1])
+
+
+def _power(j):
+    if j == 0:
+        return lambda u, log_u: np.zeros(np.shape(u))
+    return lambda u, log_u: j * log_u
+
+
+def _at_end(cell):
+    """The last cell's factor, whose mass is ``1 - T_d``, as a function of ``T_d``."""
+    return lambda t: cell(t, np.log(1.0 - t))
+
+
+# Up to this total the Dirichlet constant is the log of an exact integer.
+_EXACT_MULTINOMIAL_MAX = 10**4
 
 
 @lru_cache(maxsize=64)
 def _log_multinomial_constant(total, J):
-    """``ln(total!) - sum_i ln(J_i!)``; cached, so a quadrature computes it
-    once per integral rather than once per block."""
+    """``ln(total!) - sum_i ln(J_i!)``; cached, so repeated integrals of one
+    instance compute it once.
+
+    Up to ``_EXACT_MULTINOMIAL_MAX`` it is the log of the exact integer
+    ``total! / prod_i J_i!``, which is off by an ulp or two of the result;
+    the difference of rounded log-factorials beyond is off by ulps of
+    ``ln(total!)``, about 1e-12 at total = 1000.
+    """
+    if total <= _EXACT_MULTINOMIAL_MAX:
+        return math.log(math.factorial(total) // math.prod(map(math.factorial, J)))
     return log_factorial(total) - math.fsum(log_factorial(j) for j in J)
+
+
+def gaussian_factors(instance: SurvivalInstance | ExpansionContext) -> ChainFactors:
+    """The Gaussian-representation integrand as factors.
+
+    ``delta_n + (d/2) ln N + N gamma_star(s) + ln phi(sqrt(N) (p - s + et))``
+    splits by cell: ``Sigma^-1 = diag(1/p) + 11^T/p_{d+1}``, and the free
+    ``x_i = s_i - p_i`` sum to ``X = T_d - P_d``.  So both ``N gamma_star``
+    and the normal log-density are a sum of terms in one ``s_i`` each plus
+    terms in ``T_d`` alone (see :class:`_GaussianCell`), and the constant is
+    ``delta_n + (d/2) ln N - (d ln(2 pi) + ln det Sigma)/2``.  Requires
+    ``J_i >= 1`` for every cell.  An :class:`ExpansionContext` may stand in
+    for the instance, so a caller that holds one does not recompute its
+    ``delta_n``.
+    """
+    ctx = instance if isinstance(instance, ExpansionContext) else expansion_context(instance)
+    inst = ctx.instance
+    d = inst.d
+    cells = _gaussian_cells(inst)
+    constant = (
+        ctx.delta_n + 0.5 * d * math.log(inst.N) - 0.5 * (d * _LOG_2PI + inst.weights.log_det)
+    )
+    return ChainFactors(constant, tuple(cells[:-1]), _at_end(cells[-1]), tuple(inst.J[:d].tolist()))
+
+
+def _gaussian_cells(instance):
+    """One cell per ``s_i``, ``i <= d``, and a last one in ``T_d`` (centre
+    ``P_d``, offset ``E = sum_{i<=d} et_i``, whose normal-argument
+    coordinates sum to ``sqrt(N) (E - X)``)."""
+    N, d = instance.N, instance.d
+    J = instance.J.tolist()
+    p = instance.weights.p_full.tolist()
+    et = instance.eps_tilde.tolist()
+    cells = [_GaussianCell(N, J[i], p[i], p[i], et[i]) for i in range(d)]
+    total = float(instance.weights.prefix[-1])
+    cells.append(_GaussianCell(N, J[d], p[d], total, math.fsum(et[:d])))
+    return cells
+
+
+class _GaussianCell:
+    """The terms of one cell of the Gaussian integrand, at ``v`` with ``x = v
+    - centre`` and the cell's mass ``m`` (``s_i``, or ``1 - T_d``).
+
+    Tilt (its part of ``N gamma_star``): ``J ln(m/p) - N (et x/p - x^2/(2p))``.
+    Normal log-density: ``-N (x - et)^2 / (2p)``.
+    """
+
+    def __init__(self, N, j, p, centre, et):
+        self.j, self.log_p, self.centre, self.et = j, math.log(p), centre, et
+        self.slope = N * et / p
+        self.curvature = 0.5 * N / p
+
+    def tilt(self, v, log_mass):
+        out = log_mass - self.log_p
+        out *= self.j
+        x = v - self.centre
+        quad = x * self.curvature
+        quad -= self.slope
+        quad *= x
+        out += quad
+        return out
+
+    def __call__(self, v, log_mass):
+        out = self.tilt(v, log_mass)
+        z = v - self.centre
+        z -= self.et
+        z *= z
+        z *= self.curvature
+        out -= z
+        return out
+
+
+def log_dirichlet_integrand(instance: SurvivalInstance, s) -> float | np.ndarray:
+    """Log of the Dirichlet-type integrand for the survival probability.
+
+    ``ln((N+d)!) - sum_i ln(J_i!) + sum_i J_i ln(s_i)`` over all d+1 cells,
+    where cells with ``J_i = 0`` contribute exactly 0 whatever ``s_i``:
+    the sum of :func:`dirichlet_factors`.  Returns ``-inf`` when some
+    ``s_i = 0`` with ``J_i >= 1``.  Batch evaluation over leading axes;
+    ``s`` has d free or d+1 full coordinates.
+    """
+    f = dirichlet_factors(instance)
+    cols, total = _cumulated(instance, s, require_interior=False)
+    return _factor_sum(f.constant, f.steps, f.end, cols, total)
 
 
 def log_gaussian_integrand(
@@ -319,30 +475,50 @@ def log_gaussian_integrand(
 
     ``delta_n + (d/2) ln N + N*gamma_star(s) + ln phi(sqrt(N) (p - s + et))``
     with ``phi`` the centered normal density for the multinomial covariance
-    kernel.  Pointwise equal to :func:`log_dirichlet_integrand` on the
-    interior; requires ``J_i >= 1`` for every cell.  An
-    :class:`ExpansionContext` may stand in for the instance, so repeated
-    calls (one per quadrature block) reuse its ``delta_n``.
+    kernel, evaluated as the sum of :func:`gaussian_factors`.  Pointwise
+    equal to :func:`log_dirichlet_integrand` on the interior; requires
+    ``J_i >= 1`` for every cell.  An :class:`ExpansionContext` may stand in
+    for the instance, so repeated calls reuse its ``delta_n``.
     """
     ctx = instance if isinstance(instance, ExpansionContext) else expansion_context(instance)
-    instance = ctx.instance
-    full = _simplex_point(instance, s, require_interior=True)
+    f = gaussian_factors(ctx)
+    cols, total = _cumulated(ctx.instance, s, require_interior=True)
+    return _factor_sum(f.constant, f.steps, f.end, cols, total)
+
+
+def _cumulated(instance, s, require_interior):
+    """The free coordinates of ``s`` as columns, and ``T_d``.
+
+    Accepts the d free coordinates (``T_d`` is their sum) or all d+1
+    (``T_d = 1 - s_{d+1}``), as an array (..., d or d+1) or as columns.
+    """
     d = instance.d
-    N = instance.N
-    out = _gamma_star(instance, full)
-    out *= N
-    out += ctx.delta_n + 0.5 * d * math.log(N)
-    p = instance.weights.p
-    et = instance.eps_tilde
-    root_n = math.sqrt(N)
-    z = []
-    for i in range(d):
-        zi = p[i] - full[i]
-        zi += et[i]
-        zi *= root_n
-        z.append(zi)
-    out += log_mvn_density(instance.weights, tuple(z))
-    return out if out.ndim else float(out)
+    cols = as_columns(s)
+    if len(cols) == d:
+        total = last_axis_sum(cols)
+    elif len(cols) == d + 1:
+        total = 1.0 - cols[d]
+        cols = cols[:d]
+    else:
+        raise ValueError(f"a point must have {d} or {d + 1} coordinates, got {len(cols)}")
+    if require_interior and not (
+        all((col > 0.0).all() for col in cols) and (total < 1.0).all()
+    ):
+        raise ValueError("point must lie strictly inside the simplex")
+    return cols, total
+
+
+def _factor_sum(constant, steps, end, cols, total):
+    """``constant + sum_i steps[i](s_i, ln s_i) + end(T_d)``, cell by cell in
+    order; a log of a (rows, 1) column is taken once per row."""
+    out = None
+    with np.errstate(divide="ignore"):
+        for step, col in zip(steps, cols):
+            term = step(col, np.log(col))
+            out = term if out is None else _add_into(out, term)
+        out = _add_into(out, end(total))
+    out += constant
+    return out if np.ndim(out) else float(out)
 
 
 def _entropy_first_sum(instance, full):

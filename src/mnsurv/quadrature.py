@@ -1,20 +1,24 @@
 """Numerical integration over the nested prefix-constrained region.
 
-Integration is iterated Gauss-Legendre with variable upper limits
-``U_i = prefix_i - (s_1 + ... + s_{i-1})``; the open rule keeps every node
-strictly inside the region so log-singular boundaries are never touched.
-Integrands are consumed in log space and rescaled by their value at ``p``
-(by a block's own maximum where that overflows), so the machinery survives
-integrands whose linear-scale values overflow or underflow.  The blocks of
-one integral are evaluated concurrently on a shared thread pool; their partials are summed exactly,
-so values do not depend on the thread count.
+Two integrators share the Gauss-Legendre rule of :func:`legendre_rule`.
+
+* :func:`integrate_chain` is the one the survival routes use.  In the
+  cumulated coordinates ``T_i = s_1 + ... + s_i`` the region is ``0 < T_1 <
+  ... < T_d`` with ``T_i <= P_i`` (the weight prefix sums), and an
+  integrand that is a sum of per-step log factors ``phi_i(T_i - T_{i-1})``
+  plus an end term ``psi(T_d)`` makes the ``d``-fold integral a ``d``-step
+  forward recursion of an integral operator.  The recursion is discretised
+  by a Nystrom rule on panels split at the prefix sums, in log space, at a
+  cost polynomial in the nodes per panel.
+* :func:`integrate_region` is the iterated (tensor-product) rule with
+  variable upper limits ``U_i = P_i - (s_1 + ... + s_{i-1})``, for any
+  log-integrand at ``G^d`` evaluations.  It is kept as a general integrator
+  and as an independent check of the chain rule.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,18 +30,26 @@ __all__ = [
     "QuadratureSpec",
     "CostGuardError",
     "legendre_rule",
+    "mapped_interpolation",
+    "integrate_chain",
     "integrate_region",
     "MAX_NODE_EVALS",
     "MIN_NODES",
     "MAX_NODES",
+    "MIN_PANEL_NODES",
 ]
 
-# Accepted Gauss-Legendre nodes per axis.
+# Accepted Gauss-Legendre nodes per axis or per panel.
 MIN_NODES, MAX_NODES = 2, 128
 
-# Integration refuses more than this many integrand evaluations.
+# The chain rule uses at least this many nodes per panel: interpolating
+# ``log F`` across a panel needs them at small n (on random instances with
+# n <= 40, 24 left errors up to 7e-13, 32 up to 1.4e-14).
+MIN_PANEL_NODES = 32
+
+# integrate_region refuses more than this many integrand evaluations.
 # The guard bounds time only: nodes are streamed in blocks, so memory is a
-# fixed per-block amount per thread whatever the node count.
+# fixed per-block amount whatever the node count.
 MAX_NODE_EVALS = 10**8
 
 # Most nodes per block of the streamed tensor product; a block holds
@@ -45,45 +57,13 @@ MAX_NODE_EVALS = 10**8
 # reduction order, so results are reproducible for a given node count.
 _BLOCK_NODES = 1 << 16
 
-# Threads that evaluate blocks after the first: the CPU affinity mask, so
-# ``taskset`` restricts it.  With one, every block runs on the caller.
-try:
-    _WORKERS = len(os.sched_getaffinity(0))
-except AttributeError:  # no affinity mask outside Linux
-    _WORKERS = os.cpu_count() or 1
+# The chain rule's log-weight of a term that is not in a target's sum.  It
+# is finite, so no arithmetic meets -inf, and no real term comes near it.
+_MASKED = -1e300
 
-# Created on first use, under the lock, and shared by every integral; its
-# threads see ``_pool_thread.active`` set.
-_pool = None
-_pool_lock = threading.Lock()
-_pool_thread = threading.local()
-
-
-def _mark_pool_thread():
-    _pool_thread.active = True
-
-
-def _block_pool():
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            # imported here: it costs ~10 ms, which single-block callers skip
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(
-                _WORKERS, thread_name_prefix="mnsurv-quadrature", initializer=_mark_pool_thread
-            )
-        return _pool
-
-
-def _forget_pool():
-    """A forked child inherits the pool without its threads: start afresh."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+# exp arguments are clamped here: below about -708 exp returns subnormals,
+# which are many times slower, and terms this small change no sum.
+_EXP_FLOOR = -700.0
 
 
 class CostGuardError(RuntimeError):
@@ -92,9 +72,15 @@ class CostGuardError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Gauss-Legendre nodes per axis, ``2 <= nodes <= 128``; cost grows as ``nodes**d``."""
+    """Gauss-Legendre nodes, ``2 <= nodes <= 128``.
 
-    nodes: int = 48
+    For the chain rule of the survival routes, ``nodes`` is the number per
+    panel, of which at least ``MIN_PANEL_NODES`` are used; its cost grows as
+    ``d^3 nodes^2``.  For :func:`integrate_region` it is the number per
+    axis, exactly, at a cost of ``nodes**d``.
+    """
+
+    nodes: int = 64
 
     def __post_init__(self):
         if not MIN_NODES <= self.nodes <= MAX_NODES:
@@ -151,6 +137,201 @@ def _legendre_and_derivative(g, x):
     return p1, dp
 
 
+@lru_cache(maxsize=None)
+def mapped_interpolation(nodes: int) -> np.ndarray:
+    """Interpolation from the rule's nodes to the products ``x_b * x_a``.
+
+    Returns the ``(G, G^2)`` matrix ``L`` with ``L[c, b*G + a] =
+    l_c(x_b x_a)``, where ``l_c`` is the Lagrange basis polynomial of node
+    ``c``: values at the ``G`` nodes of ``[0, 1]``, times ``L``, give the
+    interpolant at the nodes of the rule mapped to ``[0, x_b]``, for every
+    ``b``.  It is the barycentric formula with the closed-form weights
+    ``(-1)^c sqrt(x_c (1 - x_c) w_c)`` of the Gauss-Legendre nodes.
+    """
+    x, w = legendre_rule(nodes)
+    bary = np.sqrt(x * (1.0 - x) * w)
+    bary[1::2] *= -1.0
+    points = np.multiply.outer(x, x).ravel()
+    diff = points - x[:, None]
+    hits = diff == 0.0
+    diff[hits] = 1.0
+    terms = bary[:, None] / diff
+    out = terms / terms.sum(axis=0)
+    for c, col in zip(*np.nonzero(hits)):  # a point on a node takes its value
+        out[:, col] = 0.0
+        out[c, col] = 1.0
+    out.setflags(write=False)
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class _ChainGrid:
+    """The chain rule's fixed arrays for one set of panels.
+
+    Panel ``m`` is ``[P_{m-1}, P_m]`` with ``G`` nodes ``t``; a level's
+    values are indexed ``m*G + b``.  Column ``m*G + b`` of the square arrays
+    lists the terms of the target ``t[m, b]``: first the ``G`` points of the
+    panel's own rule mapped to ``[P_{m-1}, t[m, b]]``, then every node of the
+    full panels ``0..d-2`` (masked where the panel is not below ``m``).
+    ``step`` holds each term's step ``u = T - T'`` (1 where masked) and
+    ``log_step`` its log; ``log_weight`` the log of the term's rule weight,
+    ``_MASKED`` where masked.  Sums run down the columns, which numpy
+    reduces faster than rows.
+    """
+
+    t: np.ndarray                # (d*G,) nodes
+    log_t: np.ndarray            # (d*G,)
+    log_node_weight: np.ndarray  # (d*G,) log of the rule weight of each node
+    step: np.ndarray             # (d*G, d*G)
+    log_step: np.ndarray         # (d*G, d*G)
+    log_weight: np.ndarray       # (d*G, d*G)
+    log_mapped: np.ndarray       # (G*G,) log of the mapped points of panel 0
+
+
+@lru_cache(maxsize=8)
+def _chain_grid(prefix: tuple, g: int) -> _ChainGrid:
+    x, w = legendre_rule(g)
+    d = len(prefix)
+    upper = np.array(prefix)
+    lower = np.concatenate(([0.0], upper[:-1]))
+    width = upper - lower
+    scaled = np.multiply.outer(width, x)                   # (d, G): h_m x_b
+    t = (lower[:, None] + scaled).ravel()
+    log_node_weight = np.log(np.multiply.outer(width, w)).ravel()
+
+    # mapped points of panel m: T - T' = h_m x_b (1 - x_a), weight h_m x_b w_a
+    part_step = np.multiply.outer(1.0 - x, scaled).reshape(g, d * g)
+    part_weight = np.add.outer(np.log(w), np.log(scaled)).reshape(g, d * g)
+    # full panels j < m: T - T' = (P_{m-1} - P_j) + h_j (1 - x_a) + h_m x_b
+    tail = np.multiply.outer(width[:-1], 1.0 - x)         # (d-1, G): h_j (1 - x_a)
+    full_step = (lower - upper[:-1, None])[:, None, :, None] + tail[:, :, None, None]
+    full_step = full_step + scaled
+    below = (np.arange(d - 1)[:, None] < np.arange(d))[:, None, :, None]
+    full_step = np.where(below, full_step, 1.0).reshape((d - 1) * g, d * g)
+    full_weight = np.where(below, log_node_weight[: (d - 1) * g].reshape(d - 1, g, 1, 1), _MASKED)
+    full_weight = np.broadcast_to(full_weight, (d - 1, g, d, g)).reshape((d - 1) * g, d * g)
+    step = np.concatenate([part_step, full_step])
+    grid = _ChainGrid(
+        t=t,
+        log_t=np.log(t),
+        log_node_weight=log_node_weight,
+        step=step,
+        log_step=np.log(step),
+        log_weight=np.concatenate([part_weight, full_weight]),
+        log_mapped=np.log(np.multiply.outer(scaled[0], x)).ravel(),
+    )
+    for array in vars(grid).values():
+        array.setflags(write=False)
+    return grid
+
+
+def integrate_chain(weights: ProbabilityWeights, constant, steps, end, spec=None, powers=None):
+    """Integral of ``exp(constant + sum_i steps[i](T_i - T_{i-1}) + end(T_d))``
+    over ``0 < T_1 < ... < T_d``, ``T_i <= P_i`` (so ``T_0 = 0``).
+
+    Parameters
+    ----------
+    weights : ProbabilityWeights
+        Defines the region via its prefix sums ``P_i``.
+    constant : float
+        Added to the log-integrand.
+    steps : sequence of d callables
+        ``steps[i](u, log_u)`` is the log factor of step ``i`` at the
+        spacings ``u > 0`` (with ``log_u = ln u``), elementwise, for arrays
+        of any shape; it returns a new array.
+    end : callable
+        ``end(T)``, the log factor of ``T_d``, elementwise.
+    spec : QuadratureSpec, optional
+        Nodes per panel; ``max(spec.nodes, MIN_PANEL_NODES)`` are used.
+        Defaults to 64.
+    powers : sequence of d floats, optional
+        ``steps[i](u)`` behaves as ``powers[i] * ln u`` plus a smooth
+        function as ``u -> 0`` (default 0, a smooth factor).
+
+    Returns
+    -------
+    (float, float)
+        The integral and its natural log.
+
+    Notes
+    -----
+    ``F_i(T)``, the integral over ``T_1..T_{i-1}`` with ``T_i = T``, obeys
+    ``F_1 = exp(steps[0])`` and ``F_i(T) = int F_{i-1}(T') exp(steps[i-1](T
+    - T')) dT'`` over ``T' < min(T, P_{i-1})``.  ``[0, P_d]`` is split into
+    panels at the ``P_j``, each with ``G`` Gauss-Legendre nodes, and level
+    ``i`` holds ``log F_i`` at the nodes of panels ``1..i``.  For a target
+    in panel ``m``, the full panels below ``m`` are summed with their own
+    nodes, and the stretch of panel ``m`` below the target with the rule
+    mapped to it; ``log F_{i-1}`` (not ``F_{i-1}``, which spans hundreds of
+    decades in a panel at n = 1000) is brought to the mapped points by
+    polynomial interpolation, the matrix of :func:`mapped_interpolation`.
+    On panel 1, ``F_{i-1}`` is ``T^a`` times a smooth factor, with ``a`` the
+    sum of the powers of steps ``1..i-1`` plus ``i - 2``, so ``log F - a ln
+    T`` is interpolated instead.  Every level is one log-sum-exp over the
+    terms of each target.  Cost: about ``d^3 G^2 / 3`` factor evaluations
+    and ``d^2 G^3 / 2`` multiply-adds; memory ``O(d^2 G^2 + G^3)``.
+    """
+    spec = spec if spec is not None else QuadratureSpec()
+    d = weights.d
+    if len(steps) != d:
+        raise ValueError(f"need {d} step factors, got {len(steps)}")
+    powers = [0.0] * d if powers is None else [float(a) for a in powers]
+    g = max(spec.nodes, MIN_PANEL_NODES)
+    grid = _chain_grid(tuple(weights.prefix.tolist()), g)
+    interp = mapped_interpolation(g)
+
+    # Each level is stored relative to its largest value, so the terms that
+    # matter are O(1) and round finely; the offsets are added up exactly.
+    offsets = [float(constant)]
+    level = np.asarray(steps[0](grid.t[:g], grid.log_t[:g]), dtype=float)
+    exponent = powers[0]
+    for i in range(1, d):
+        offsets.append(float(level.max()))
+        level -= offsets[-1]
+        size = (i + 1) * g
+        # log F_{i-1} at the mapped points of panels 0..i-1, centred per panel
+        logs = level.reshape(i, g).copy()
+        logs[0] -= exponent * grid.log_t[:g]
+        top = logs.max(axis=1, keepdims=True)
+        logs -= top
+        # einsum sums in a fixed order, and spawns no BLAS threads, whose
+        # spinning slowed the levels after a threaded product 3-4 fold
+        mapped = np.einsum("mc,cp->mp", logs, interp)
+        mapped += top
+        mapped[0] += exponent * grid.log_mapped
+        terms = np.add(
+            steps[i](grid.step[:size, :size], grid.log_step[:size, :size]),
+            grid.log_weight[:size, :size],
+        )
+        # the mapped points x_a x_b are symmetric, so mapped[m] reads as [a, b]
+        terms[:g, : i * g] += mapped.reshape(i, g, g).transpose(1, 0, 2).reshape(g, i * g)
+        terms[:g, i * g :] = _MASKED  # the newest panel has no stretch below
+        terms[g:] += level[:, None]
+        level = _log_sum_exp(terms)
+        exponent += powers[i] + 1.0
+
+    offsets.append(float(level.max()))
+    level -= offsets[-1]
+    final = level + grid.log_node_weight
+    final += end(grid.t)
+    offsets.append(float(_log_sum_exp(final[:, None])[0]))
+    log_value = math.fsum(offsets)
+    if not math.isfinite(log_value):
+        raise ValueError(f"chain integral not finite (log value {log_value})")
+    return math.exp(log_value), log_value
+
+
+def _log_sum_exp(terms):
+    """Column-wise ``log(sum(exp(terms)))``; overwrites ``terms``."""
+    top = terms.max(axis=0)
+    terms -= top
+    np.maximum(terms, _EXP_FLOOR, out=terms)
+    np.exp(terms, out=terms)
+    out = np.log(terms.sum(axis=0))
+    out += top
+    return out
+
+
 def integrate_region(weights: ProbabilityWeights, logf, spec=None):
     """Iterated Gauss-Legendre integral of ``exp(logf)`` over the region.
 
@@ -166,23 +347,18 @@ def integrate_region(weights: ProbabilityWeights, logf, spec=None):
         column for the innermost one, so work on an outer coordinate alone
         can be done once per row.  The columns belong to the integrator and
         are reused across blocks; ``logf`` must not modify or keep them.
-        ``logf`` may be called from several threads at once.
     spec : QuadratureSpec, optional
-        Nodes per axis; defaults to 48.
+        Nodes per axis, used as given; defaults to 64.  The cost is
+        ``nodes**d`` evaluations, refused above ``MAX_NODE_EVALS``.
 
     Returns
     -------
     (float, float)
         The integral and its natural log.  Nodes are split into fixed
-        blocks of whole outer prefixes (at most ``_BLOCK_NODES`` nodes).
-        Block 0 is evaluated on the calling thread; when two or more blocks
-        remain, they are evaluated concurrently in strided shares on a
-        shared thread pool, one per CPU the process may run on.  Each block
-        is reduced with ``np.sum`` and the block partials with the exact
-        ``math.fsum``, which does not depend on their order, so results are
-        bit-reproducible for a given node count whatever the thread count.
-        A failure is reported from the lowest-indexed failing block, as if
-        the blocks had run in order.
+        blocks of whole outer prefixes (at most ``_BLOCK_NODES`` nodes),
+        evaluated in order.  Each block is reduced with ``np.sum`` and the
+        block partials with the exact ``math.fsum``, so results are
+        bit-reproducible for a given node count.
 
         Values are exponentiated relative to ``logf(p)``; a block that
         overflows against it is taken relative to its own largest log-value,
@@ -201,15 +377,14 @@ def integrate_region(weights: ProbabilityWeights, logf, spec=None):
 
     # A block is a run of outer prefixes (axes 1..d-1) times all g innermost
     # nodes; each prefix's coordinates and partial weight are built once.
-    # Each share of blocks owns one node-sized buffer, reused block after
-    # block, so the heap does not shrink after each block only to be
-    # faulted back in.
+    # One node-sized buffer is reused block after block, so the heap does
+    # not shrink after each block only to be faulted back in.
     outer = (g,) * (d - 1)
     rows_total = g ** (d - 1)
     rows_per_block = min(_BLOCK_NODES // g, rows_total)
+    inner, wts, terms = np.empty((3, rows_per_block, g))
 
-    def block_sum(start, buffer):
-        inner, wts, terms = buffer
+    def block_sum(start):
         rows = np.arange(start, min(start + rows_per_block, rows_total))
         digits = np.unravel_index(rows, outer) if d > 1 else ()
         cols = []
@@ -241,45 +416,8 @@ def integrate_region(weights: ProbabilityWeights, logf, spec=None):
         top = float(np.max(logs))  # exp overflowed: rescale by the block's own maximum
         return float(np.sum(np.exp(logs - top) * block_wts)), top
 
-    def block_sums(starts, buffer):
-        """Partials of the blocks at ``starts``, in order; the first
-        exception raised takes its block's place and ends the list."""
-        sums = []
-        for start in starts:
-            try:
-                sums.append(block_sum(start, buffer))
-            except Exception as exc:
-                sums.append(exc)
-                break
-        return sums
-
-    buffer = np.empty((3, rows_per_block, g))
-    # Block 0 runs first and alone: if it fails no thread is started, and
-    # lazy caches of logf are filled before any concurrent call.
-    partials = [block_sum(0, buffer)]
-    rest = range(rows_per_block, rows_total, rows_per_block)
-    shares = min(_WORKERS, len(rest))
-    if shares > 1 and not getattr(_pool_thread, "active", False):
-        buffers = [buffer] + [np.empty_like(buffer) for _ in range(shares - 1)]
-        futures = [
-            _block_pool().submit(block_sums, rest[j::shares], buffers[j])
-            for j in range(shares)
-        ]
-        results = [future.result() for future in futures]
-    else:
-        # One CPU, or a logf nested in a pool thread: waiting on the pool
-        # from inside it could deadlock, so run every block here.
-        shares, results = 1, [block_sums(rest, buffer)]
-    ordered = [None] * len(rest)
-    for j, sums in enumerate(results):
-        ordered[j : j + shares * len(sums) : shares] = sums
-    # A share stops at its first failure, so in block order the first
-    # entry that is not a partial is the lowest-indexed failure.
-    for value in ordered:
-        if isinstance(value, Exception):
-            raise value
+    partials = [block_sum(start) for start in range(0, rows_total, rows_per_block)]
     # with no overflow every scale is ``shift`` and each factor is exp(0) = 1
-    partials += ordered
     top = max(scale for _, scale in partials)
     total = math.fsum([value * math.exp(scale - top) for value, scale in partials])
     log_value = top + math.log(total) if total > 0.0 else -math.inf

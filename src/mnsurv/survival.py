@@ -10,6 +10,9 @@
   the nested region (valid whenever every gap ``j_i >= 1``).
 * :func:`survival_gaussian` integrates the equivalent Gaussian-representation
   integrand (valid whenever every ``J_i >= 1``).
+
+  Both integral routes use the chain rule of
+  :func:`mnsurv.quadrature.integrate_chain` on the integrand's factors.
 * :func:`survival_mc` simulates the defining order-statistics event.
 
 :func:`compare_routes` runs whichever routes apply, collects diagnostics and
@@ -24,18 +27,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# delta_n and gamma_tilde are not called here: the benchmark's tracer
-# (bench/tracing.py) wraps them in this module as well as in expansions.
+# delta_n, gamma_tilde, the two log-integrands and integrate_region are not
+# called here: the benchmark's tracer (bench/tracing.py) wraps them in this
+# module.
 from .expansions import (
     ExpansionContext,
     delta_n,
+    dirichlet_factors,
     expansion_context,
     gamma_tilde,
+    gaussian_factors,
     log_dirichlet_integrand,
     log_gaussian_integrand,
 )
 from .model import SurvivalInstance, build_instance, reduce_thresholds
-from .quadrature import CostGuardError, QuadratureSpec, integrate_region
+from .quadrature import CostGuardError, QuadratureSpec, integrate_chain, integrate_region
 
 __all__ = [
     "MAX_TRANSITION_BYTES",
@@ -149,10 +155,7 @@ def survival_dirichlet(instance: SurvivalInstance, spec: QuadratureSpec | None =
         raise ValueError(
             "Dirichlet route needs all thresholds >= 1; apply reduce_thresholds first"
         )
-    value, _ = integrate_region(
-        instance.weights, lambda s: log_dirichlet_integrand(instance, s), spec
-    )
-    return _clamp_probability(value)
+    return _integrate(instance, dirichlet_factors(instance), spec)
 
 
 def survival_gaussian(
@@ -165,18 +168,21 @@ def survival_gaussian(
     An :class:`ExpansionContext` may stand in for the instance, so a caller
     that already holds one does not recompute its ``delta_n``.
     """
-    ctx = instance if isinstance(instance, ExpansionContext) else None
-    if ctx is not None:
-        instance = ctx.instance
+    given = instance
+    if isinstance(instance, ExpansionContext):
+        instance = instance.instance
     if instance.impossible:
         return 0.0
     reason = instance.gaussian_block_reason
     if reason is not None:
         raise ValueError(f"inapplicable (Gaussian route requires J_i >= 1): {reason}")
-    if ctx is None:
-        ctx = expansion_context(instance)
-    value, _ = integrate_region(
-        instance.weights, lambda s: log_gaussian_integrand(ctx, s), spec
+    return _integrate(instance, gaussian_factors(given), spec)
+
+
+def _integrate(instance, factors, spec):
+    value, _ = integrate_chain(
+        instance.weights, factors.constant, factors.steps, factors.end, spec,
+        powers=factors.powers,
     )
     return _clamp_probability(value)
 
@@ -283,7 +289,8 @@ def compare_routes(
     Parameters
     ----------
     spec : QuadratureSpec, optional
-        Nodes per axis of the two integral routes; defaults to 48.
+        Nodes per panel of the two integral routes' chain rule, of which at
+        least ``MIN_PANEL_NODES`` (32) are used; defaults to 64.
     routes : iterable of str, optional
         Subset of ``{"exact", "dirichlet", "gaussian", "mc"}``.  Defaults to
         the three deterministic routes, plus ``"mc"`` when ``replications``

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -162,6 +163,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "cost guard: --k-all grid of 1313400 rows exceeds the 1000000 row guard\n"
 
+    def test_k_all_grid_is_counted_only_until_the_guard(self, monkeypatch, capsys):
+        # summing C(n, 2) over all 2e7 values of n took seconds before the refusal
+        calls = []
+        comb = math.comb
+        monkeypatch.setattr(math, "comb", lambda n, k: calls.append(n) or comb(n, k))
+        args = ["sweep", "--n", "1:20000000:1", "--p", "0.5,0.3", "--k-all", "--nodes", "2"]
+        assert run(args) == 4
+        err = capsys.readouterr().err
+        assert err == "cost guard: --k-all grid of at least 1004731 rows exceeds the 1000000 row guard\n"
+        assert len(calls) == 182  # C(183, 3) > 10^6 >= C(182, 3)
+
     def test_validation_error_on_n_past_int64(self, capsys):
         args = ["eval", "--n", "100000000000000000000", "--p", "0.5", "--k", "1",
                 "--routes", "dirichlet"]
@@ -210,6 +222,16 @@ class TestSubcommands:
             value = parsed["routes"][route]
             assert isinstance(value, dict) or 0.0 <= value <= 1.0
         assert 0.0 <= parsed["diagnostics"]["max_rel_diff"] <= 1e-5
+
+    def test_compare_at_d5_gives_a_report(self, tmp_path):
+        code, out = run_to_file(tmp_path, ["compare", "--n", "100", "--p",
+                                           "0.15,0.15,0.15,0.15,0.15", "--k", "10,10,10,10,10"])
+        assert code == 0
+        parsed = json.loads(out)
+        assert parsed["params"]["nodes"] == 64  # the default, echoed
+        exact = parsed["routes"]["exact"]
+        for route in ("dirichlet", "gaussian"):
+            assert abs(parsed["routes"][route] - exact) <= 1e-13 * exact
 
     def test_sweep_builds_transition_matrices_once(self, tmp_path):
         survival._transition_matrices.cache_clear()

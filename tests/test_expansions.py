@@ -8,11 +8,13 @@ from mnsurv import (
     build_instance,
     capital_lambda,
     delta_n,
+    dirichlet_factors,
     entropy_lhs,
     expansion_context,
     gamma_star,
     gamma_tilde,
     gamma_tilde_series,
+    gaussian_factors,
     h_grad,
     h_hessian,
     h_value,
@@ -61,11 +63,6 @@ class TestStirlingLambda:
         for m in list(range(21, 31)) + [50, 100, 1000, 12345]:
             assert stirling_lambda(m) == pytest.approx(lambda_oracle(m), rel=1e-13, abs=0.0)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="for m <= 20, stirling_lambda subtracts the Stirling main term from a tabled "
-        "ln(m!), which cancels: 4.1e-13 relative off at m = 10, 1.74e-12 at m = 19",
-    )
     def test_small_m_against_high_precision(self):
         for m in range(1, 21):
             assert stirling_lambda(m) == pytest.approx(lambda_oracle(m), rel=1e-13, abs=0.0)
@@ -381,6 +378,35 @@ class TestIntegrands:
             lambda s: log_gaussian_integrand(ctx, s),
         ):
             np.testing.assert_allclose(logf(fortran), logf(pts), rtol=1e-15, atol=0)
+
+    def test_factors_match_the_unsplit_formulas(self):
+        # the factors split sum_i over cells and Sigma^-1 = diag(1/p) + 11^T/p_last;
+        # here both integrands are formed whole, from the covariance module
+        from mnsurv import bilinear_form
+
+        rng = np.random.default_rng(39)
+        for _ in range(20):
+            inst = random_gaussian_ready_instance(rng)
+            d, N = inst.d, inst.N
+            pts = np.vstack([_interior(rng, inst) for _ in range(50)])
+            full = np.column_stack([pts, 1.0 - pts.sum(axis=1)])
+            diri = (math.lgamma(N + d + 1) - sum(math.lgamma(j + 1) for j in inst.J)
+                    + np.log(full) @ inst.J)
+            diff = pts - inst.p
+            et = inst.eps_tilde[:d]
+            star = (np.log(full / inst.weights.p_full) @ (inst.J / N)
+                    - bilinear_form(inst.weights, et, diff) + 0.5 * quad_form(inst.weights, diff))
+            gauss = (delta_n(inst) + 0.5 * d * math.log(N) + N * star
+                     + log_mvn_density(inst.weights, math.sqrt(N) * (et - diff)))
+            np.testing.assert_allclose(log_dirichlet_integrand(inst, pts), diri, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(log_gaussian_integrand(inst, pts), gauss, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(gamma_star(inst, pts), star, rtol=0, atol=1e-13)
+
+    def test_factors_carry_their_powers(self):
+        inst = build_instance(40, [0.2, 0.25, 0.2, 0.15], [6, 9, 7, 5])
+        for factors in (dirichlet_factors(inst), gaussian_factors(inst)):
+            assert factors.powers == tuple(inst.J[:4].tolist())
+            assert len(factors.steps) == 4
 
     def test_context_stands_in_for_instance(self):
         inst = build_instance(40, [0.2, 0.25, 0.2, 0.15], [6, 9, 7, 5])

@@ -1,9 +1,6 @@
 import ast
 import math
-import multiprocessing
 import re
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -15,13 +12,17 @@ from mnsurv import (
     CostGuardError,
     QuadratureSpec,
     build_instance,
+    dirichlet_factors,
     expansion_context,
+    gaussian_factors,
+    integrate_chain,
     integrate_region,
     legendre_rule,
     log_dirichlet_integrand,
     log_gaussian_integrand,
     make_weights,
 )
+from mnsurv.checks import random_instance
 
 
 class TestLegendreRule:
@@ -300,182 +301,132 @@ def _sorted_rows(pts):
     return pts[np.lexsort(pts.T[::-1])]
 
 
-@pytest.fixture
-def pooled(monkeypatch):
-    """At least two block workers, so the pool runs even on a one-CPU machine."""
-    monkeypatch.setattr(quadrature, "_WORKERS", max(2, quadrature._WORKERS))
+class TestMappedInterpolation:
+    @pytest.mark.parametrize("g", [2, 5, 32, 64])
+    def test_reproduces_polynomials_of_degree_below_g(self, g):
+        x, _ = legendre_rule(g)
+        matrix = quadrature.mapped_interpolation(g)
+        assert matrix.shape == (g, g * g)
+        coef = np.random.default_rng(g).normal(size=g)
+        poly = np.polynomial.Polynomial(coef)
+        expected = poly(np.multiply.outer(x, x).ravel())
+        np.testing.assert_allclose(poly(x) @ matrix, expected, rtol=0, atol=1e-12)
+
+    def test_columns_sum_to_one(self):
+        np.testing.assert_allclose(quadrature.mapped_interpolation(64).sum(axis=0), 1.0,
+                                   rtol=0, atol=1e-13)
 
 
-def _block_of(weights, g, cols):
-    """Index of the block whose nodes the coordinate columns hold; None for
-    the reference point."""
-    if cols[-1].ndim == 1:
-        return None
-    x, _ = legendre_rule(g)
-    running = np.zeros(cols[0].shape[0])
-    row = np.zeros(cols[0].shape[0], dtype=np.int64)
-    for i, col in enumerate(cols[:-1]):
-        upper = weights.prefix[i] - running
-        digit = np.abs((col[:, 0] / upper)[:, None] - x).argmin(axis=1)
-        row = row * g + digit
-        running = running + col[:, 0]
-    blocks = row // (quadrature._BLOCK_NODES // g)
-    assert np.all(blocks == blocks[0])
-    return int(blocks[0])
+def _zero_step(u, log_u):
+    return np.zeros(np.shape(u))
 
 
-def _d4_g40_integral(logf):
-    w = make_weights([0.2, 0.2, 0.2, 0.2])
-    assert -(-(40**3) // (quadrature._BLOCK_NODES // 40)) == 40  # blocks
-    return integrate_region(w, logf, QuadratureSpec(nodes=40))
+def _zero_end(t):
+    return np.zeros(np.shape(t))
 
 
-class TestBlockPool:
-    @pytest.mark.parametrize(
-        "n, p, k, g",
-        [
-            (50, [0.2, 0.25, 0.2, 0.15], [8, 10, 8, 6], 40),  # 40 blocks
-            (60, [0.15, 0.2, 0.15, 0.2, 0.1], [6, 9, 6, 9, 4], 16),  # 16 blocks
-            (70, [0.1, 0.15, 0.1, 0.15, 0.1, 0.15], [5, 8, 5, 8, 5, 8], 10),  # 16 blocks
-        ],
-    )
-    def test_threaded_equals_serial_bit_for_bit(self, monkeypatch, pooled, n, p, k, g):
+def _chain(weights, factors, spec=None):
+    return integrate_chain(weights, factors.constant, factors.steps, factors.end, spec,
+                           powers=factors.powers)
+
+
+class TestIntegrateChain:
+    @pytest.mark.parametrize("p, volume", [
+        ([0.3], 0.3),
+        ([0.3, 0.3], 0.135),
+        ([0.2, 0.2, 0.2, 0.2], 0.2**4 * 5**3 / 24),  # parking functions, as above
+    ], ids=["d1", "d2", "d4"])
+    def test_volume(self, p, volume):
+        w = make_weights(p)
+        value, log_value = integrate_chain(w, 0.0, [_zero_step] * w.d, _zero_end)
+        assert value == pytest.approx(volume, rel=1e-14, abs=0.0)
+        assert log_value == pytest.approx(math.log(volume), rel=1e-14, abs=0.0)
+
+    def test_smooth_factors_closed_form(self):
+        # exp(-a T_1 - b (T_2 - T_1)) over 0 < T_1 < T_2, T_1 <= P_1, T_2 <= P_2
+        a, b, p1, p2 = 3.0, 7.0, 0.3, 0.7
+        w = make_weights([p1, p2 - p1])
+        steps = [lambda u, log_u: -a * u, lambda u, log_u: -b * u]
+        value, _ = integrate_chain(w, 0.0, steps, _zero_end)
+        closed = ((1 - math.exp(-a * p1)) / a
+                  - math.exp(-b * p2) * (1 - math.exp(-(a - b) * p1)) / (a - b)) / b
+        assert value == pytest.approx(closed, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("n, p, k", [
+        (20, [0.3], [6]),
+        (41, [0.3, 0.25], [10, 8]),
+        (60, [0.3, 0.2, 0.25], [15, 10, 12]),
+        (63, [0.2, 0.3, 0.2], [5, 30, 20]),
+    ])
+    def test_matches_tensor_rule_where_it_is_exact(self, n, p, k):
+        # n <= 2G - 1: G = 32 points per axis integrate the polynomial exactly
         inst = build_instance(n, p, k)
         ctx = expansion_context(inst)
-        spec = QuadratureSpec(nodes=g)
-        threads = set()
+        spec = QuadratureSpec(nodes=32)
+        for factors, logf in (
+            (dirichlet_factors(inst), lambda s: log_dirichlet_integrand(inst, s)),
+            (gaussian_factors(ctx), lambda s: log_gaussian_integrand(ctx, s)),
+        ):
+            tensor, _ = integrate_region(inst.weights, logf, spec)
+            chain, _ = _chain(inst.weights, factors)
+            assert chain == pytest.approx(tensor, rel=1e-13, abs=0.0)
 
-        def dirichlet(s):
-            threads.add(threading.get_ident())
-            return log_dirichlet_integrand(inst, s)
-
-        def gaussian(s):
-            threads.add(threading.get_ident())
-            return log_gaussian_integrand(ctx, s)
-
-        for logf in (dirichlet, gaussian):
-            threaded = integrate_region(inst.weights, logf, spec)
-            with monkeypatch.context() as serial:
-                serial.setattr(quadrature, "_WORKERS", 1)
-                assert integrate_region(inst.weights, logf, spec) == threaded
-        assert len(threads) > 1
-
-    @pytest.mark.parametrize("workers", [2, 3, 5])
-    def test_lowest_failing_block_is_named(self, monkeypatch, workers):
-        # with 2 shares blocks 3 and 7 share one; with 3 or 5 they do not,
-        # so block 7 may fail first and must still lose to block 3
-        monkeypatch.setattr(quadrature, "_WORKERS", workers)
-        w = make_weights([0.2, 0.2, 0.2, 0.2])
-        g = 40
-        first_bad = {}
-
-        def planted(cols):
-            logs = np.zeros(_block_shape(cols))
-            block = _block_of(w, g, cols)
-            if block in (3, 7):
-                logs[:, g // 2 :] = np.nan
-                first_bad[block] = [float(np.broadcast_to(c, logs.shape)[0, g // 2]) for c in cols]
-            return logs
-
-        for _ in range(20):
-            with pytest.raises(ValueError, match="not finite") as info:
-                _d4_g40_integral(planted)
-            named = ast.literal_eval(re.search(r"\[.*\]", str(info.value)).group(0))
-            assert named == first_bad[3]
-
-    def test_exception_from_pool_block_propagates(self, pooled):
-        w = make_weights([0.2, 0.2, 0.2, 0.2])
-        raised_on = []
-
-        def failing(cols):
-            if _block_of(w, 40, cols) == 5:
-                raised_on.append(threading.get_ident())
-                raise ValueError("planted in block 5")
-            return _const_logf(cols)
-
-        with pytest.raises(ValueError) as info:
-            _d4_g40_integral(failing)
-        assert type(info.value) is ValueError
-        assert str(info.value) == "planted in block 5"
-        assert raised_on and raised_on[0] != threading.get_ident()
-
-    def test_single_block_stays_on_caller(self, pooled):
-        w = make_weights([0.3, 0.2, 0.25])
-        threads = []
-
-        def logf(cols):
-            threads.append(threading.get_ident())
-            return _const_logf(cols)
-
-        integrate_region(w, logf, QuadratureSpec(nodes=24))  # 576 rows: one block
-        assert len(threads) == 2  # reference point, the block
-        assert set(threads) == {threading.get_ident()}
-
-    def test_fork_child_integrates_after_parent(self, pooled):
-        expected = _d4_g40_integral(_const_logf)  # the parent's pool now exists
-        ctx = multiprocessing.get_context("fork")
-        results = ctx.Queue()
-        child = ctx.Process(target=lambda: results.put(_d4_g40_integral(_const_logf)))
-        child.start()
-        try:
-            assert results.get(timeout=60) == expected
-            child.join(timeout=60)
-            assert not child.is_alive()
-            assert child.exitcode == 0
-        finally:
-            if child.is_alive():
-                child.kill()
-                child.join()
-
-    def test_nested_integral_in_pool_thread_finishes(self, pooled):
-        w = make_weights([0.2, 0.25, 0.2, 0.15])
-        spec = QuadratureSpec(nodes=20)  # three blocks: two go to the pool
-        inner_value, _ = integrate_region(w, _const_logf, spec)
-        nested = []
-
-        def logf(cols):
-            nested.append((threading.get_ident(), integrate_region(w, _const_logf, spec)[0]))
-            return _const_logf(cols)
-
-        outer = []
-        thread = threading.Thread(target=lambda: outer.append(integrate_region(w, logf, spec)))
-        thread.start()
-        thread.join(timeout=60)
-        assert not thread.is_alive()
-        assert outer[0][0] == inner_value
-        assert {value for _, value in nested} == {inner_value}
-        assert any(ident != thread.ident for ident, _ in nested)  # some ran on the pool
-
-    def test_concurrent_callers_agree(self, monkeypatch):
-        # more shares than cores, several callers, short switch interval:
-        # a partial lost or misplaced would change some caller's bits
-        monkeypatch.setattr(quadrature, "_WORKERS", 5)
-        inst = build_instance(50, [0.2, 0.25, 0.2, 0.15], [8, 10, 8, 6])
+    def test_matches_tensor_rule_on_random_small_instances(self):
+        rng = np.random.default_rng(50)
         spec = QuadratureSpec(nodes=24)
-        logf = lambda s: log_dirichlet_integrand(inst, s)
-        with monkeypatch.context() as serial:
-            serial.setattr(quadrature, "_WORKERS", 1)
-            expected = integrate_region(inst.weights, logf, spec)
-        results = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            callers = [
-                threading.Thread(
-                    target=lambda: results.extend(
-                        integrate_region(inst.weights, logf, spec) for _ in range(3)
-                    )
-                )
-                for _ in range(4)
-            ]
-            for caller in callers:
-                caller.start()
-            for caller in callers:
-                caller.join(timeout=120)
-                assert not caller.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        assert results == [expected] * 12
+        checked = 0
+        while checked < 20:
+            inst = random_instance(rng, n_range=(2, 48))
+            if np.any(inst.k < 1) or inst.impossible:
+                continue
+            tensor, _ = integrate_region(
+                inst.weights, lambda s: log_dirichlet_integrand(inst, s), spec)
+            chain, _ = _chain(inst.weights, dirichlet_factors(inst))
+            assert chain == pytest.approx(tensor, rel=1e-13, abs=0.0)
+            checked += 1
+
+    def test_cost_is_polynomial_in_nodes(self):
+        # d^3 G^2 = 884,736 factor points at d = 6, G = 64, against G^d = 6.9e10
+        inst = build_instance(1000, [0.12, 0.1, 0.15, 0.12, 0.1, 0.14],
+                              [110, 95, 140, 110, 90, 130])
+        factors = gaussian_factors(inst)
+        seen = []
+
+        def counted(f):
+            return lambda *args: seen.append(np.size(args[0])) or f(*args)
+
+        value, _ = integrate_chain(
+            inst.weights, factors.constant, [counted(f) for f in factors.steps],
+            counted(factors.end), QuadratureSpec(nodes=64), powers=factors.powers)
+        assert 0.0 < value < 1.0
+        assert 0 < sum(seen) <= 6**3 * 64**2
+
+    def test_shift_invariance(self):
+        inst = build_instance(300, [0.3, 0.3], [80, 100])
+        f = dirichlet_factors(inst)
+        _, base = _chain(inst.weights, f)
+        for c in (-800.0, -3.5, 2.0, 700.0):
+            _, alt = integrate_chain(inst.weights, f.constant + c, f.steps, f.end,
+                                     powers=f.powers)
+            assert abs(alt - (base + c)) <= 1e-14 * (abs(base) + abs(c))
+
+    def test_nodes_below_the_floor_use_the_floor(self):
+        inst = build_instance(40, [0.3, 0.25], [10, 8])
+        f = dirichlet_factors(inst)
+        at_floor = _chain(inst.weights, f, QuadratureSpec(nodes=quadrature.MIN_PANEL_NODES))
+        assert _chain(inst.weights, f, QuadratureSpec(nodes=2)) == at_floor
+        assert _chain(inst.weights, f, QuadratureSpec(nodes=33)) != at_floor
+
+    def test_rejects_wrong_number_of_steps(self):
+        w = make_weights([0.3, 0.3])
+        with pytest.raises(ValueError, match="step factors"):
+            integrate_chain(w, 0.0, [_zero_step], _zero_end)
+
+    def test_rejects_nonfinite_factor(self):
+        w = make_weights([0.3, 0.3])
+        with pytest.raises(ValueError, match="not finite"):
+            integrate_chain(w, 0.0, [_zero_step, lambda u, log_u: np.full(np.shape(u), np.nan)],
+                            _zero_end)
 
 
 class TestSpecValidation:

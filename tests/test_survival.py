@@ -20,7 +20,7 @@ from mnsurv import (
     survival_mc,
 )
 from mnsurv import expansions, survival
-from mnsurv.checks import random_instance
+from mnsurv.checks import random_instance, random_weights
 
 
 def binomial_tail(n, p_float, k):
@@ -405,18 +405,18 @@ class TestCompareRoutes:
             compare_routes(inst, replications=999, seed=1)
 
 
-# (n, p, k, G, Dirichlet, Gaussian): values of an earlier release, whose
-# quadrature materialised every block as an (m, d) array of points
+# (n, p, k, G, Dirichlet, Gaussian): values of the chain rule, each within
+# 1e-14 of the exact route; G below MIN_PANEL_NODES uses 32 per panel
 FROZEN_VALUES = [
-    (20, [0.3], [6], 36, "0x1.2ad1715107843p-1", "0x1.2ad171510784fp-1"),
-    (25, [0.3, 0.25], [6, 5], 24, "0x1.898d68420ac1ap-1", "0x1.898d68420ac0ep-1"),
-    (60, [0.3, 0.2, 0.25], [15, 10, 12], 48, "0x1.9d4eb2b4e5afap-1", "0x1.9d4eb2b4e5a23p-1"),
-    (50, [0.2, 0.25, 0.2, 0.15], [8, 10, 8, 6], 20, "0x1.8b52d30f3f436p-1",
-     "0x1.8b52d30f3f377p-1"),
-    (48, [0.2, 0.15, 0.25, 0.1], [9, 6, 11, 4], 32, "0x1.0da0aea7e564bp-1",
-     "0x1.0da0aea7e568bp-1"),
-    (40, [0.12, 0.1, 0.15, 0.12, 0.1, 0.14], [4, 3, 5, 4, 3, 5], 6, "0x1.353e606124134p-1",
-     "0x1.353e6061241bap-1"),
+    (20, [0.3], [6], 36, "0x1.2ad171510782fp-1", "0x1.2ad171510783bp-1"),
+    (25, [0.3, 0.25], [6, 5], 24, "0x1.898d68420ac34p-1", "0x1.898d68420ac2bp-1"),
+    (60, [0.3, 0.2, 0.25], [15, 10, 12], 48, "0x1.9d4eb2b4e5a3cp-1", "0x1.9d4eb2b4e5a43p-1"),
+    (50, [0.2, 0.25, 0.2, 0.15], [8, 10, 8, 6], 20, "0x1.8b52d30f3f37fp-1",
+     "0x1.8b52d30f3f383p-1"),
+    (48, [0.2, 0.15, 0.25, 0.1], [9, 6, 11, 4], 32, "0x1.0da0aea7e5698p-1",
+     "0x1.0da0aea7e5686p-1"),
+    (40, [0.12, 0.1, 0.15, 0.12, 0.1, 0.14], [4, 3, 5, 4, 3, 5], 6, "0x1.357e9986c6955p-1",
+     "0x1.357e9986c694ap-1"),
 ]
 
 
@@ -428,6 +428,84 @@ class TestFrozenValues:
         assert survival_dirichlet(inst, spec).hex() == dirichlet
         assert survival_gaussian(inst, spec).hex() == gaussian
         assert survival_gaussian(expansion_context(inst), spec).hex() == gaussian
+        exact = survival_exact(inst)
+        for value in (dirichlet, gaussian):
+            assert float.fromhex(value) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+
+# d = 1..6, n up to 1000, thresholds near the mean and in tails down to 1e-37
+CHAIN_PANEL = [
+    (1000, [0.3], [290]),
+    (1000, [0.3], [420]),  # 6e-16
+    (800, [0.25, 0.3], [190, 250]),
+    (600, [0.2, 0.3], [200, 250]),  # 1.5e-37
+    (1000, [0.2, 0.3, 0.2], [180, 300, 200]),
+    (600, [0.2, 0.3, 0.2], [190, 150, 100]),  # 6e-12
+    (700, [0.15, 0.2, 0.25, 0.1], [90, 150, 160, 80]),
+    (400, [0.1, 0.2, 0.15, 0.2, 0.1], [50, 70, 60, 90, 50]),
+    (1000, [0.15] * 5, [145] * 5),
+    (1000, [0.12, 0.1, 0.15, 0.12, 0.1, 0.14], [110, 95, 140, 110, 90, 130]),
+    (1000, [0.12, 0.1, 0.15, 0.12, 0.1, 0.14], [160, 95, 140, 110, 90, 130]),
+    (900, [0.1, 0.1, 0.15, 0.15, 0.1, 0.1], [140, 120, 150, 150, 90, 80]),  # 2e-21
+]
+
+
+def _dirichlet_bound(n):
+    """The Dirichlet route's stated accuracy: its integrand is O(1) left over
+    from terms of size ln(n!), so allow 4 n eps beyond 1e-12."""
+    return max(1e-12, 4 * n * np.finfo(float).eps)
+
+
+class TestChainAccuracy:
+    @pytest.mark.parametrize("n, p, k", CHAIN_PANEL)
+    def test_default_nodes_against_exact(self, n, p, k):
+        inst = build_instance(n, p, k)
+        exact = survival_exact(inst)
+        assert exact > 0.0
+        assert survival_gaussian(inst) == pytest.approx(exact, rel=1e-12, abs=0.0)
+        assert survival_dirichlet(inst) == pytest.approx(exact, rel=_dirichlet_bound(n), abs=0.0)
+
+    def test_random_large_n_against_exact(self):
+        # thresholds from 4 sd below to 1 sd above the mean of each S_i
+        rng = np.random.default_rng(49)
+        checked = 0
+        while checked < 30:
+            d = int(rng.integers(2, 7))
+            n = int(rng.integers(50, 1001))
+            p = random_weights(rng, d)
+            prefix = np.cumsum(p)
+            z = rng.uniform(-4.0, 1.0, d)
+            kappa = np.round(n * prefix + z * np.sqrt(n * prefix * (1.0 - prefix))).astype(int)
+            k = np.maximum(np.diff(np.concatenate(([0], np.maximum.accumulate(kappa)))), 2)
+            if k.sum() > n - 1:
+                continue
+            inst = build_instance(n, p, k)
+            exact = survival_exact(inst)
+            assert survival_gaussian(inst) == pytest.approx(exact, rel=1e-12, abs=0.0)
+            assert survival_dirichlet(inst) == pytest.approx(
+                exact, rel=_dirichlet_bound(n), abs=0.0
+            )
+            checked += 1
+
+    def test_small_n_panels_at_any_node_count(self):
+        # --nodes 2..32 all mean 32 per panel: same bits, within 1e-13
+        rng = np.random.default_rng(48)
+        for _ in range(200):
+            inst = random_instance(rng, n_range=(2, 41))
+            base = compare_routes(inst, QuadratureSpec(nodes=2))
+            for nodes in (10, 16, 24):
+                report = compare_routes(inst, QuadratureSpec(nodes=nodes))
+                assert (report.dirichlet, report.gaussian) == (base.dirichlet, base.gaussian)
+            for value in (base.dirichlet, base.gaussian):
+                if value is not None:
+                    assert value == pytest.approx(base.exact, rel=1e-13, abs=0.0)
+
+    def test_d5_at_n_100_runs_at_default_nodes(self):
+        # G^d tensor rules refused d >= 5 at the default node count
+        inst = build_instance(100, [0.15] * 5, [10] * 5)
+        report = compare_routes(inst)
+        assert report.nodes == 64
+        assert report.max_rel_diff <= 1e-13
 
 
 class TestMonotonicity:
