@@ -1,6 +1,9 @@
 import ast
 import math
+import multiprocessing
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -427,6 +430,106 @@ class TestIntegrateChain:
         with pytest.raises(ValueError, match="not finite"):
             integrate_chain(w, 0.0, [_zero_step, lambda u, log_u: np.full(np.shape(u), np.nan)],
                             _zero_end)
+
+
+def _block_of(weights, g, cols):
+    """Index of the block whose nodes the coordinate columns hold; None for
+    the reference point."""
+    if cols[-1].ndim == 1:
+        return None
+    x, _ = legendre_rule(g)
+    running = np.zeros(cols[0].shape[0])
+    row = np.zeros(cols[0].shape[0], dtype=np.int64)
+    for i, col in enumerate(cols[:-1]):
+        upper = weights.prefix[i] - running
+        digit = np.abs((col[:, 0] / upper)[:, None] - x).argmin(axis=1)
+        row = row * g + digit
+        running = running + col[:, 0]
+    blocks = row // (quadrature._BLOCK_NODES // g)
+    assert np.all(blocks == blocks[0])
+    return int(blocks[0])
+
+
+def _d4_g40_integral(logf):
+    w = make_weights([0.2, 0.2, 0.2, 0.2])
+    assert -(-(40**3) // (quadrature._BLOCK_NODES // 40)) == 40  # blocks
+    return integrate_region(w, logf, QuadratureSpec(nodes=40))
+
+
+class TestBlockPool:
+    """Every block runs on the calling thread; callers on other threads or
+    in a forked child get the same bits."""
+
+    def test_exception_from_pool_block_propagates(self):
+        w = make_weights([0.2, 0.2, 0.2, 0.2])
+        raised_on = []
+
+        def failing(cols):
+            if _block_of(w, 40, cols) == 5:
+                raised_on.append(threading.get_ident())
+                raise ValueError("planted in block 5")
+            return _const_logf(cols)
+
+        with pytest.raises(ValueError) as info:
+            _d4_g40_integral(failing)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "planted in block 5"
+        assert raised_on == [threading.get_ident()]
+
+    def test_single_block_stays_on_caller(self):
+        w = make_weights([0.3, 0.2, 0.25])
+        threads = []
+
+        def logf(cols):
+            threads.append(threading.get_ident())
+            return _const_logf(cols)
+
+        integrate_region(w, logf, QuadratureSpec(nodes=24))  # 576 rows: one block
+        assert len(threads) == 2  # reference point, the block
+        assert set(threads) == {threading.get_ident()}
+
+    def test_fork_child_integrates_after_parent(self):
+        expected = _d4_g40_integral(_const_logf)  # the parent's caches now exist
+        ctx = multiprocessing.get_context("fork")
+        results = ctx.Queue()
+        child = ctx.Process(target=lambda: results.put(_d4_g40_integral(_const_logf)))
+        child.start()
+        try:
+            assert results.get(timeout=60) == expected
+            child.join(timeout=60)
+            assert not child.is_alive()
+            assert child.exitcode == 0
+        finally:
+            if child.is_alive():
+                child.kill()
+                child.join()
+
+    def test_concurrent_callers_agree(self):
+        # several callers and a short switch interval: state shared between
+        # calls (cached rules and grids) must not leak from one to another
+        inst = build_instance(50, [0.2, 0.25, 0.2, 0.15], [8, 10, 8, 6])
+        spec = QuadratureSpec(nodes=24)
+        logf = lambda s: log_dirichlet_integrand(inst, s)
+        factors = dirichlet_factors(inst)
+        both = lambda: (integrate_region(inst.weights, logf, spec),
+                        _chain(inst.weights, factors, spec))
+        expected = both()
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [
+                threading.Thread(target=lambda: results.extend(both() for _ in range(3)))
+                for _ in range(4)
+            ]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+                assert not caller.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * 12
 
 
 class TestSpecValidation:
