@@ -8,7 +8,8 @@ For weights ``p`` over d+1 cells the d-dimensional covariance kernel is
   :attr:`ProbabilityWeights.log_det <mnsurv.model.ProbabilityWeights.log_det>`.
 
 Everything here evaluates those closed forms; dense linear algebra appears
-only in the test suite as an independent oracle.
+only in the test suite as an independent oracle.  Points are plain arrays
+whose last axis holds the d coordinates.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ __all__ = [
     "quad_form",
     "bilinear_form",
     "log_mvn_density",
-    "last_axis_sum",
-    "as_columns",
+    "coordinate_sum",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -58,95 +58,66 @@ def sigma_inverse_entry(weights: ProbabilityWeights, i: int, j: int) -> float:
 def quad_form(weights: ProbabilityWeights, x) -> float | np.ndarray:
     """Quadratic form ``x^T Sigma^-1 x`` via the closed-form inverse.
 
-    ``x`` may be a single d-vector, an array of shape (..., d) or a tuple of
-    d broadcastable coordinate columns (see :func:`as_columns`); the result
-    has the leading (broadcast) shape.  Equals
-    ``sum(x_i^2 / p_i) + (sum x_i)^2 / p_last``.
+    ``x`` may be a single d-vector or an array of shape (..., d); the result
+    has the leading shape.  Equals ``sum(x_i^2 / p_i) + (sum x_i)^2 /
+    p_last``.  Sums over coordinates run left to right, one coordinate at a
+    time, so a point gives the same bits alone and as a row of a batch.
     """
-    return _scalar_or_array(_quad_form(weights, _checked_columns(weights, x)))
+    return _scalar_or_array(_quad_form(weights, _checked_points(weights, x)))
 
 
 def bilinear_form(weights: ProbabilityWeights, x, y) -> float | np.ndarray:
     """Bilinear form ``x^T Sigma^-1 y``; broadcasts over leading axes."""
-    x = _checked_columns(weights, x)
-    y = _checked_columns(weights, y)
+    x = _checked_points(weights, x)
+    y = _checked_points(weights, y)
     total = _scaled_dot(x, y, weights.p)
-    cross = _column_sum(x) * _column_sum(y)
+    cross = coordinate_sum(x) * coordinate_sum(y)
     cross /= weights.p_last
-    return _scalar_or_array(_add_into(total, cross))
+    total += cross
+    return _scalar_or_array(total)
 
 
 def log_mvn_density(weights: ProbabilityWeights, x) -> float | np.ndarray:
     """Log-density at ``x`` of the centered normal with covariance ``Sigma``.
 
-    Accepts a single point, an array of shape (..., d) or a tuple of
-    coordinate columns.  The log-determinant is ``weights.log_det``, which
-    the weights compute once and keep.
+    Accepts a single point or an array of shape (..., d).  The
+    log-determinant is ``weights.log_det``, which the weights compute once
+    and keep.
     """
-    out = _quad_form(weights, _checked_columns(weights, x))
+    out = _quad_form(weights, _checked_points(weights, x))
     out *= -0.5
     out -= 0.5 * (weights.d * _LOG_2PI + weights.log_det)
     return _scalar_or_array(out)
 
 
-# Batches of points travel as coordinate columns: one array per coordinate,
-# all mutually broadcastable.  A quadrature block passes its outer
-# coordinates as (rows, 1) columns, so any work done on them alone runs once
-# per row.  Sums over coordinates go left to right from the first column,
-# growing to the broadcast shape only when a larger column joins, which
-# gives the same bits as summing the materialised points column by column.
+def coordinate_sum(x) -> np.ndarray:
+    """``x[..., 0] + x[..., 1] + ...``, left to right, as a new array.
 
-def as_columns(x) -> tuple:
-    """Coordinate columns of a point or a batch of points.
-
-    A tuple is taken as the columns themselves; anything else is read as an
-    array of shape (..., k) and split into the views ``x[..., i]`` (numpy
-    scalars for a single point).
+    ``np.sum(axis=-1)`` does not promise this order.
     """
-    if isinstance(x, tuple):
-        return tuple([np.asarray(c, dtype=float) for c in x])
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        raise ValueError("a point needs at least one axis")
-    return tuple(x.transpose(-1, *range(x.ndim - 1)))
-
-
-def last_axis_sum(x) -> np.ndarray:
-    """``sum_i x_i`` over the coordinates, as a new array."""
-    return _column_sum(as_columns(x))
-
-
-def _column_sum(x):
-    total = np.array(x[0])
-    for col in x[1:]:
-        total = _add_into(total, col)
+    total = np.array(x[..., 0])
+    for i in range(1, x.shape[-1]):
+        total += x[..., i]
     return total
 
 
 def _quad_form(weights, x):
     total = _scaled_dot(x, x, weights.p)
-    square = _column_sum(x)
+    square = coordinate_sum(x)
     square *= square
     square /= weights.p_last
-    return _add_into(total, square)
-
-
-def _scaled_dot(x, y, p):
-    """``sum_i x_i y_i / p_i`` over the columns; broadcasts ``x`` and ``y``."""
-    total = x[0] * y[0]
-    total /= p[0]
-    for i in range(1, p.shape[0]):
-        term = x[i] * y[i]
-        term /= p[i]
-        total = _add_into(total, term)
+    total += square
     return total
 
 
-def _add_into(total, term):
-    """``total + term``, in place unless ``term`` has the larger shape."""
-    if term.ndim > total.ndim or term.size > total.size:
-        return total + term
-    total += term
+def _scaled_dot(x, y, p):
+    """``sum_i x_i y_i / p_i`` over the coordinates; broadcasts ``x`` and ``y``."""
+    total = x[..., 0] * y[..., 0]
+    total /= p[0]
+    for i in range(1, p.shape[0]):
+        term = x[..., i] * y[..., i]
+        term /= p[i]
+        total += term
     return total
 
 
@@ -154,8 +125,8 @@ def _scalar_or_array(value):
     return value if value.ndim else float(value)
 
 
-def _checked_columns(weights: ProbabilityWeights, x) -> tuple:
-    cols = as_columns(x)
-    if len(cols) != weights.d:
-        raise ValueError(f"points must have {weights.d} coordinates, got {len(cols)}")
-    return cols
+def _checked_points(weights: ProbabilityWeights, x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != weights.d:
+        raise ValueError(f"points must have {weights.d} coordinates, got shape {x.shape}")
+    return x

@@ -23,10 +23,7 @@ times an exact exponential tilt:
 
 All point-evaluating functions are vectorized over leading batch axes: a
 point is the last axis of length d (free coordinates) or d+1 (full simplex
-coordinates).  A batch may also come as a tuple of broadcastable coordinate
-columns (see :func:`mnsurv.covariance.as_columns`), which is how the
-tensor-product quadrature hands over its blocks; arrays are split into such
-columns on entry, so both forms take the same path and give the same bits.
+coordinates).
 """
 
 from __future__ import annotations
@@ -40,13 +37,7 @@ import numpy as np
 
 # log_mvn_density is not called here: the benchmark's tracer
 # (bench/tracing.py) wraps it in this module.
-from .covariance import (
-    as_columns,
-    last_axis_sum,
-    log_mvn_density,
-    quad_form,
-    _add_into,
-)
+from .covariance import coordinate_sum, log_mvn_density, quad_form
 from .model import SurvivalInstance
 
 __all__ = [
@@ -272,16 +263,22 @@ def gamma_star(instance: SurvivalInstance, s) -> float | np.ndarray:
     """
     _require_n_positive(instance)
     tilts = [cell.tilt for cell in _gaussian_cells(instance)]
-    cols, total = _cumulated(instance, s, require_interior=True)
-    return _factor_sum(0.0, tilts[:-1], _at_end(tilts[-1]), cols, total) / instance.N
+    free, total = _cumulated(instance, s, require_interior=True)
+    return _factor_sum(0.0, tilts[:-1], _at_end(tilts[-1]), free, total) / instance.N
 
 
 def entropy_lhs(instance: SurvivalInstance, s) -> float | np.ndarray:
     """The weighted log-ratio sum ``sum_{i<=d+1} (J_i/N) ln(s_i/p_i)``."""
     _require_n_positive(instance)
     full = _simplex_point(instance, s, require_interior=True)
-    out = _entropy_first_sum(instance, full)
-    return out if isinstance(out, np.ndarray) and out.ndim else float(out)
+    p = instance.weights.p_full
+    out = np.zeros(full.shape[:-1])
+    for i, c in enumerate((instance.J / instance.N).tolist()):
+        if c:  # a cell with J_i = 0 adds exactly 0
+            term = np.log(full[..., i] / p[i])
+            term *= c
+            out += term
+    return out if out.ndim else float(out)
 
 
 def h_value(instance: SurvivalInstance, s) -> float | np.ndarray:
@@ -289,8 +286,8 @@ def h_value(instance: SurvivalInstance, s) -> float | np.ndarray:
     Dirichlet factors without their constant, divided by ``N``."""
     _require_n_positive(instance)
     steps, end = _dirichlet_cells(instance)
-    cols, total = _cumulated(instance, s, require_interior=True)
-    return _factor_sum(0.0, steps, end, cols, total) / instance.N
+    free, total = _cumulated(instance, s, require_interior=True)
+    return _factor_sum(0.0, steps, end, free, total) / instance.N
 
 
 def h_grad(instance: SurvivalInstance, s) -> np.ndarray:
@@ -464,8 +461,8 @@ def log_dirichlet_integrand(instance: SurvivalInstance, s) -> float | np.ndarray
     ``s`` has d free or d+1 full coordinates.
     """
     f = dirichlet_factors(instance)
-    cols, total = _cumulated(instance, s, require_interior=False)
-    return _factor_sum(f.constant, f.steps, f.end, cols, total)
+    free, total = _cumulated(instance, s, require_interior=False)
+    return _factor_sum(f.constant, f.steps, f.end, free, total)
 
 
 def log_gaussian_integrand(
@@ -482,92 +479,69 @@ def log_gaussian_integrand(
     """
     ctx = instance if isinstance(instance, ExpansionContext) else expansion_context(instance)
     f = gaussian_factors(ctx)
-    cols, total = _cumulated(ctx.instance, s, require_interior=True)
-    return _factor_sum(f.constant, f.steps, f.end, cols, total)
+    free, total = _cumulated(ctx.instance, s, require_interior=True)
+    return _factor_sum(f.constant, f.steps, f.end, free, total)
 
 
 def _cumulated(instance, s, require_interior):
-    """The free coordinates of ``s`` as columns, and ``T_d``.
+    """The free coordinates of ``s``, shape (..., d), and ``T_d``.
 
     Accepts the d free coordinates (``T_d`` is their sum) or all d+1
-    (``T_d = 1 - s_{d+1}``), as an array (..., d or d+1) or as columns.
+    (``T_d = 1 - s_{d+1}``).
     """
     d = instance.d
-    cols = as_columns(s)
-    if len(cols) == d:
-        total = last_axis_sum(cols)
-    elif len(cols) == d + 1:
-        total = 1.0 - cols[d]
-        cols = cols[:d]
+    s = _points(s, d)
+    if s.shape[-1] == d:
+        total = coordinate_sum(s)
     else:
-        raise ValueError(f"a point must have {d} or {d + 1} coordinates, got {len(cols)}")
-    if require_interior and not (
-        all((col > 0.0).all() for col in cols) and (total < 1.0).all()
-    ):
+        total = 1.0 - s[..., d]
+        s = s[..., :d]
+    if require_interior and not ((s > 0.0).all() and (total < 1.0).all()):
         raise ValueError("point must lie strictly inside the simplex")
-    return cols, total
+    return s, total
 
 
-def _factor_sum(constant, steps, end, cols, total):
+def _factor_sum(constant, steps, end, s, total):
     """``constant + sum_i steps[i](s_i, ln s_i) + end(T_d)``, cell by cell in
-    order; a log of a (rows, 1) column is taken once per row."""
-    out = None
+    order."""
     with np.errstate(divide="ignore"):
-        for step, col in zip(steps, cols):
-            term = step(col, np.log(col))
-            out = term if out is None else _add_into(out, term)
-        out = _add_into(out, end(total))
+        out = steps[0](s[..., 0], np.log(s[..., 0]))
+        for i in range(1, len(steps)):
+            out += steps[i](s[..., i], np.log(s[..., i]))
+        out += end(total)
     out += constant
     return out if np.ndim(out) else float(out)
 
 
-def _entropy_first_sum(instance, full):
-    return _weighted_log_sum(full, instance.J / instance.N, instance.weights.p_full)
-
-
-def _weighted_log_sum(full, coef, scale=None):
-    """``sum_i coef_i ln(full_i / scale_i)`` over the columns of ``full``.
-
-    Cells with ``coef_i = 0`` are skipped, so they contribute exactly 0 even
-    where ``full_i = 0``.  Cells are taken one at a time in order; a log of
-    a (rows, 1) column is taken once per row.
-    """
-    out = None
-    for i, c in enumerate(coef.tolist()):
-        if c:
-            col = np.log(full[i] if scale is None else full[i] / scale[i])
-            col *= c
-            out = col if out is None else _add_into(out, col)
-    shape = np.broadcast(*full).shape
-    if out is None:
-        return np.zeros(shape)
-    return out if out.shape == shape else np.broadcast_to(out, shape).copy()
-
-
 def _simplex_point(instance, s, require_interior):
-    """The d+1 full simplex coordinates of ``s`` as a tuple of columns.
+    """The d+1 full simplex coordinates of ``s``, shape (..., d+1).
 
     Accepts the d free coordinates (the last one is completed to unit sum)
-    or all d+1 coordinates, as an array (..., d or d+1) or as columns.
+    or all d+1 coordinates.
     """
     d = instance.d
-    full = as_columns(s)
-    if len(full) == d:
-        last = last_axis_sum(full)
+    full = _points(s, d)
+    if full.shape[-1] == d:
+        last = coordinate_sum(full)
         np.subtract(1.0, last, out=last)
-        full += (last,)
-    elif len(full) != d + 1:
-        raise ValueError(f"a point must have {d} or {d + 1} coordinates, got {len(full)}")
-    if require_interior and not all((col > 0.0).all() for col in full):
+        full = np.concatenate([full, last[..., None]], axis=-1)
+    if require_interior and not (full > 0.0).all():
         raise ValueError("point must lie strictly inside the simplex")
     return full
 
 
+def _points(s, d):
+    s = np.asarray(s, dtype=float)
+    if s.ndim == 0 or s.shape[-1] not in (d, d + 1):
+        raise ValueError(f"a point must have {d} or {d + 1} coordinates, got shape {s.shape}")
+    return s
+
+
 def _single_point(instance, s, name):
     full = _simplex_point(instance, s, require_interior=True)
-    if any(col.ndim for col in full):
+    if full.ndim != 1:
         raise ValueError(f"{name} expects a single point")
-    return np.array(full)
+    return full
 
 
 def _require_n_positive(instance):

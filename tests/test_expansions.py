@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import mpmath as mp
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from mnsurv import (
+    bilinear_form,
     build_instance,
     capital_lambda,
     delta_n,
@@ -427,64 +429,141 @@ COLUMN_INSTANCES = [
 
 
 def _row_block(rng, inst, rows, g):
-    """Interior points as a quadrature block: (rows, 1) outer columns and a
-    (rows, g) innermost column."""
-    cols = []
+    """Interior points in a (rows, g, d) batch: the outer coordinates are
+    shared along the g axis, the innermost one varies."""
+    outer = np.zeros((rows, 1, inst.d - 1))
     acc = np.zeros((rows, 1))
     for i in range(inst.d - 1):
-        col = (inst.weights.prefix[i] - acc) * rng.uniform(0.02, 0.98, (rows, 1))
-        cols.append(col)
-        acc = acc + col
-    cols.append((inst.weights.prefix[-1] - acc) * rng.uniform(0.02, 0.98, (1, g)))
-    return tuple(cols)
+        outer[..., i] = (inst.weights.prefix[i] - acc) * rng.uniform(0.02, 0.98, (rows, 1))
+        acc = acc + outer[..., i]
+    inner = (inst.weights.prefix[-1] - acc) * rng.uniform(0.02, 0.98, (1, g))
+    return np.concatenate([np.broadcast_to(outer, (rows, g, inst.d - 1)), inner[..., None]],
+                          axis=-1)
 
 
-def _materialised(cols):
-    shape = np.broadcast_shapes(*(c.shape for c in cols))
-    return np.stack([np.broadcast_to(c, shape) for c in cols], axis=-1).reshape(-1, len(cols))
+def _materialised(batch):
+    return batch.reshape(-1, batch.shape[-1])
 
 
 class TestBroadcastColumns:
+    """A batch is an array whose last axis holds the coordinates; any
+    leading shape gives the bits of the same points as rows of a matrix."""
+
     @pytest.mark.parametrize("n, p, k", COLUMN_INSTANCES)
     def test_integrands_match_materialised_points_bit_for_bit(self, n, p, k):
         inst = build_instance(n, p, k)
         rows = 1 if inst.d == 1 else 7
-        cols = _row_block(np.random.default_rng(36), inst, rows, 11)
-        pts = _materialised(cols)
+        batch = _row_block(np.random.default_rng(36), inst, rows, 11)
+        pts = _materialised(batch)
         ctx = expansion_context(inst)
         for logf in (
             lambda s: log_dirichlet_integrand(inst, s),
             lambda s: log_gaussian_integrand(inst, s),
             lambda s: log_gaussian_integrand(ctx, s),
         ):
-            on_cols = logf(cols)
-            assert on_cols.shape == (rows, 11)
-            assert np.array_equal(on_cols.ravel(), logf(pts))
-            assert np.array_equal(on_cols.ravel(), logf(np.asfortranarray(pts)))
+            on_batch = logf(batch)
+            assert on_batch.shape == (rows, 11)
+            assert np.array_equal(on_batch.ravel(), logf(pts))
+            assert np.array_equal(on_batch.ravel(), logf(np.asfortranarray(pts)))
 
     @pytest.mark.parametrize("n, p, k", COLUMN_INSTANCES)
     def test_log_mvn_density_matches_materialised_points_bit_for_bit(self, n, p, k):
         inst = build_instance(n, p, k)
         rows = 1 if inst.d == 1 else 7
-        cols = tuple(3.0 * c - 0.2 for c in _row_block(np.random.default_rng(37), inst, rows, 11))
-        pts = _materialised(cols)
+        batch = 3.0 * _row_block(np.random.default_rng(37), inst, rows, 11) - 0.2
+        pts = _materialised(batch)
         reference = log_mvn_density(inst.weights, pts)
-        assert np.array_equal(np.ravel(log_mvn_density(inst.weights, cols)), reference)
+        assert np.array_equal(np.ravel(log_mvn_density(inst.weights, batch)), reference)
         assert log_mvn_density(inst.weights, pts[3]) == reference[3]
 
     def test_columns_of_a_single_point_give_a_float(self):
         inst = build_instance(*COLUMN_INSTANCES[3])
         s = _interior(np.random.default_rng(38), inst)
         for f in (log_dirichlet_integrand, log_gaussian_integrand, gamma_star, h_value):
-            value = f(inst, tuple(s))
-            assert isinstance(value, float) and value == f(inst, s)
+            value = f(inst, s)
+            assert isinstance(value, float) and value == f(inst, s[None, :])[0]
 
     def test_wrong_number_of_columns(self):
         inst = build_instance(*COLUMN_INSTANCES[2])
         with pytest.raises(ValueError, match="coordinates"):
-            log_dirichlet_integrand(inst, (np.ones(3),) * 5)
+            log_dirichlet_integrand(inst, np.ones((3, 5)))
         with pytest.raises(ValueError, match="coordinates"):
-            log_mvn_density(inst.weights, (np.ones(3),) * 2)
+            log_mvn_density(inst.weights, np.ones((3, 2)))
+
+# one Gaussian-ready instance (every J_i >= 1) for each d = 1..6
+FROZEN_INSTANCES = [
+    (30, [0.4], [10]),
+    (40, [0.3, 0.25], [10, 8]),
+    (50, [0.2, 0.3, 0.2], [9, 14, 8]),
+    (60, [0.2, 0.25, 0.2, 0.15], [10, 13, 10, 7]),
+    (65, [0.15, 0.2, 0.1, 0.2, 0.15], [8, 11, 5, 11, 8]),
+    (70, [0.12, 0.1, 0.15, 0.12, 0.1, 0.14], [7, 6, 9, 7, 6, 8]),
+]
+
+FROZEN_IDS = [f"d{len(p)}" for _, p, _ in FROZEN_INSTANCES]
+
+# sha256 of the float.hex of every value _frozen_values gives on the seeded
+# (2, 3, d) batch of _frozen_batch, one digest per d
+FROZEN_DIGESTS = {
+    1: "81e3b4eeb8ba53f3f5820d10bf92de67b96496c1263cee585a831ba66cff14a0",
+    2: "682fd91cf37dec3f49ab6a3664b72dc3e6b0c6beeeea202fc6523939f7ae2031",
+    3: "f5c4610728a96f88f3d091b49cb70094c67bddc58f313b19118dd98997465448",
+    4: "3594c2ceebfbd49a347801530f980c09703df2b0ab5ac6239ea81729b2c0a7db",
+    5: "c8b83840ab62c33c9b2cc3cb42f29a768355654baf2a0b54947d8dc2d768b6b4",
+    6: "df65e96201d95da5894f2ded0b8c244c718f5d7c2a9d9d6a4d9cd11926952c53",
+}
+
+
+def _frozen_batch(inst):
+    """Interior points (free and full coordinates) and off-simplex points."""
+    rng = np.random.default_rng(40 + inst.d)
+    pts = np.stack([_interior(rng, inst) for _ in range(6)]).reshape(2, 3, inst.d)
+    full = np.concatenate([pts, 1.0 - pts.sum(axis=-1, keepdims=True)], axis=-1)
+    return pts, full, 3.0 * pts - 0.2
+
+
+def _frozen_values(inst, pts, full, x):
+    w = inst.weights
+    return {
+        "quad_form": quad_form(w, x),
+        "bilinear_form": bilinear_form(w, x, pts),
+        "log_mvn_density": log_mvn_density(w, x),
+        "gamma_star": gamma_star(inst, pts),
+        "entropy_lhs": entropy_lhs(inst, pts),
+        "h_value": h_value(inst, full),
+        "log_dirichlet_integrand": log_dirichlet_integrand(inst, pts),
+        "log_dirichlet_integrand_full": log_dirichlet_integrand(inst, full),
+        "log_gaussian_integrand": log_gaussian_integrand(inst, pts),
+    }
+
+
+def _hex_text(values):
+    return ";".join(
+        f"{name}:" + ",".join(float(v).hex() for v in np.ravel(value))
+        for name, value in values.items()
+    )
+
+
+class TestFrozenBits:
+    """The point functions keep every bit on a seeded batch, and a single
+    point gives a float equal to its batch row."""
+
+    @pytest.mark.parametrize("n, p, k", FROZEN_INSTANCES, ids=FROZEN_IDS)
+    def test_batch_bits(self, n, p, k):
+        inst = build_instance(n, p, k)
+        text = _hex_text(_frozen_values(inst, *_frozen_batch(inst)))
+        assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_DIGESTS[inst.d], text
+
+    @pytest.mark.parametrize("n, p, k", FROZEN_INSTANCES, ids=FROZEN_IDS)
+    def test_single_point_is_its_batch_row(self, n, p, k):
+        inst = build_instance(n, p, k)
+        batch = _frozen_batch(inst)
+        values = _frozen_values(inst, *batch)
+        for index in np.ndindex(2, 3):
+            single = _frozen_values(inst, *(b[index] for b in batch))
+            for name, value in single.items():
+                assert type(value) is float, name
+                assert value == values[name][index], name
 
 
 def _interior(rng, inst):

@@ -68,18 +68,8 @@ class TestLegendreRule:
             legendre_rule(g)
 
 
-def _block_shape(cols):
-    return np.broadcast_shapes(*(np.shape(c) for c in cols))
-
-
-def _node_array(cols):
-    """The (m, d) array of the nodes that broadcast coordinate columns stand for."""
-    shape = _block_shape(cols)
-    return np.column_stack([np.broadcast_to(c, shape).ravel() for c in cols])
-
-
 def _const_logf(s):
-    return np.zeros(_block_shape(s))
+    return np.zeros(s.shape[0])
 
 
 class TestIntegrateRegion:
@@ -106,14 +96,26 @@ class TestIntegrateRegion:
 
     def test_shift_invariance(self):
         # adding c to the log-integrand adds c to the log of the integral,
-        # also where exp(c) alone underflows
+        # also where exp(c) alone underflows or the integral overflows
         inst = build_instance(10, [0.3, 0.3], [2, 3])
         logf = lambda s: log_dirichlet_integrand(inst, s)
         spec = QuadratureSpec(nodes=24)
         _, base = integrate_region(inst.weights, logf, spec)
-        for c in (-800.0, -3.5, 2.0, 700.0):
-            _, alt = integrate_region(inst.weights, lambda s: logf(s) + c, spec)
+        for c in (-800.0, -3.5, 2.0, 700.0, 800.0):
+            value, alt = integrate_region(inst.weights, lambda s: logf(s) + c, spec)
             assert abs(alt - (base + c)) <= 1e-14 * (abs(base) + abs(c))
+            assert (value == math.inf) == (c == 800.0)
+
+        # log-values spread over 1000 units, with the largest near s_1 = 0
+        g = 64
+        w = make_weights([0.2, 0.3, 0.2])
+        value, log_value = integrate_region(w, lambda s: -5000.0 * s[:, 0], QuadratureSpec(nodes=g))
+        pts, wts = _whole_tensor_nodes(w, g)
+        logs = -5000.0 * pts[:, 0]
+        top = float(logs.max())
+        reference = top + math.log(math.fsum((wts * np.exp(logs - top)).tolist()))
+        assert abs(log_value - reference) <= 1e-14 * abs(reference)
+        assert value == pytest.approx(math.exp(reference), rel=1e-13, abs=0.0)
 
     def test_refinement_differences_shrink(self):
         # high-degree integrand so no rule in the sweep is already exact
@@ -128,21 +130,48 @@ class TestIntegrateRegion:
             assert b <= a + 1e-15
 
     def test_rejects_nonfinite_integrand(self):
-        w = make_weights([0.4])
-
-        def bad(cols):
-            s = _node_array(cols)
-            out = np.zeros(s.shape[0])
-            out[s[:, 0] > 0.2] = np.nan
-            return out.reshape(_block_shape(cols))
-
-        with pytest.raises(ValueError, match="not finite"):
-            integrate_region(w, bad, QuadratureSpec(nodes=8))
+        # the error names the first bad node in the order of the reference nodes
+        x, _ = legendre_rule(48)
+        cases = [
+            (make_weights([0.4]), 8, lambda s: np.where(s[:, 0] > 0.2, np.nan, 0.0)),
+            (make_weights([0.3, 0.2, 0.25]), 48,
+             lambda s: np.where(s[:, 0] > 0.3 * x[-3], -np.inf, 0.0)),
+        ]
+        for w, g, bad in cases:
+            with pytest.raises(ValueError, match="not finite") as info:
+                integrate_region(w, bad, QuadratureSpec(nodes=g))
+            named = ast.literal_eval(re.search(r"\[.*\]", str(info.value)).group(0))
+            pts, _ = _whole_tensor_nodes(w, g)
+            first_bad = pts[np.flatnonzero(~np.isfinite(bad(pts)))[0]]
+            assert named == first_bad.tolist()
 
     def test_cost_guard(self):
         w = make_weights([0.15, 0.15, 0.15, 0.1, 0.1, 0.1])
-        with pytest.raises(CostGuardError):
-            integrate_region(w, _const_logf, QuadratureSpec(nodes=128))
+        assert quadrature.MAX_NODE_EVALS == 10**6
+        for g in (11, 128):  # 10^6 < 11^6
+            with pytest.raises(CostGuardError):
+                integrate_region(w, _const_logf, QuadratureSpec(nodes=g))
+
+    def test_peak_memory_at_the_guard(self):
+        # the largest d = 6 integrals the guard admits, 10^6 nodes: a volume,
+        # and the survival integrand that allocates the most
+        h = 0.14
+        inst = build_instance(70, [0.12, 0.1, 0.15, 0.12, 0.1, 0.14], [7, 6, 9, 7, 6, 8])
+        ctx = expansion_context(inst)
+        values = []
+        for w, logf in ((make_weights([h] * 6), _const_logf),
+                        (inst.weights, lambda s: log_gaussian_integrand(ctx, s))):
+            tracemalloc.start()
+            try:
+                value, _ = integrate_region(w, logf, QuadratureSpec(nodes=10))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 120e6  # the bound in integrate_region's docstring
+            values.append(value)
+        # equal prefix steps h: volume h^d (d+1)^(d-1) / d! (parking functions)
+        assert values[0] == pytest.approx(h**6 * 7**5 / 720, rel=1e-13, abs=0.0)
+        assert 0.0 < values[1] < 1.0
 
 
 def _whole_tensor_nodes(weights, g):
@@ -166,10 +195,12 @@ def _whole_tensor_integral(weights, logf, g):
 
 
 class TestBlockedIntegration:
+    """integrate_region against the whole-tensor reference built above."""
+
     @pytest.mark.parametrize(
         "n, p, k, g",
         [
-            (60, [0.3, 0.2, 0.25], [15, 10, 12], 48),  # 110,592 nodes: two blocks
+            (60, [0.3, 0.2, 0.25], [15, 10, 12], 48),
             (50, [0.2, 0.25, 0.2, 0.15], [8, 10, 8, 6], 20),
         ],
     )
@@ -183,99 +214,35 @@ class TestBlockedIntegration:
             reference = _whole_tensor_integral(inst.weights, logf, g)
             assert abs(value - reference) <= 1e-14 * reference
 
-    def test_nonfinite_in_later_block_names_its_node(self):
-        g = 48
-        assert g**3 > quadrature._BLOCK_NODES
-        w = make_weights([0.3, 0.2, 0.25])
-        x, _ = legendre_rule(g)
-        calls = []
-
-        def bad_late(cols):
-            # the last first-axis nodes lie in the second block only
-            s = _node_array(cols)
-            calls.append(s)
-            out = np.zeros(s.shape[0])
-            out[s[:, 0] > 0.3 * x[-3]] = -np.inf
-            return out.reshape(_block_shape(cols))
-
-        with pytest.raises(ValueError, match="not finite") as info:
-            integrate_region(w, bad_late, QuadratureSpec(nodes=g))
-        assert len(calls) == 3  # reference point, first block, second block
-        named = ast.literal_eval(re.search(r"\[.*\]", str(info.value)).group(0))
-        block = calls[-1]
-        first_bad = block[np.flatnonzero(block[:, 0] > 0.3 * x[-3])[0]]
-        assert named == first_bad.tolist()
-
-    def test_blocks_that_overflow_against_the_reference_are_rescaled(self):
-        # logf(p) = -1000; exp(logf - logf(p)) overflows where s_1 < 0.058,
-        # which blocks 0 and 1 reach and blocks 2 and 3 do not
-        g = 64
-        w = make_weights([0.2, 0.3, 0.2])
-        assert g**3 // quadrature._BLOCK_NODES == 4
-
-        def logf(s):
-            return -5000.0 * s[0] + np.zeros(np.broadcast(*s).shape)
-
-        value, log_value = integrate_region(w, logf, QuadratureSpec(nodes=g))
-        pts, wts = _whole_tensor_nodes(w, g)
-        logs = -5000.0 * pts[:, 0]
-        top = float(logs.max())
-        reference = top + math.log(math.fsum((wts * np.exp(logs - top)).tolist()))
-        assert abs(log_value - reference) <= 1e-14 * abs(reference)
-        assert value == pytest.approx(math.exp(reference), rel=1e-13, abs=0.0)
-
     @pytest.mark.parametrize(
         "n, p, k, g",
         [
             (20, [0.3], [6], 36),
             (25, [0.3, 0.25], [6, 5], 36),
-            (30, [0.3, 0.2, 0.25], [8, 5, 6], 48),  # two blocks
-            (40, [0.2, 0.25, 0.2, 0.15], [6, 9, 7, 5], 20),  # three blocks
+            (30, [0.3, 0.2, 0.25], [8, 5, 6], 48),
+            (40, [0.2, 0.25, 0.2, 0.15], [6, 9, 7, 5], 20),
         ],
     )
     def test_nodes_match_whole_tensor_bit_for_bit(self, n, p, k, g):
-        # g does not divide the block size, so blocks hold whole prefixes only
-        assert quadrature._BLOCK_NODES % g
+        # logf runs once, on the calling thread, with every node as a row
         inst = build_instance(n, p, k)
         seen = []
 
         def logf(s):
-            seen.append(_node_array(s))
+            seen.append((threading.get_ident(), s.copy()))
             return log_dirichlet_integrand(inst, s)
 
         value, _ = integrate_region(inst.weights, logf, QuadratureSpec(nodes=g))
-        recorded = np.concatenate(seen[1:])  # the first call is the reference point
         reference, _ = _whole_tensor_nodes(inst.weights, g)
+        assert len(seen) == 1
+        thread, recorded = seen[0]
+        assert thread == threading.get_ident()
         assert recorded.shape == reference.shape == (g**inst.d, inst.d)
-        assert max(block.shape[0] for block in seen) <= quadrature._BLOCK_NODES
-        assert np.array_equal(_sorted_rows(recorded), _sorted_rows(reference))
+        assert np.array_equal(recorded, reference)
         expected = _whole_tensor_integral(
             inst.weights, lambda s: log_dirichlet_integrand(inst, s), g
         )
         assert abs(value - expected) <= 1e-14 * expected
-
-    @pytest.mark.parametrize(
-        "p, g",
-        [([0.3], 36), ([0.3, 0.25], 36), ([0.3, 0.2, 0.25], 48), ([0.2, 0.25, 0.2, 0.15], 20)],
-    )
-    def test_logf_sees_row_columns(self, p, g):
-        w = make_weights(p)
-        d = w.d
-        shapes = []
-
-        def logf(cols):
-            shapes.append([c.shape for c in cols])
-            return _const_logf(cols)
-
-        integrate_region(w, logf, QuadratureSpec(nodes=g))
-        assert shapes[0] == [(1,)] * d  # the reference point
-        rows_seen = 0
-        for block in shapes[1:]:
-            rows = block[-1][0]
-            assert block == [(rows, 1)] * (d - 1) + [(rows, g)]
-            rows_seen += rows
-        assert rows_seen == g ** (d - 1)
-        assert shapes[1][-1][0] == min(quadrature._BLOCK_NODES // g, g ** (d - 1))
 
     def test_repeated_integral_is_bit_identical(self):
         inst = build_instance(50, [0.2, 0.25, 0.2, 0.15], [8, 10, 8, 6])
@@ -286,22 +253,6 @@ class TestBlockedIntegration:
         ):
             first = integrate_region(inst.weights, logf, spec)
             assert integrate_region(inst.weights, logf, spec) == first
-
-    def test_peak_memory_independent_of_node_count(self):
-        w = make_weights([0.2, 0.2, 0.2, 0.2])
-        tracemalloc.start()
-        try:
-            value, _ = integrate_region(w, _const_logf, QuadratureSpec(nodes=40))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # equal prefix steps h: volume h^d (d+1)^(d-1) / d! (parking functions)
-        assert value == pytest.approx(0.2**4 * 5**3 / 24, rel=1e-13, abs=0.0)
-        assert peak < 32e6
-
-
-def _sorted_rows(pts):
-    return pts[np.lexsort(pts.T[::-1])]
 
 
 class TestMappedInterpolation:
@@ -432,67 +383,32 @@ class TestIntegrateChain:
                             _zero_end)
 
 
-def _block_of(weights, g, cols):
-    """Index of the block whose nodes the coordinate columns hold; None for
-    the reference point."""
-    if cols[-1].ndim == 1:
-        return None
-    x, _ = legendre_rule(g)
-    running = np.zeros(cols[0].shape[0])
-    row = np.zeros(cols[0].shape[0], dtype=np.int64)
-    for i, col in enumerate(cols[:-1]):
-        upper = weights.prefix[i] - running
-        digit = np.abs((col[:, 0] / upper)[:, None] - x).argmin(axis=1)
-        row = row * g + digit
-        running = running + col[:, 0]
-    blocks = row // (quadrature._BLOCK_NODES // g)
-    assert np.all(blocks == blocks[0])
-    return int(blocks[0])
+def _d3_g48_integral(logf):
+    return integrate_region(make_weights([0.3, 0.2, 0.25]), logf, QuadratureSpec(nodes=48))
 
 
-def _d4_g40_integral(logf):
-    w = make_weights([0.2, 0.2, 0.2, 0.2])
-    assert -(-(40**3) // (quadrature._BLOCK_NODES // 40)) == 40  # blocks
-    return integrate_region(w, logf, QuadratureSpec(nodes=40))
+class TestCallers:
+    """Callers on other threads or in a forked child get the same bits, and
+    an exception from logf reaches the caller as it was raised."""
 
-
-class TestBlockPool:
-    """Every block runs on the calling thread; callers on other threads or
-    in a forked child get the same bits."""
-
-    def test_exception_from_pool_block_propagates(self):
-        w = make_weights([0.2, 0.2, 0.2, 0.2])
+    def test_exception_from_logf_propagates(self):
         raised_on = []
 
-        def failing(cols):
-            if _block_of(w, 40, cols) == 5:
-                raised_on.append(threading.get_ident())
-                raise ValueError("planted in block 5")
-            return _const_logf(cols)
+        def failing(s):
+            raised_on.append(threading.get_ident())
+            raise ValueError("planted in logf")
 
         with pytest.raises(ValueError) as info:
-            _d4_g40_integral(failing)
+            _d3_g48_integral(failing)
         assert type(info.value) is ValueError
-        assert str(info.value) == "planted in block 5"
+        assert str(info.value) == "planted in logf"
         assert raised_on == [threading.get_ident()]
 
-    def test_single_block_stays_on_caller(self):
-        w = make_weights([0.3, 0.2, 0.25])
-        threads = []
-
-        def logf(cols):
-            threads.append(threading.get_ident())
-            return _const_logf(cols)
-
-        integrate_region(w, logf, QuadratureSpec(nodes=24))  # 576 rows: one block
-        assert len(threads) == 2  # reference point, the block
-        assert set(threads) == {threading.get_ident()}
-
     def test_fork_child_integrates_after_parent(self):
-        expected = _d4_g40_integral(_const_logf)  # the parent's caches now exist
+        expected = _d3_g48_integral(_const_logf)  # the parent's caches now exist
         ctx = multiprocessing.get_context("fork")
         results = ctx.Queue()
-        child = ctx.Process(target=lambda: results.put(_d4_g40_integral(_const_logf)))
+        child = ctx.Process(target=lambda: results.put(_d3_g48_integral(_const_logf)))
         child.start()
         try:
             assert results.get(timeout=60) == expected
@@ -507,8 +423,8 @@ class TestBlockPool:
     def test_concurrent_callers_agree(self):
         # several callers and a short switch interval: state shared between
         # calls (cached rules and grids) must not leak from one to another
-        inst = build_instance(50, [0.2, 0.25, 0.2, 0.15], [8, 10, 8, 6])
-        spec = QuadratureSpec(nodes=24)
+        inst = build_instance(60, [0.3, 0.2, 0.25], [15, 10, 12])
+        spec = QuadratureSpec(nodes=48)
         logf = lambda s: log_dirichlet_integrand(inst, s)
         factors = dirichlet_factors(inst)
         both = lambda: (integrate_region(inst.weights, logf, spec),
