@@ -65,7 +65,7 @@ print()
 # integral, even where exp(c) alone underflows
 c = -800.0
 f = dirichlet_factors(inst)
-_, log_base = integrate_chain(inst.weights, f.constant, f.steps, f.end, powers=f.powers)
-_, log_shifted = integrate_chain(inst.weights, f.constant + c, f.steps, f.end, powers=f.powers)
+_, log_base = integrate_chain(inst.weights, f)
+_, log_shifted = integrate_chain(inst.weights, f._replace(constant=f.constant + c))
 print(f"shift invariance: |(log I[logf + c] - c) - log I[logf]| = "
       f"{abs(log_shifted - c - log_base):.2e}  (c = {c})")

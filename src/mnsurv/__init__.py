@@ -25,7 +25,6 @@ from .covariance import (
     sigma_matrix,
 )
 from .expansions import (
-    ChainFactors,
     ExpansionContext,
     capital_lambda,
     delta_n,
@@ -46,6 +45,7 @@ from .expansions import (
     stirling_lambda,
 )
 from .quadrature import (
+    ChainFactors,
     CostGuardError,
     QuadratureSpec,
     integrate_chain,

@@ -14,10 +14,10 @@ times an exact exponential tilt:
 * ``h_value`` / ``h_grad`` / ``h_hessian``: the concave exponent of the
   Laplace-type decomposition;
 * ``dirichlet_factors`` / ``gaussian_factors``: the two integrands, each
-  defined once as a :class:`ChainFactors`, a constant plus one log factor per
-  spacing ``s_i = T_i - T_{i-1}`` of the cumulated coordinates and one of
-  ``T_d``, which is the form :func:`mnsurv.quadrature.integrate_chain`
-  integrates;
+  defined once as a :class:`mnsurv.quadrature.ChainFactors`, a constant plus
+  one log factor per spacing ``s_i = T_i - T_{i-1}`` of the cumulated
+  coordinates and one of ``T_d``, which is the form
+  :func:`mnsurv.quadrature.integrate_chain` integrates;
 * ``log_dirichlet_integrand`` / ``log_gaussian_integrand``: the sums of
   those factors at points, equal pointwise on the interior of the region.
 
@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,9 +38,9 @@ import numpy as np
 # (bench/tracing.py) wraps it in this module.
 from .covariance import coordinate_sum, log_mvn_density, quad_form
 from .model import SurvivalInstance
+from .quadrature import ChainFactors
 
 __all__ = [
-    "ChainFactors",
     "dirichlet_factors",
     "gaussian_factors",
     "ExpansionContext",
@@ -134,7 +133,8 @@ def stirling_lambda(m: int) -> float:
 @dataclass(frozen=True, eq=False)
 class ExpansionContext:
     """:func:`capital_lambda`, :func:`gamma_tilde` and :func:`delta_n` of
-    ``instance``, computed once for the Gaussian integrand's many calls."""
+    ``instance``, computed once for a caller that reports them and also
+    builds the instance's :func:`gaussian_factors`."""
 
     instance: SurvivalInstance
     capital_lambda: float
@@ -317,22 +317,6 @@ def h_hessian(instance: SurvivalInstance, s) -> np.ndarray:
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-class ChainFactors(NamedTuple):
-    """A log-integrand in the cumulated coordinates ``T_i = s_1 + ... + s_i``.
-
-    Its value is ``constant + sum_i steps[i](s_i, ln s_i) + end(T_d)``, the
-    form :func:`mnsurv.quadrature.integrate_chain` integrates.  As its
-    spacing ``u`` goes to 0, ``steps[i]`` behaves as ``powers[i] * ln u``
-    plus a smooth function.  The callables are elementwise and return new
-    arrays.
-    """
-
-    constant: float
-    steps: tuple
-    end: Callable
-    powers: tuple
-
-
 def dirichlet_factors(instance: SurvivalInstance) -> ChainFactors:
     """The Dirichlet-type integrand as factors.
 
@@ -465,21 +449,17 @@ def log_dirichlet_integrand(instance: SurvivalInstance, s) -> float | np.ndarray
     return _factor_sum(f.constant, f.steps, f.end, free, total)
 
 
-def log_gaussian_integrand(
-    instance: SurvivalInstance | ExpansionContext, s
-) -> float | np.ndarray:
+def log_gaussian_integrand(instance: SurvivalInstance, s) -> float | np.ndarray:
     """Log of the Gaussian-representation integrand.
 
     ``delta_n + (d/2) ln N + N*gamma_star(s) + ln phi(sqrt(N) (p - s + et))``
     with ``phi`` the centered normal density for the multinomial covariance
     kernel, evaluated as the sum of :func:`gaussian_factors`.  Pointwise
     equal to :func:`log_dirichlet_integrand` on the interior; requires
-    ``J_i >= 1`` for every cell.  An :class:`ExpansionContext` may stand in
-    for the instance, so repeated calls reuse its ``delta_n``.
+    ``J_i >= 1`` for every cell.
     """
-    ctx = instance if isinstance(instance, ExpansionContext) else expansion_context(instance)
-    f = gaussian_factors(ctx)
-    free, total = _cumulated(ctx.instance, s, require_interior=True)
+    f = gaussian_factors(instance)
+    free, total = _cumulated(instance, s, require_interior=True)
     return _factor_sum(f.constant, f.steps, f.end, free, total)
 
 

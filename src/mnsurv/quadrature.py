@@ -6,10 +6,11 @@ Two integrators share the Gauss-Legendre rule of :func:`legendre_rule`.
   cumulated coordinates ``T_i = s_1 + ... + s_i`` the region is ``0 < T_1 <
   ... < T_d`` with ``T_i <= P_i`` (the weight prefix sums), and an
   integrand that is a sum of per-step log factors ``phi_i(T_i - T_{i-1})``
-  plus an end term ``psi(T_d)`` makes the ``d``-fold integral a ``d``-step
-  forward recursion of an integral operator.  The recursion is discretised
-  by a Nystrom rule on panels split at the prefix sums, in log space, at a
-  cost polynomial in the nodes per panel.
+  plus an end term ``psi(T_d)``, a :class:`ChainFactors`, makes the
+  ``d``-fold integral a ``d``-step forward recursion of an integral
+  operator.  The recursion is discretised by a Nystrom rule on panels split
+  at the prefix sums, in log space; each target's sum runs over its own
+  terms only, at a cost polynomial in the nodes per panel.
 * :func:`integrate_region` is the iterated (tensor-product) rule with
   variable upper limits ``U_i = P_i - (s_1 + ... + s_{i-1})``, for any
   log-integrand at ``G^d`` evaluations.  It is a short serial reference
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,6 +32,7 @@ from .model import ProbabilityWeights
 __all__ = [
     "QuadratureSpec",
     "CostGuardError",
+    "ChainFactors",
     "legendre_rule",
     "mapped_interpolation",
     "integrate_chain",
@@ -51,10 +54,6 @@ MIN_PANEL_NODES = 32
 # integrate_region refuses more than this many integrand evaluations.  It
 # holds every node at once, so the guard bounds memory (see its docstring).
 MAX_NODE_EVALS = 10**6
-
-# The chain rule's log-weight of a term that is not in a target's sum.  It
-# is finite, so no arithmetic meets -inf, and no real term comes near it.
-_MASKED = -1e300
 
 # exp arguments are clamped here: below about -708 exp returns subnormals,
 # which are many times slower, and terms this small change no sum.
@@ -160,28 +159,43 @@ def mapped_interpolation(nodes: int) -> np.ndarray:
     return out
 
 
+class ChainFactors(NamedTuple):
+    """A log-integrand in the cumulated coordinates ``T_i = s_1 + ... + s_i``.
+
+    Its value is ``constant + sum_i steps[i](s_i, ln s_i) + end(T_d)``, the
+    form :func:`integrate_chain` integrates.  As its spacing ``u`` goes to 0,
+    ``steps[i]`` behaves as ``powers[i] * ln u`` plus a smooth function (a
+    power of 0 is a smooth factor).  The callables are elementwise, for
+    arrays of any shape, and return new arrays.
+    """
+
+    constant: float
+    steps: tuple
+    end: Callable
+    powers: tuple
+
+
 @dataclass(frozen=True, eq=False)
 class _ChainGrid:
     """The chain rule's fixed arrays for one set of panels.
 
     Panel ``m`` is ``[P_{m-1}, P_m]`` with ``G`` nodes ``t``; a level's
-    values are indexed ``m*G + b``.  Column ``m*G + b`` of the square arrays
-    lists the terms of the target ``t[m, b]``: first the ``G`` points of the
-    panel's own rule mapped to ``[P_{m-1}, t[m, b]]``, then every node of the
-    full panels ``0..d-2`` (masked where the panel is not below ``m``).
-    ``step`` holds each term's step ``u = T - T'`` (1 where masked) and
-    ``log_step`` its log; ``log_weight`` the log of the term's rule weight,
-    ``_MASKED`` where masked.  Sums run down the columns, which numpy
-    reduces faster than rows.
+    values are indexed ``m*G + b``.  Column ``b`` of ``step[m]`` lists the
+    steps ``u = T - T'`` of the terms of the target ``t[m, b]``: first the
+    ``G`` points of the panel's own rule mapped to ``[P_{m-1}, t[m, b]]``,
+    then every node of the full panels ``0..m-1``.  ``log_step[m]`` holds
+    their logs, ``log_stretch_weight[m]`` the log rule weights of the mapped
+    points; a full-panel node weighs its ``log_node_weight``.  Sums run down
+    the columns, which numpy reduces faster than rows.
     """
 
-    t: np.ndarray                # (d*G,) nodes
-    log_t: np.ndarray            # (d*G,)
-    log_node_weight: np.ndarray  # (d*G,) log of the rule weight of each node
-    step: np.ndarray             # (d*G, d*G)
-    log_step: np.ndarray         # (d*G, d*G)
-    log_weight: np.ndarray       # (d*G, d*G)
-    log_mapped: np.ndarray       # (G*G,) log of the mapped points of panel 0
+    t: np.ndarray                   # (d*G,) nodes
+    log_t: np.ndarray               # (d*G,)
+    log_node_weight: np.ndarray     # (d*G,) log of the rule weight of each node
+    step: tuple                     # d arrays, ((m+1)*G, G) for panel m
+    log_step: tuple                 # the same shapes
+    log_stretch_weight: np.ndarray  # (d, G, G)
+    log_mapped: np.ndarray          # (G*G,) log of the mapped points of panel 0
 
 
 @lru_cache(maxsize=8)
@@ -194,34 +208,30 @@ def _chain_grid(prefix: tuple, g: int) -> _ChainGrid:
     scaled = np.multiply.outer(width, x)                   # (d, G): h_m x_b
     t = (lower[:, None] + scaled).ravel()
     log_node_weight = np.log(np.multiply.outer(width, w)).ravel()
-
-    # mapped points of panel m: T - T' = h_m x_b (1 - x_a), weight h_m x_b w_a
-    part_step = np.multiply.outer(1.0 - x, scaled).reshape(g, d * g)
-    part_weight = np.add.outer(np.log(w), np.log(scaled)).reshape(g, d * g)
-    # full panels j < m: T - T' = (P_{m-1} - P_j) + h_j (1 - x_a) + h_m x_b
-    tail = np.multiply.outer(width[:-1], 1.0 - x)         # (d-1, G): h_j (1 - x_a)
-    full_step = (lower - upper[:-1, None])[:, None, :, None] + tail[:, :, None, None]
-    full_step = full_step + scaled
-    below = (np.arange(d - 1)[:, None] < np.arange(d))[:, None, :, None]
-    full_step = np.where(below, full_step, 1.0).reshape((d - 1) * g, d * g)
-    full_weight = np.where(below, log_node_weight[: (d - 1) * g].reshape(d - 1, g, 1, 1), _MASKED)
-    full_weight = np.broadcast_to(full_weight, (d - 1, g, d, g)).reshape((d - 1) * g, d * g)
-    step = np.concatenate([part_step, full_step])
+    tail = np.multiply.outer(width, 1.0 - x)              # (d, G): h_j (1 - x_a)
+    step = []
+    for m in range(d):
+        # mapped points of panel m: T - T' = h_m x_b (1 - x_a), weight h_m x_b w_a
+        stretch = np.multiply.outer(1.0 - x, scaled[m])
+        # full panels j < m: T - T' = (P_{m-1} - P_j) + h_j (1 - x_a) + h_m x_b
+        full = ((lower[m] - upper[:m])[:, None] + tail[:m]).reshape(m * g, 1) + scaled[m]
+        step.append(np.concatenate([stretch, full]))
     grid = _ChainGrid(
         t=t,
         log_t=np.log(t),
         log_node_weight=log_node_weight,
-        step=step,
-        log_step=np.log(step),
-        log_weight=np.concatenate([part_weight, full_weight]),
+        step=tuple(step),
+        log_step=tuple(np.log(s) for s in step),
+        log_stretch_weight=np.log(w)[:, None] + np.log(scaled)[:, None, :],
         log_mapped=np.log(np.multiply.outer(scaled[0], x)).ravel(),
     )
-    for array in vars(grid).values():
-        array.setflags(write=False)
+    for value in vars(grid).values():
+        for array in value if isinstance(value, tuple) else (value,):
+            array.setflags(write=False)
     return grid
 
 
-def integrate_chain(weights: ProbabilityWeights, constant, steps, end, spec=None, powers=None):
+def integrate_chain(weights: ProbabilityWeights, factors: ChainFactors, spec=None):
     """Integral of ``exp(constant + sum_i steps[i](T_i - T_{i-1}) + end(T_d))``
     over ``0 < T_1 < ... < T_d``, ``T_i <= P_i`` (so ``T_0 = 0``).
 
@@ -229,25 +239,20 @@ def integrate_chain(weights: ProbabilityWeights, constant, steps, end, spec=None
     ----------
     weights : ProbabilityWeights
         Defines the region via its prefix sums ``P_i``.
-    constant : float
-        Added to the log-integrand.
-    steps : sequence of d callables
-        ``steps[i](u, log_u)`` is the log factor of step ``i`` at the
-        spacings ``u > 0`` (with ``log_u = ln u``), elementwise, for arrays
-        of any shape; it returns a new array.
-    end : callable
-        ``end(T)``, the log factor of ``T_d``, elementwise.
+    factors : ChainFactors
+        The log-integrand: ``constant``, ``d`` step factors ``steps[i](u,
+        log_u)`` of the spacings ``u > 0`` (with ``log_u = ln u``), the end
+        factor ``end(T)`` of ``T_d``, and the ``powers`` of the steps' log
+        singularities at ``u = 0``.
     spec : QuadratureSpec, optional
         Nodes per panel; ``max(spec.nodes, MIN_PANEL_NODES)`` are used.
         Defaults to 64.
-    powers : sequence of d floats, optional
-        ``steps[i](u)`` behaves as ``powers[i] * ln u`` plus a smooth
-        function as ``u -> 0`` (default 0, a smooth factor).
 
     Returns
     -------
     (float, float)
-        The integral and its natural log.
+        The integral and its natural log.  The log is finite wherever the
+        factors are, and the integral is ``inf`` past ``e^709``.
 
     Notes
     -----
@@ -263,28 +268,29 @@ def integrate_chain(weights: ProbabilityWeights, constant, steps, end, spec=None
     polynomial interpolation, the matrix of :func:`mapped_interpolation`.
     On panel 1, ``F_{i-1}`` is ``T^a`` times a smooth factor, with ``a`` the
     sum of the powers of steps ``1..i-1`` plus ``i - 2``, so ``log F - a ln
-    T`` is interpolated instead.  Every level is one log-sum-exp over the
-    terms of each target.  Cost: about ``d^3 G^2 / 3`` factor evaluations
-    and ``d^2 G^3 / 2`` multiply-adds; memory ``O(d^2 G^2 + G^3)``.
+    T`` is interpolated instead.  Each panel of a level is one log-sum-exp
+    over the terms of its targets.  Level ``i + 1`` evaluates ``i (i + 3) /
+    2`` blocks of ``G x G`` terms, so the cost is about ``d^3 G^2 / 6``
+    factor evaluations and ``d^2 G^3 / 2`` multiply-adds; memory ``O(d^2 G^2
+    + G^3)``.
     """
     spec = spec if spec is not None else QuadratureSpec()
     d = weights.d
+    steps = factors.steps
     if len(steps) != d:
         raise ValueError(f"need {d} step factors, got {len(steps)}")
-    powers = [0.0] * d if powers is None else [float(a) for a in powers]
     g = max(spec.nodes, MIN_PANEL_NODES)
     grid = _chain_grid(tuple(weights.prefix.tolist()), g)
     interp = mapped_interpolation(g)
 
     # Each level is stored relative to its largest value, so the terms that
     # matter are O(1) and round finely; the offsets are added up exactly.
-    offsets = [float(constant)]
+    offsets = [float(factors.constant)]
     level = np.asarray(steps[0](grid.t[:g], grid.log_t[:g]), dtype=float)
-    exponent = powers[0]
+    exponent = float(factors.powers[0])
     for i in range(1, d):
         offsets.append(float(level.max()))
         level -= offsets[-1]
-        size = (i + 1) * g
         # log F_{i-1} at the mapped points of panels 0..i-1, centred per panel
         logs = level.reshape(i, g).copy()
         logs[0] -= exponent * grid.log_t[:g]
@@ -295,26 +301,34 @@ def integrate_chain(weights: ProbabilityWeights, constant, steps, end, spec=None
         mapped = np.einsum("mc,cp->mp", logs, interp)
         mapped += top
         mapped[0] += exponent * grid.log_mapped
-        terms = np.add(
-            steps[i](grid.step[:size, :size], grid.log_step[:size, :size]),
-            grid.log_weight[:size, :size],
-        )
-        # the mapped points x_a x_b are symmetric, so mapped[m] reads as [a, b]
-        terms[:g, : i * g] += mapped.reshape(i, g, g).transpose(1, 0, 2).reshape(g, i * g)
-        terms[:g, i * g :] = _MASKED  # the newest panel has no stretch below
-        terms[g:] += level[:, None]
-        level = _log_sum_exp(terms)
-        exponent += powers[i] + 1.0
+        out = np.empty((i + 1) * g)
+        for m in range(i + 1):
+            base = m * g
+            start = g if m == i else 0  # the newest panel has no stretch below
+            terms = steps[i](grid.step[m][start:], grid.log_step[m][start:])
+            if m < i:
+                # the mapped points x_a x_b are symmetric, so mapped[m] reads as [a, b]
+                terms[:g] += grid.log_stretch_weight[m]
+                terms[:g] += mapped[m].reshape(g, g)
+            full = terms[g - start :]
+            full += grid.log_node_weight[:base, None]
+            full += level[:base, None]
+            out[base : base + g] = _log_sum_exp(terms)
+        level = out
+        exponent += factors.powers[i] + 1.0
 
     offsets.append(float(level.max()))
     level -= offsets[-1]
     final = level + grid.log_node_weight
-    final += end(grid.t)
+    final += factors.end(grid.t)
     offsets.append(float(_log_sum_exp(final[:, None])[0]))
     log_value = math.fsum(offsets)
     if not math.isfinite(log_value):
         raise ValueError(f"chain integral not finite (log value {log_value})")
-    return math.exp(log_value), log_value
+    try:
+        return math.exp(log_value), log_value
+    except OverflowError:
+        return math.inf, log_value
 
 
 def _log_sum_exp(terms):

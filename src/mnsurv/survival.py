@@ -31,7 +31,6 @@ import numpy as np
 # called here: the benchmark's tracer (bench/tracing.py) wraps them in this
 # module.
 from .expansions import (
-    ExpansionContext,
     delta_n,
     dirichlet_factors,
     expansion_context,
@@ -158,32 +157,22 @@ def survival_dirichlet(instance: SurvivalInstance, spec: QuadratureSpec | None =
     return _integrate(instance, dirichlet_factors(instance), spec)
 
 
-def survival_gaussian(
-    instance: SurvivalInstance | ExpansionContext, spec: QuadratureSpec | None = None
-) -> float:
+def survival_gaussian(instance: SurvivalInstance, spec: QuadratureSpec | None = None) -> float:
     """Survival probability via the Gaussian-representation integral.
 
     Requires ``J_i >= 1`` for every cell, i.e. every threshold ``k_i >= 2``
     and ``kappa_d <= n - 1``; an impossible instance short-circuits to 0.
-    An :class:`ExpansionContext` may stand in for the instance, so a caller
-    that already holds one does not recompute its ``delta_n``.
     """
-    given = instance
-    if isinstance(instance, ExpansionContext):
-        instance = instance.instance
     if instance.impossible:
         return 0.0
     reason = instance.gaussian_block_reason
     if reason is not None:
         raise ValueError(f"inapplicable (Gaussian route requires J_i >= 1): {reason}")
-    return _integrate(instance, gaussian_factors(given), spec)
+    return _integrate(instance, gaussian_factors(instance), spec)
 
 
 def _integrate(instance, factors, spec):
-    value, _ = integrate_chain(
-        instance.weights, factors.constant, factors.steps, factors.end, spec,
-        powers=factors.powers,
-    )
+    value, _ = integrate_chain(instance.weights, factors, spec)
     return _clamp_probability(value)
 
 
@@ -333,7 +322,7 @@ def compare_routes(
         if reduced.gaussian_block_reason is None:
             ctx = expansion_context(reduced)
             if "gaussian" in routes:
-                gaussian = survival_gaussian(ctx, spec)
+                gaussian = _integrate(reduced, gaussian_factors(ctx), spec)
             dn, gt = ctx.delta_n, ctx.gamma_tilde
         elif "gaussian" in routes:
             gaussian_reason = reduced.gaussian_block_reason

@@ -373,11 +373,9 @@ class TestIntegrands:
         pts = np.vstack([_interior(rng, inst) for _ in range(500)])
         fortran = np.asfortranarray(pts)
         assert pts.flags.c_contiguous and fortran.flags.f_contiguous
-        ctx = expansion_context(inst)
         for logf in (
             lambda s: log_dirichlet_integrand(inst, s),
             lambda s: log_gaussian_integrand(inst, s),
-            lambda s: log_gaussian_integrand(ctx, s),
         ):
             np.testing.assert_allclose(logf(fortran), logf(pts), rtol=1e-15, atol=0)
 
@@ -409,13 +407,6 @@ class TestIntegrands:
         for factors in (dirichlet_factors(inst), gaussian_factors(inst)):
             assert factors.powers == tuple(inst.J[:4].tolist())
             assert len(factors.steps) == 4
-
-    def test_context_stands_in_for_instance(self):
-        inst = build_instance(40, [0.2, 0.25, 0.2, 0.15], [6, 9, 7, 5])
-        pts = np.vstack([_interior(np.random.default_rng(35), inst) for _ in range(50)])
-        ctx = expansion_context(inst)
-        assert np.array_equal(log_gaussian_integrand(ctx, pts), log_gaussian_integrand(inst, pts))
-        assert log_gaussian_integrand(ctx, pts[0]) == log_gaussian_integrand(inst, pts[0])
 
 
 # Gaussian-ready instances for d = 1..4 and 6
@@ -455,11 +446,9 @@ class TestBroadcastColumns:
         rows = 1 if inst.d == 1 else 7
         batch = _row_block(np.random.default_rng(36), inst, rows, 11)
         pts = _materialised(batch)
-        ctx = expansion_context(inst)
         for logf in (
             lambda s: log_dirichlet_integrand(inst, s),
             lambda s: log_gaussian_integrand(inst, s),
-            lambda s: log_gaussian_integrand(ctx, s),
         ):
             on_batch = logf(batch)
             assert on_batch.shape == (rows, 11)

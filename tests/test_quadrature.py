@@ -12,11 +12,11 @@ from numpy.polynomial.legendre import leggauss
 
 from mnsurv import quadrature
 from mnsurv import (
+    ChainFactors,
     CostGuardError,
     QuadratureSpec,
     build_instance,
     dirichlet_factors,
-    expansion_context,
     gaussian_factors,
     integrate_chain,
     integrate_region,
@@ -157,10 +157,9 @@ class TestIntegrateRegion:
         # and the survival integrand that allocates the most
         h = 0.14
         inst = build_instance(70, [0.12, 0.1, 0.15, 0.12, 0.1, 0.14], [7, 6, 9, 7, 6, 8])
-        ctx = expansion_context(inst)
         values = []
         for w, logf in ((make_weights([h] * 6), _const_logf),
-                        (inst.weights, lambda s: log_gaussian_integrand(ctx, s))):
+                        (inst.weights, lambda s: log_gaussian_integrand(inst, s))):
             tracemalloc.start()
             try:
                 value, _ = integrate_region(w, logf, QuadratureSpec(nodes=10))
@@ -279,9 +278,9 @@ def _zero_end(t):
     return np.zeros(np.shape(t))
 
 
-def _chain(weights, factors, spec=None):
-    return integrate_chain(weights, factors.constant, factors.steps, factors.end, spec,
-                           powers=factors.powers)
+def _smooth(steps):
+    """Factors with no log singularity, a zero constant and a zero end."""
+    return ChainFactors(0.0, tuple(steps), _zero_end, (0.0,) * len(steps))
 
 
 class TestIntegrateChain:
@@ -292,7 +291,7 @@ class TestIntegrateChain:
     ], ids=["d1", "d2", "d4"])
     def test_volume(self, p, volume):
         w = make_weights(p)
-        value, log_value = integrate_chain(w, 0.0, [_zero_step] * w.d, _zero_end)
+        value, log_value = integrate_chain(w, _smooth([_zero_step] * w.d))
         assert value == pytest.approx(volume, rel=1e-14, abs=0.0)
         assert log_value == pytest.approx(math.log(volume), rel=1e-14, abs=0.0)
 
@@ -301,7 +300,7 @@ class TestIntegrateChain:
         a, b, p1, p2 = 3.0, 7.0, 0.3, 0.7
         w = make_weights([p1, p2 - p1])
         steps = [lambda u, log_u: -a * u, lambda u, log_u: -b * u]
-        value, _ = integrate_chain(w, 0.0, steps, _zero_end)
+        value, _ = integrate_chain(w, _smooth(steps))
         closed = ((1 - math.exp(-a * p1)) / a
                   - math.exp(-b * p2) * (1 - math.exp(-(a - b) * p1)) / (a - b)) / b
         assert value == pytest.approx(closed, rel=1e-14, abs=0.0)
@@ -315,14 +314,13 @@ class TestIntegrateChain:
     def test_matches_tensor_rule_where_it_is_exact(self, n, p, k):
         # n <= 2G - 1: G = 32 points per axis integrate the polynomial exactly
         inst = build_instance(n, p, k)
-        ctx = expansion_context(inst)
         spec = QuadratureSpec(nodes=32)
         for factors, logf in (
             (dirichlet_factors(inst), lambda s: log_dirichlet_integrand(inst, s)),
-            (gaussian_factors(ctx), lambda s: log_gaussian_integrand(ctx, s)),
+            (gaussian_factors(inst), lambda s: log_gaussian_integrand(inst, s)),
         ):
             tensor, _ = integrate_region(inst.weights, logf, spec)
-            chain, _ = _chain(inst.weights, factors)
+            chain, _ = integrate_chain(inst.weights, factors)
             assert chain == pytest.approx(tensor, rel=1e-13, abs=0.0)
 
     def test_matches_tensor_rule_on_random_small_instances(self):
@@ -335,52 +333,61 @@ class TestIntegrateChain:
                 continue
             tensor, _ = integrate_region(
                 inst.weights, lambda s: log_dirichlet_integrand(inst, s), spec)
-            chain, _ = _chain(inst.weights, dirichlet_factors(inst))
+            chain, _ = integrate_chain(inst.weights, dirichlet_factors(inst))
             assert chain == pytest.approx(tensor, rel=1e-13, abs=0.0)
             checked += 1
 
     def test_cost_is_polynomial_in_nodes(self):
-        # d^3 G^2 = 884,736 factor points at d = 6, G = 64, against G^d = 6.9e10
-        inst = build_instance(1000, [0.12, 0.1, 0.15, 0.12, 0.1, 0.14],
-                              [110, 95, 140, 110, 90, 130])
-        factors = gaussian_factors(inst)
-        seen = []
+        # level i + 1 evaluates i (i + 3) / 2 blocks of G x G terms, the first
+        # step G points and the end d G: 205,248 points at d = 6, G = 64,
+        # against G^d = 6.9e10 for the tensor rule
+        cases = [
+            (1000, [0.12, 0.1, 0.15, 0.12, 0.1, 0.14], [110, 95, 140, 110, 90, 130],
+             50 * 64**2 + 7 * 64),
+            (600, [0.2, 0.25, 0.2, 0.15], [110, 140, 110, 80], 16 * 64**2 + 5 * 64),
+        ]
+        for n, p, k, points in cases:
+            inst = build_instance(n, p, k)
+            factors = gaussian_factors(inst)
+            seen = []
 
-        def counted(f):
-            return lambda *args: seen.append(np.size(args[0])) or f(*args)
+            def counted(f):
+                return lambda *args: seen.append(np.size(args[0])) or f(*args)
 
-        value, _ = integrate_chain(
-            inst.weights, factors.constant, [counted(f) for f in factors.steps],
-            counted(factors.end), QuadratureSpec(nodes=64), powers=factors.powers)
-        assert 0.0 < value < 1.0
-        assert 0 < sum(seen) <= 6**3 * 64**2
+            counted_factors = factors._replace(
+                steps=tuple(counted(f) for f in factors.steps), end=counted(factors.end))
+            value, _ = integrate_chain(inst.weights, counted_factors, QuadratureSpec(nodes=64))
+            assert 0.0 < value < 1.0
+            assert sum(seen) == points
 
     def test_shift_invariance(self):
         inst = build_instance(300, [0.3, 0.3], [80, 100])
         f = dirichlet_factors(inst)
-        _, base = _chain(inst.weights, f)
-        for c in (-800.0, -3.5, 2.0, 700.0):
-            _, alt = integrate_chain(inst.weights, f.constant + c, f.steps, f.end,
-                                     powers=f.powers)
+        _, base = integrate_chain(inst.weights, f)
+        for c in (-800.0, -3.5, 2.0, 700.0, 800.0):
+            value, alt = integrate_chain(inst.weights, f._replace(constant=f.constant + c))
             assert abs(alt - (base + c)) <= 1e-14 * (abs(base) + abs(c))
+            # past e^709 the integral overflows, and its log does not
+            assert math.isfinite(value) == (c < 800.0)
 
     def test_nodes_below_the_floor_use_the_floor(self):
         inst = build_instance(40, [0.3, 0.25], [10, 8])
         f = dirichlet_factors(inst)
-        at_floor = _chain(inst.weights, f, QuadratureSpec(nodes=quadrature.MIN_PANEL_NODES))
-        assert _chain(inst.weights, f, QuadratureSpec(nodes=2)) == at_floor
-        assert _chain(inst.weights, f, QuadratureSpec(nodes=33)) != at_floor
+        floor = QuadratureSpec(nodes=quadrature.MIN_PANEL_NODES)
+        at_floor = integrate_chain(inst.weights, f, floor)
+        assert integrate_chain(inst.weights, f, QuadratureSpec(nodes=2)) == at_floor
+        assert integrate_chain(inst.weights, f, QuadratureSpec(nodes=33)) != at_floor
 
     def test_rejects_wrong_number_of_steps(self):
         w = make_weights([0.3, 0.3])
         with pytest.raises(ValueError, match="step factors"):
-            integrate_chain(w, 0.0, [_zero_step], _zero_end)
+            integrate_chain(w, _smooth([_zero_step]))
 
     def test_rejects_nonfinite_factor(self):
         w = make_weights([0.3, 0.3])
         with pytest.raises(ValueError, match="not finite"):
-            integrate_chain(w, 0.0, [_zero_step, lambda u, log_u: np.full(np.shape(u), np.nan)],
-                            _zero_end)
+            integrate_chain(w, _smooth([_zero_step,
+                                        lambda u, log_u: np.full(np.shape(u), np.nan)]))
 
 
 def _d3_g48_integral(logf):
@@ -428,7 +435,7 @@ class TestCallers:
         logf = lambda s: log_dirichlet_integrand(inst, s)
         factors = dirichlet_factors(inst)
         both = lambda: (integrate_region(inst.weights, logf, spec),
-                        _chain(inst.weights, factors, spec))
+                        integrate_chain(inst.weights, factors, spec))
         expected = both()
         results = []
         interval = sys.getswitchinterval()

@@ -13,7 +13,6 @@ from mnsurv import (
     QuadratureSpec,
     build_instance,
     compare_routes,
-    expansion_context,
     survival_dirichlet,
     survival_exact,
     survival_gaussian,
@@ -427,7 +426,6 @@ class TestFrozenValues:
         spec = QuadratureSpec(nodes=g)
         assert survival_dirichlet(inst, spec).hex() == dirichlet
         assert survival_gaussian(inst, spec).hex() == gaussian
-        assert survival_gaussian(expansion_context(inst), spec).hex() == gaussian
         exact = survival_exact(inst)
         for value in (dirichlet, gaussian):
             assert float.fromhex(value) == pytest.approx(exact, rel=1e-13, abs=0.0)
