@@ -7,6 +7,7 @@ numbers updates the digests and says why.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -37,6 +38,33 @@ def test_report_bytes(tmp_path, args, digest):
     path = tmp_path / "out.bin"
     assert run(args + ["--out", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+# A mixed compare --input batch: d = 1, 2, 3 and 6, zero thresholds that
+# merge cells (two rows reduce to d = 1, one to probability 1), a far tail,
+# an impossible row and a Gaussian-inapplicable one (J_1 = 0).
+BATCH = [
+    {"n": 30, "p": [0.4], "k": [10]},
+    {"n": 20, "p": [0.2, 0.3], "k": [0, 7]},
+    {"n": 40, "p": [0.2, 0.3, 0.25], "k": [6, 10, 8]},
+    {"n": 200, "p": [0.12, 0.1, 0.15, 0.12, 0.1, 0.14], "k": [20, 18, 26, 20, 16, 24]},
+    {"n": 10, "p": [0.3, 0.3], "k": [6, 6]},
+    {"n": 12, "p": [0.3, 0.3], "k": [1, 3]},
+    {"n": 36, "p": [0.2, 0.3, 0.25], "k": [5, 9, 9]},
+    {"n": 5, "p": [0.2, 0.2], "k": [0, 0]},
+    {"n": 25, "p": [0.1, 0.35, 0.3], "k": [0, 9, 0]},
+    {"n": 50, "p": [0.25, 0.25], "k": [20, 20]},
+]
+
+
+def test_mixed_batch_bytes(tmp_path):
+    source, path = tmp_path / "batch.json", tmp_path / "out.json"
+    source.write_text(json.dumps(BATCH))
+    argv = ["compare", "--input", str(source), "--mc-reps", "1000", "--seed", "5", "--nodes", "40"]
+    assert run(argv + ["--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "75524f9280544614e24e516a18b737da54e3f6a85c0e7047ad3379ce2c3bca92"
+    )
 
 
 def test_check_stdout(capsys):
