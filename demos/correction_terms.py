@@ -9,7 +9,13 @@ halving.
 
 import numpy as np
 
-from mnsurv import build_instance, delta_n, gamma_tilde, gamma_tilde_series, stirling_lambda
+from mnsurv import (
+    build_instance,
+    expansion_context,
+    gamma_tilde,
+    gamma_tilde_series,
+    stirling_lambda,
+)
 from mnsurv.expansions import gamma_tilde_scaled, gamma_tilde_series_scaled
 
 print("Stirling error lambda_m against its classical bracket:")
@@ -21,7 +27,7 @@ print()
 print("delta_N along a mean-tracking sequence (d = 1, p = 0.3, k = round(N p) + 1):")
 for N in (50, 100, 500, 1000, 5000, 10000):
     inst = build_instance(N + 1, [0.3], [round(N * 0.3) + 1])
-    print(f"  N = {N:5d}: delta_N = {delta_n(inst):+.6e}")
+    print(f"  N = {N:5d}: delta_N = {expansion_context(inst).delta_n:+.6e}")
 print()
 
 inst = build_instance(40, [0.22, 0.34], [11, 16])

@@ -64,8 +64,8 @@ print()
 # scale of the integrand: adding c to the constant adds c to the log of the
 # integral, even where exp(c) alone underflows
 c = -800.0
-f = dirichlet_factors(inst)
-_, log_base = integrate_chain(inst.weights, f)
-_, log_shifted = integrate_chain(inst.weights, f._replace(constant=f.constant + c))
+f = dirichlet_factors([inst])
+_, log_base = integrate_chain(inst.weights.prefix[None], f)
+_, log_shifted = integrate_chain(inst.weights.prefix[None], f._replace(constant=f.constant + c))
 print(f"shift invariance: |(log I[logf + c] - c) - log I[logf]| = "
-      f"{abs(log_shifted - c - log_base):.2e}  (c = {c})")
+      f"{abs(log_shifted[0] - c - log_base[0]):.2e}  (c = {c})")

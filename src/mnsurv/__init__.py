@@ -13,6 +13,7 @@ from .model import (
     ProbabilityWeights,
     SurvivalInstance,
     build_instance,
+    instance_with_weights,
     make_weights,
     reduce_thresholds,
 )
@@ -55,6 +56,7 @@ from .quadrature import (
 from .survival import (
     McResult,
     RouteReport,
+    compare_batch,
     compare_routes,
     survival_dirichlet,
     survival_exact,
@@ -69,6 +71,7 @@ __all__ = [
     "ProbabilityWeights",
     "SurvivalInstance",
     "build_instance",
+    "instance_with_weights",
     "make_weights",
     "reduce_thresholds",
     "sigma_matrix",
@@ -108,6 +111,7 @@ __all__ = [
     "survival_gaussian",
     "survival_mc",
     "compare_routes",
+    "compare_batch",
     "CheckResult",
     "run_check_suite",
     "__version__",

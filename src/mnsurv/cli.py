@@ -14,8 +14,9 @@ Subcommands
 
 Exit codes: 0 success, 1 usage error (bad flags, including --nodes and
 --mc-reps out of range, a negative --seed, a tolerance that is not
-positive and finite, a --routes that names no route, and an --input or
---out path that cannot be read or written), 2 invalid instance data (bad
+positive and finite, a --routes that names no route, an --input or
+--out path that cannot be read or written, an --input list or a sweep
+grid with no instance), 2 invalid instance data (bad
 n/p/k), 3 check-suite failure, 4 cost guard (a route's cost bound refuses
 the instance, or a sweep grid exceeds MAX_SWEEP_ROWS rows).  All output
 is byte-deterministic for a given command line, including Monte Carlo
@@ -30,9 +31,18 @@ import json
 import math
 import sys
 
-from .model import build_instance
+from .model import build_instance, instance_with_weights
 from .quadrature import MAX_NODES, MIN_NODES, MIN_PANEL_NODES, CostGuardError, QuadratureSpec
-from .survival import DETERMINISTIC_ROUTES, MIN_REPLICATIONS, RouteReport, compare_routes
+
+# compare_routes is not called here: the benchmark's tracer (bench/tracing.py)
+# wraps it in this module.
+from .survival import (
+    DETERMINISTIC_ROUTES,
+    MIN_REPLICATIONS,
+    RouteReport,
+    compare_batch,
+    compare_routes,
+)
 from .checks import run_check_suite
 
 __all__ = ["run", "main", "emit_report", "emit_reports", "report_to_dict"]
@@ -243,6 +253,8 @@ def _instances_from_args(args):
             raise UsageError(f"{args.input} is not valid JSON: {exc}")
         if not isinstance(records, list):
             raise UsageError("--input must contain a JSON list of {n, p, k} objects")
+        if not records:
+            raise UsageError(f"{args.input} holds an empty list")
         instances = []
         for idx, rec in enumerate(records):
             if not isinstance(rec, dict):
@@ -284,11 +296,6 @@ def _check_flags(args):
         raise UsageError("--seed is required whenever MC is requested")
 
 
-def _seed(args, idx):
-    """Instance ``idx`` of a batch, or sweep row ``idx``, draws with ``seed + idx``."""
-    return None if args.seed is None else args.seed + idx
-
-
 def _write(args, payload: bytes):
     if args.out:
         try:
@@ -307,11 +314,9 @@ def _run_eval(args, routes):
     if routes is not None and "mc" in routes and args.mc_reps is None:
         raise UsageError("route 'mc' requires --mc-reps and --seed")
     instances = _instances_from_args(args)
-    reports = [
-        compare_routes(inst, spec, routes=routes, tolerance=args.tolerance,
-                       replications=args.mc_reps, seed=_seed(args, idx))
-        for idx, inst in enumerate(instances)
-    ]
+    # instance idx of a batch draws with seed + idx
+    reports = compare_batch(instances, spec, routes, args.tolerance,
+                            replications=args.mc_reps, seed=args.seed)
     _write(args, emit_reports(reports, args.format, single=len(reports) == 1))
     return 0
 
@@ -341,15 +346,23 @@ def _run_sweep(args):
                 grid.append((n, k))
         else:
             grid.append((n, _int_list(args.k)))
-    reports = [
-        compare_routes(build_instance(n, p, k), spec, tolerance=args.tolerance,
-                       replications=args.mc_reps, seed=_seed(args, idx))
-        for idx, (n, k) in enumerate(grid)
-    ]
-    if not reports:
+    if not grid:
         raise UsageError("sweep grid is empty")
+    # sweep row idx draws with seed + idx
+    reports = compare_batch(_sweep_instances(p, grid), spec, tolerance=args.tolerance,
+                            replications=args.mc_reps, seed=args.seed)
     _write(args, emit_reports(reports, args.format))
     return 0
+
+
+def _sweep_instances(p, grid):
+    """The sweep's instances in grid order, built as they are consumed, so
+    that a row that cannot be built fails in its turn; the first row
+    validates the weights and the others share them."""
+    first = build_instance(grid[0][0], p, grid[0][1])
+    yield first
+    for n, k in grid[1:]:
+        yield instance_with_weights(n, first.weights, k)
 
 
 def _enumerate_thresholds(d, n):

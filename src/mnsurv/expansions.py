@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -143,13 +144,13 @@ class ExpansionContext:
 
 
 def expansion_context(instance: SurvivalInstance) -> ExpansionContext:
+    """The context of a Gaussian-ready instance (every ``J_i >= 1``)."""
     ctx = ExpansionContext(
         instance=instance,
         capital_lambda=capital_lambda(instance),
         gamma_tilde=gamma_tilde(instance),
         delta_n=math.nan,
     )
-    # delta_n of a context reuses its capital_lambda and gamma_tilde
     return replace(ctx, delta_n=delta_n(ctx))
 
 
@@ -230,25 +231,21 @@ def quadratic_cancellation_residual(instance: SurvivalInstance) -> float:
     return 0.5 * double_sum - 0.5 * quad_form(instance.weights, e)
 
 
-def delta_n(instance: SurvivalInstance | ExpansionContext) -> float:
+def delta_n(ctx: ExpansionContext) -> float:
     """Total log-prefactor correction of the Gaussian representation.
 
     ``ln((N+d)!/(N! N^d)) + capital_lambda - sum_i ln(1+eps_i)/2 -
-    N*gamma_tilde``; the factorial ratio is accumulated as
-    ``sum_{i<=d} ln(1 + i/N)`` so no large factorials are ever formed.  An
-    :class:`ExpansionContext` may stand in for the instance; its stored
-    ``capital_lambda`` and ``gamma_tilde`` are then used, not recomputed.
+    N*gamma_tilde`` of ``ctx.instance``, from the context's stored
+    ``capital_lambda`` and ``gamma_tilde``; the factorial ratio is
+    accumulated as ``sum_{i<=d} ln(1 + i/N)`` so no large factorials are
+    ever formed.  :func:`expansion_context` calls it, and its ``delta_n``
+    field holds the result.
     """
-    if isinstance(instance, ExpansionContext):
-        cap, tilt = instance.capital_lambda, instance.gamma_tilde
-        instance = instance.instance
-    else:
-        _require_gaussian(instance)
-        cap, tilt = capital_lambda(instance), gamma_tilde(instance)
+    instance = ctx.instance
     N = instance.N
     ratio = math.fsum(math.log1p(i / N) for i in range(1, instance.d + 1))
     half_logs = 0.5 * float(np.sum(np.log1p(instance.eps)))
-    return ratio + cap - half_logs - N * tilt
+    return ratio + ctx.capital_lambda - half_logs - N * ctx.gamma_tilde
 
 
 def gamma_star(instance: SurvivalInstance, s) -> float | np.ndarray:
@@ -262,9 +259,9 @@ def gamma_star(instance: SurvivalInstance, s) -> float | np.ndarray:
     :func:`gaussian_factors`), divided by ``N``.
     """
     _require_n_positive(instance)
-    tilts = [cell.tilt for cell in _gaussian_cells(instance)]
+    tilts = [cell.tilt for cell in _gaussian_cells([instance])]
     free, total = _cumulated(instance, s, require_interior=True)
-    return _factor_sum(0.0, tilts[:-1], _at_end(tilts[-1]), free, total) / instance.N
+    return _factor_sum(0.0, tilts[:-1], _AtEnd(tilts[-1]), free, total) / instance.N
 
 
 def entropy_lhs(instance: SurvivalInstance, s) -> float | np.ndarray:
@@ -285,7 +282,7 @@ def h_value(instance: SurvivalInstance, s) -> float | np.ndarray:
     """Concave exponent ``H(s) = sum_{i<=d+1} (J_i/N) ln(s_i)``: the
     Dirichlet factors without their constant, divided by ``N``."""
     _require_n_positive(instance)
-    steps, end = _dirichlet_cells(instance)
+    steps, end = _dirichlet_cells(instance.J[None].astype(float))
     free, total = _cumulated(instance, s, require_interior=True)
     return _factor_sum(0.0, steps, end, free, total) / instance.N
 
@@ -317,33 +314,64 @@ def h_hessian(instance: SurvivalInstance, s) -> np.ndarray:
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def dirichlet_factors(instance: SurvivalInstance) -> ChainFactors:
-    """The Dirichlet-type integrand as factors.
+def dirichlet_factors(instances) -> ChainFactors:
+    """The Dirichlet-type integrands of same-``d`` instances as factors, one
+    row per instance.
 
     ``steps[i](u) = J_i ln u`` for ``i <= d``, ``end(T) = J_{d+1} ln(1 - T)``
     and the constant ``ln((N+d)!) - sum_i ln(J_i!)`` over all d+1 cells.  A
     factor with ``J_i = 0`` is exactly 0, even where its argument is 0.
     """
-    steps, end = _dirichlet_cells(instance)
-    J = instance.J.tolist()
-    constant = _log_multinomial_constant(instance.N + instance.d, tuple(J))
-    return ChainFactors(constant, steps, end, tuple(J[: instance.d]))
+    gaps = [instance.J.tolist() for instance in instances]
+    J = np.array(gaps, dtype=float)
+    steps, end = _dirichlet_cells(J)
+    constant = np.array([
+        _log_multinomial_constant(instance.N + instance.d, tuple(j))
+        for instance, j in zip(instances, gaps)
+    ])
+    return ChainFactors(constant, steps, end, J[:, :-1])
 
 
-def _dirichlet_cells(instance):
-    cells = [_power(j) for j in instance.J.tolist()]
-    return tuple(cells[:-1]), _at_end(cells[-1])
+def _dirichlet_cells(J):
+    """The cells of the ``(B, d+1)`` gaps ``J``: d steps and the end."""
+    cells = [
+        _PowerCell(j, np.flatnonzero(j == 0.0) if has_zero else None)
+        for j, has_zero in zip(J.T[:, :, None, None], (J == 0.0).any(axis=0).tolist())
+    ]
+    return tuple(cells[:-1]), _AtEnd(cells[-1])
 
 
-def _power(j):
-    if j == 0:
-        return lambda u, log_u: np.zeros(np.shape(u))
-    return lambda u, log_u: j * log_u
+class _PowerCell(NamedTuple):
+    """``J ln(mass)``, with the ``(B, 1, 1)`` powers ``J``; the rows listed
+    in ``zero`` have ``J = 0`` and give exactly 0, even where their mass is
+    0 (``None`` if there are none)."""
+
+    j: np.ndarray
+    zero: np.ndarray | None
+
+    def __call__(self, u, log_u):
+        out = log_u * self.j
+        if self.zero is not None:
+            out[self.zero] = 0.0
+        return out
+
+    def rows(self, index):
+        j = self.j[index]
+        zero = np.flatnonzero(j[:, 0, 0] == 0.0)
+        return _PowerCell(j, zero if zero.size else None)
 
 
-def _at_end(cell):
+class _AtEnd:
     """The last cell's factor, whose mass is ``1 - T_d``, as a function of ``T_d``."""
-    return lambda t: cell(t, np.log(1.0 - t))
+
+    def __init__(self, cell):
+        self.cell = cell
+
+    def __call__(self, t):
+        return self.cell(t, np.log(1.0 - t))
+
+    def rows(self, index):
+        return _AtEnd(self.cell.rows(index))
 
 
 # Up to this total the Dirichlet constant is the log of an exact integer.
@@ -365,73 +393,89 @@ def _log_multinomial_constant(total, J):
     return log_factorial(total) - math.fsum(log_factorial(j) for j in J)
 
 
-def gaussian_factors(instance: SurvivalInstance | ExpansionContext) -> ChainFactors:
-    """The Gaussian-representation integrand as factors.
+def gaussian_factors(contexts) -> ChainFactors:
+    """The Gaussian-representation integrands of same-``d`` instances as
+    factors, one row per :class:`ExpansionContext`.
 
     ``delta_n + (d/2) ln N + N gamma_star(s) + ln phi(sqrt(N) (p - s + et))``
     splits by cell: ``Sigma^-1 = diag(1/p) + 11^T/p_{d+1}``, and the free
     ``x_i = s_i - p_i`` sum to ``X = T_d - P_d``.  So both ``N gamma_star``
     and the normal log-density are a sum of terms in one ``s_i`` each plus
     terms in ``T_d`` alone (see :class:`_GaussianCell`), and the constant is
-    ``delta_n + (d/2) ln N - (d ln(2 pi) + ln det Sigma)/2``.  Requires
-    ``J_i >= 1`` for every cell.  An :class:`ExpansionContext` may stand in
-    for the instance, so a caller that holds one does not recompute its
-    ``delta_n``.
+    ``delta_n + (d/2) ln N - (d ln(2 pi) + ln det Sigma)/2``, with the
+    context's ``delta_n``.  Requires ``J_i >= 1`` for every cell.
     """
-    ctx = instance if isinstance(instance, ExpansionContext) else expansion_context(instance)
-    inst = ctx.instance
-    d = inst.d
-    cells = _gaussian_cells(inst)
-    constant = (
-        ctx.delta_n + 0.5 * d * math.log(inst.N) - 0.5 * (d * _LOG_2PI + inst.weights.log_det)
-    )
-    return ChainFactors(constant, tuple(cells[:-1]), _at_end(cells[-1]), tuple(inst.J[:d].tolist()))
+    instances = [ctx.instance for ctx in contexts]
+    cells = _gaussian_cells(instances)
+    constant = np.array([
+        ctx.delta_n + 0.5 * inst.d * math.log(inst.N)
+        - 0.5 * (inst.d * _LOG_2PI + inst.weights.log_det)
+        for ctx, inst in zip(contexts, instances)
+    ])
+    powers = np.concatenate([cell.j[:, :, 0] for cell in cells[:-1]], axis=1)
+    return ChainFactors(constant, tuple(cells[:-1]), _AtEnd(cells[-1]), powers)
 
 
-def _gaussian_cells(instance):
+def _gaussian_cells(instances):
     """One cell per ``s_i``, ``i <= d``, and a last one in ``T_d`` (centre
     ``P_d``, offset ``E = sum_{i<=d} et_i``, whose normal-argument
-    coordinates sum to ``sqrt(N) (E - X)``)."""
-    N, d = instance.N, instance.d
-    J = instance.J.tolist()
-    p = instance.weights.p_full.tolist()
-    et = instance.eps_tilde.tolist()
-    cells = [_GaussianCell(N, J[i], p[i], p[i], et[i]) for i in range(d)]
-    total = float(instance.weights.prefix[-1])
-    cells.append(_GaussianCell(N, J[d], p[d], total, math.fsum(et[:d])))
-    return cells
+    coordinates sum to ``sqrt(N) (E - X)``), with a row per instance."""
+    rows = []
+    for inst in instances:
+        N, d = inst.N, inst.d
+        J = inst.J.tolist()
+        p = inst.weights.p_full.tolist()
+        centre = p[:d] + [float(inst.weights.prefix[-1])]
+        et = inst.eps_tilde.tolist()
+        et[d] = math.fsum(et[:d])
+        rows.append([
+            [J[i], math.log(p[i]), centre[i], et[i], N * et[i] / p[i], 0.5 * N / p[i]]
+            for i in range(d + 1)
+        ])
+    # (d+1, 6, B, 1, 1): the six parameter columns of each cell
+    table = np.array(rows, dtype=float).transpose(1, 2, 0)[..., None, None]
+    return [_GaussianCell(*columns) for columns in table]
 
 
-class _GaussianCell:
+class _GaussianCell(NamedTuple):
     """The terms of one cell of the Gaussian integrand, at ``v`` with ``x = v
     - centre`` and the cell's mass ``m`` (``s_i``, or ``1 - T_d``).
 
     Tilt (its part of ``N gamma_star``): ``J ln(m/p) - N (et x/p - x^2/(2p))``.
-    Normal log-density: ``-N (x - et)^2 / (2p)``.
+    Normal log-density: ``-N (x - et)^2 / (2p)``, with ``slope = N et / p``
+    and ``curvature = N / (2p)``.  Each parameter is a ``(B, 1, 1)`` column
+    with an entry per row.
     """
 
-    def __init__(self, N, j, p, centre, et):
-        self.j, self.log_p, self.centre, self.et = j, math.log(p), centre, et
-        self.slope = N * et / p
-        self.curvature = 0.5 * N / p
+    j: np.ndarray
+    log_p: np.ndarray
+    centre: np.ndarray
+    et: np.ndarray
+    slope: np.ndarray
+    curvature: np.ndarray
+
+    def rows(self, index):
+        return _GaussianCell(*(column[index] for column in self))
 
     def tilt(self, v, log_mass):
+        return self._tilt(v - self.centre, log_mass)
+
+    def __call__(self, v, log_mass):
+        x = v - self.centre
+        out = self._tilt(x, log_mass)
+        x -= self.et
+        x *= x
+        x *= self.curvature
+        out -= x
+        return out
+
+    def _tilt(self, x, log_mass):
         out = log_mass - self.log_p
         out *= self.j
-        x = v - self.centre
         quad = x * self.curvature
         quad -= self.slope
         quad *= x
         out += quad
-        return out
-
-    def __call__(self, v, log_mass):
-        out = self.tilt(v, log_mass)
-        z = v - self.centre
-        z -= self.et
-        z *= z
-        z *= self.curvature
-        out -= z
         return out
 
 
@@ -444,7 +488,7 @@ def log_dirichlet_integrand(instance: SurvivalInstance, s) -> float | np.ndarray
     ``s_i = 0`` with ``J_i >= 1``.  Batch evaluation over leading axes;
     ``s`` has d free or d+1 full coordinates.
     """
-    f = dirichlet_factors(instance)
+    f = dirichlet_factors([instance])
     free, total = _cumulated(instance, s, require_interior=False)
     return _factor_sum(f.constant, f.steps, f.end, free, total)
 
@@ -458,7 +502,7 @@ def log_gaussian_integrand(instance: SurvivalInstance, s) -> float | np.ndarray:
     equal to :func:`log_dirichlet_integrand` on the interior; requires
     ``J_i >= 1`` for every cell.
     """
-    f = gaussian_factors(instance)
+    f = gaussian_factors([expansion_context(instance)])
     free, total = _cumulated(instance, s, require_interior=True)
     return _factor_sum(f.constant, f.steps, f.end, free, total)
 
@@ -483,14 +527,22 @@ def _cumulated(instance, s, require_interior):
 
 def _factor_sum(constant, steps, end, s, total):
     """``constant + sum_i steps[i](s_i, ln s_i) + end(T_d)``, cell by cell in
-    order."""
-    with np.errstate(divide="ignore"):
+    order, for factors of one row.
+
+    The points are given two leading axes of length 1, the row and block
+    axes of the factors' arrays, and lose them again at the end.
+    """
+    shape = total.shape
+    s, total = s[None, None], total[None, None]
+    # a zero power meets ln 0 = -inf: the product is nan until set to 0
+    with np.errstate(divide="ignore", invalid="ignore"):
         out = steps[0](s[..., 0], np.log(s[..., 0]))
         for i in range(1, len(steps)):
             out += steps[i](s[..., i], np.log(s[..., i]))
         out += end(total)
     out += constant
-    return out if np.ndim(out) else float(out)
+    out = out.reshape(shape)
+    return out if out.ndim else float(out)
 
 
 def _simplex_point(instance, s, require_interior):

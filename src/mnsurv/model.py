@@ -19,6 +19,7 @@ __all__ = [
     "SurvivalInstance",
     "make_weights",
     "build_instance",
+    "instance_with_weights",
     "reduce_thresholds",
     "WEIGHT_MARGIN",
 ]
@@ -182,6 +183,16 @@ def build_instance(n, p, k) -> SurvivalInstance:
     and zero thresholds merely make the instance ineligible for the integral
     routes until :func:`reduce_thresholds` is applied.
     """
+    return _derive(_positive_n(n), make_weights(p), k)
+
+
+def instance_with_weights(n, weights: ProbabilityWeights, k) -> SurvivalInstance:
+    """:func:`build_instance` with weights already validated, so that
+    instances of one weight vector (the rows of a sweep) share them."""
+    return _derive(_positive_n(n), weights, k)
+
+
+def _positive_n(n) -> int:
     try:
         valid = int(n) == n and n >= 1
     except (TypeError, ValueError, OverflowError):
@@ -190,8 +201,10 @@ def build_instance(n, p, k) -> SurvivalInstance:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if n >= _INT64_MAX:
         raise ValueError(f"n must be below {_INT64_MAX} (n + 1 must fit in int64), got {n}")
-    n = int(n)
-    weights = make_weights(p)
+    return int(n)
+
+
+def _derive(n: int, weights: ProbabilityWeights, k) -> SurvivalInstance:
     k = _validate_thresholds(k)
     if weights.d != k.shape[0]:
         raise ValueError(f"p and k must have the same length; got {weights.d} and {k.shape[0]}")

@@ -10,7 +10,8 @@ Two integrators share the Gauss-Legendre rule of :func:`legendre_rule`.
   ``d``-fold integral a ``d``-step forward recursion of an integral
   operator.  The recursion is discretised by a Nystrom rule on panels split
   at the prefix sums, in log space; each target's sum runs over its own
-  terms only, at a cost polynomial in the nodes per panel.
+  terms only, at a cost polynomial in the nodes per panel.  It integrates
+  a batch of same-``d`` integrands, one per row, in one recursion.
 * :func:`integrate_region` is the iterated (tensor-product) rule with
   variable upper limits ``U_i = P_i - (s_1 + ... + s_{i-1})``, for any
   log-integrand at ``G^d`` evaluations.  It is a short serial reference
@@ -58,6 +59,10 @@ MAX_NODE_EVALS = 10**6
 # exp arguments are clamped here: below about -708 exp returns subnormals,
 # which are many times slower, and terms this small change no sum.
 _EXP_FLOOR = -700.0
+
+# The reductions of ndarray.max and ndarray.sum, without the Python wrappers
+# those methods add to every call of the chain rule's many small ones.
+_max, _sum = np.maximum.reduce, np.add.reduce
 
 
 class CostGuardError(RuntimeError):
@@ -160,99 +165,156 @@ def mapped_interpolation(nodes: int) -> np.ndarray:
 
 
 class ChainFactors(NamedTuple):
-    """A log-integrand in the cumulated coordinates ``T_i = s_1 + ... + s_i``.
+    """A batch of ``B`` log-integrands in the cumulated coordinates ``T_i =
+    s_1 + ... + s_i``, one per row.
 
-    Its value is ``constant + sum_i steps[i](s_i, ln s_i) + end(T_d)``, the
-    form :func:`integrate_chain` integrates.  As its spacing ``u`` goes to 0,
-    ``steps[i]`` behaves as ``powers[i] * ln u`` plus a smooth function (a
-    power of 0 is a smooth factor).  The callables are elementwise, for
-    arrays of any shape, and return new arrays.
+    Row ``r`` is ``constant[r] + sum_i steps[i](s_i, ln s_i)[r] + end(T_d)[r]``,
+    the form :func:`integrate_chain` integrates.  As its spacing ``u`` goes
+    to 0, ``steps[i]`` of row ``r`` behaves as ``powers[r, i] * ln u`` plus a
+    smooth function (a power of 0 is a smooth factor).
+
+    The factors are elementwise: called with arrays of shape ``(B, rows,
+    cols)``, or ``(1, rows, cols)`` for points every row shares, they return
+    a new ``(B, rows, cols)`` array whose row ``r`` is row ``r``'s factor.
+    Each also has ``rows(index)``, the factor of the rows ``index`` selects.
     """
 
-    constant: float
-    steps: tuple
-    end: Callable
-    powers: tuple
+    constant: np.ndarray  # (B,)
+    steps: tuple          # d factors of (u, log_u)
+    end: Callable         # factor of T_d
+    powers: np.ndarray    # (B, d)
+
+    def rows(self, index) -> "ChainFactors":
+        """The factors of the rows ``index`` (a slice or an index array) selects."""
+        return ChainFactors(
+            self.constant[index],
+            tuple(step.rows(index) for step in self.steps),
+            self.end.rows(index),
+            self.powers[index],
+        )
 
 
-@dataclass(frozen=True, eq=False)
-class _ChainGrid:
-    """The chain rule's fixed arrays for one set of panels.
+class _ChainGrid(NamedTuple):
+    """The chain rule's fixed arrays for the panels of ``R`` regions, one
+    region per leading row (``R = 1`` for a grid that every row shares).
 
     Panel ``m`` is ``[P_{m-1}, P_m]`` with ``G`` nodes ``t``; a level's
-    values are indexed ``m*G + b``.  Column ``b`` of ``step[m]`` lists the
-    steps ``u = T - T'`` of the terms of the target ``t[m, b]``: first the
-    ``G`` points of the panel's own rule mapped to ``[P_{m-1}, t[m, b]]``,
-    then every node of the full panels ``0..m-1``.  ``log_step[m]`` holds
-    their logs, ``log_stretch_weight[m]`` the log rule weights of the mapped
-    points; a full-panel node weighs its ``log_node_weight``.  Sums run down
-    the columns, which numpy reduces faster than rows.
+    values are indexed ``m*G + b``.  ``step[i-1]`` lists the steps ``u = T -
+    T'`` of the terms of level ``i + 1``, one block of rows per target
+    panel ``m <= i``, at row ``G m (m+1) / 2``: column ``b`` of block ``m``
+    holds the terms of the target ``t[m, b]``, first the ``G`` points of the
+    panel's own rule mapped to ``[P_{m-1}, t[m, b]]`` (none in the newest
+    panel ``m = i``), then every node of the full panels ``0..m-1``;
+    ``log_weight[i-1]`` holds their log rule weights.  Sums run down the
+    columns, which numpy reduces faster than rows.
     """
 
-    t: np.ndarray                   # (d*G,) nodes
-    log_t: np.ndarray               # (d*G,)
-    log_node_weight: np.ndarray     # (d*G,) log of the rule weight of each node
-    step: tuple                     # d arrays, ((m+1)*G, G) for panel m
+    t: np.ndarray                   # (R, 1, d*G) nodes
+    log_t: np.ndarray               # (R, 1, d*G)
+    log_node_weight: np.ndarray     # (R, d*G) log of the rule weight of each node
+    step: tuple                     # d-1 arrays, (R, i (i+3) G / 2, G) for level i + 1
     log_step: tuple                 # the same shapes
-    log_stretch_weight: np.ndarray  # (d, G, G)
-    log_mapped: np.ndarray          # (G*G,) log of the mapped points of panel 0
+    log_weight: tuple               # the same shapes: the log rule weight of each term
+    log_mapped: np.ndarray          # (R, G*G) log of the mapped points of panel 0
 
 
-@lru_cache(maxsize=8)
-def _chain_grid(prefix: tuple, g: int) -> _ChainGrid:
+def _chain_grid(prefix: np.ndarray, g: int) -> _ChainGrid:
+    """The grid of the ``(R, d)`` prefix sums ``prefix``."""
     x, w = legendre_rule(g)
-    d = len(prefix)
-    upper = np.array(prefix)
-    lower = np.concatenate(([0.0], upper[:-1]))
+    rows, d = prefix.shape
+    upper = prefix
+    lower = np.concatenate([np.zeros((rows, 1)), upper[:, :-1]], axis=1)
     width = upper - lower
-    scaled = np.multiply.outer(width, x)                   # (d, G): h_m x_b
-    t = (lower[:, None] + scaled).ravel()
-    log_node_weight = np.log(np.multiply.outer(width, w)).ravel()
-    tail = np.multiply.outer(width, 1.0 - x)              # (d, G): h_j (1 - x_a)
-    step = []
+    scaled = width[:, :, None] * x                         # (R, d, G): h_m x_b
+    t = (lower[:, :, None] + scaled).reshape(rows, 1, d * g)
+    tail = width[:, :, None] * (1.0 - x)                   # (R, d, G): h_j (1 - x_a)
+    # mapped points of panel m: T - T' = h_m x_b (1 - x_a), weight h_m x_b w_a;
+    # the last panel is only ever the newest, so it needs none
+    stretch = (1.0 - x)[:, None] * scaled[:, : d - 1, None, :]   # (R, d-1, G, G)
+    full = []
     for m in range(d):
-        # mapped points of panel m: T - T' = h_m x_b (1 - x_a), weight h_m x_b w_a
-        stretch = np.multiply.outer(1.0 - x, scaled[m])
         # full panels j < m: T - T' = (P_{m-1} - P_j) + h_j (1 - x_a) + h_m x_b
-        full = ((lower[m] - upper[:m])[:, None] + tail[:m]).reshape(m * g, 1) + scaled[m]
-        step.append(np.concatenate([stretch, full]))
+        gap = (lower[:, m, None] - upper[:, :m])[:, :, None] + tail[:, :m]
+        full.append(gap.reshape(rows, m * g, 1) + scaled[:, m, None, :])
+    log_node_weight = np.log(width[:, :, None] * w).reshape(rows, d * g)
+    log_stretch_weight = np.log(w)[:, None] + np.log(scaled[:, : d - 1])[:, :, None, :]
+    step, log_weight = [], []
+    for i in range(1, d):
+        blocks, weights = [], []
+        for m in range(i + 1):
+            full_weight = np.broadcast_to(log_node_weight[:, : m * g, None], full[m].shape)
+            if m < i:
+                blocks.append(stretch[:, m])
+                weights.append(log_stretch_weight[:, m])
+            blocks.append(full[m])
+            weights.append(full_weight)
+        step.append(np.concatenate(blocks, axis=1))
+        log_weight.append(np.concatenate(weights, axis=1))
     grid = _ChainGrid(
         t=t,
         log_t=np.log(t),
         log_node_weight=log_node_weight,
         step=tuple(step),
         log_step=tuple(np.log(s) for s in step),
-        log_stretch_weight=np.log(w)[:, None] + np.log(scaled)[:, None, :],
-        log_mapped=np.log(np.multiply.outer(scaled[0], x)).ravel(),
+        log_weight=tuple(log_weight),
+        log_mapped=np.log(scaled[:, 0, :, None] * x).reshape(rows, g * g),
     )
-    for value in vars(grid).values():
+    for value in grid:
         for array in value if isinstance(value, tuple) else (value,):
             array.setflags(write=False)
     return grid
 
 
-def integrate_chain(weights: ProbabilityWeights, factors: ChainFactors, spec=None):
-    """Integral of ``exp(constant + sum_i steps[i](T_i - T_{i-1}) + end(T_d))``
-    over ``0 < T_1 < ... < T_d``, ``T_i <= P_i`` (so ``T_0 = 0``).
+@lru_cache(maxsize=8)
+def _shared_chain_grid(prefix: tuple, g: int) -> _ChainGrid:
+    """The one-row grid of ``prefix``, kept for the next integral over it."""
+    return _chain_grid(np.array([prefix]), g)
+
+
+# A chunk of rows makes at most this many factor evaluations, (d-1) d (d+4)
+# / 6 G^2 per row (rows of d = 3 at G = 32 go 36 at a time), or one row if
+# that is more.  compare_batch with the two integral routes on the rows of
+# one cli-batch round (seed 1: two sweeps and an 800-row batch, d <= 3, G =
+# 32; median of 8 on a 2-vCPU Xeon with AVX-512 and 2 MB of L2 per core)
+# took 1.11 s in 1-row chunks, 0.67 s at 2^14, 0.50-0.51 s at 2^16 to
+# 2^18 (9 to 36 rows of d = 3), 0.54 s at 2^19 and 0.64 s at 2^21.
+_CHUNK_ELEMENTS = 2**18
+
+
+def _chunk_rows(d: int, g: int) -> int:
+    return max(1, _CHUNK_ELEMENTS // (max(1, (d - 1) * d * (d + 4) // 6) * g * g))
+
+
+def integrate_chain(prefix, factors: ChainFactors, spec=None):
+    """Integrals of ``exp(constant + sum_i steps[i](T_i - T_{i-1}) + end(T_d))``
+    over ``0 < T_1 < ... < T_d``, ``T_i <= P_i`` (so ``T_0 = 0``), one per
+    row of a batch.
 
     Parameters
     ----------
-    weights : ProbabilityWeights
-        Defines the region via its prefix sums ``P_i``.
+    prefix : array_like, shape (B, d)
+        Row ``r`` holds the prefix sums ``P_i`` that bound row ``r``'s
+        region (``ProbabilityWeights.prefix``).
     factors : ChainFactors
-        The log-integrand: ``constant``, ``d`` step factors ``steps[i](u,
-        log_u)`` of the spacings ``u > 0`` (with ``log_u = ln u``), the end
-        factor ``end(T)`` of ``T_d``, and the ``powers`` of the steps' log
-        singularities at ``u = 0``.
+        The ``B`` log-integrands: ``constant``, ``d`` step factors
+        ``steps[i](u, log_u)`` of the spacings ``u > 0`` (with ``log_u = ln
+        u``), the end factor ``end(T)`` of ``T_d``, and the ``powers`` of the
+        steps' log singularities at ``u = 0``.
     spec : QuadratureSpec, optional
         Nodes per panel; ``max(spec.nodes, MIN_PANEL_NODES)`` are used.
         Defaults to 64.
 
     Returns
     -------
-    (float, float)
-        The integral and its natural log.  The log is finite wherever the
-        factors are, and the integral is ``inf`` past ``e^709``.
+    (ndarray, ndarray)
+        The ``B`` integrals and their natural logs.  A log is finite
+        wherever the factors are, and an integral is ``inf`` past ``e^709``.
+        Each row's pair is bit for bit the pair of its batch of one.
+
+    Raises
+    ------
+    ValueError
+        If a log is not finite; the message gives the first such row's.
 
     Notes
     -----
@@ -268,76 +330,116 @@ def integrate_chain(weights: ProbabilityWeights, factors: ChainFactors, spec=Non
     polynomial interpolation, the matrix of :func:`mapped_interpolation`.
     On panel 1, ``F_{i-1}`` is ``T^a`` times a smooth factor, with ``a`` the
     sum of the powers of steps ``1..i-1`` plus ``i - 2``, so ``log F - a ln
-    T`` is interpolated instead.  Each panel of a level is one log-sum-exp
-    over the terms of its targets.  Level ``i + 1`` evaluates ``i (i + 3) /
-    2`` blocks of ``G x G`` terms, so the cost is about ``d^3 G^2 / 6``
-    factor evaluations and ``d^2 G^3 / 2`` multiply-adds; memory ``O(d^2 G^2
-    + G^3)``.
+    T`` is interpolated instead.  Level ``i + 1`` evaluates ``i (i + 3) /
+    2`` blocks of ``G x G`` terms, each factor once over all of them, and
+    takes one log-sum-exp per panel of targets over the terms in their
+    sums.  The cost is about ``d^3 G^2 / 6`` factor evaluations and ``d^2
+    G^3 / 2`` multiply-adds per row; memory ``O(d^3 G^2 + G^3)`` per row.
+
+    The batch runs as one recursion with a leading row axis, in chunks of
+    consecutive rows whose factor evaluations number about
+    ``_CHUNK_ELEMENTS`` together, so the working set stays in cache.  Every
+    elementwise operation, and every sum's order, is that of the row alone,
+    so neither the batch nor the chunking moves a bit.  A chunk whose rows
+    share their prefix sums uses one grid for all of them, and the last
+    eight such grids are kept for the next call.
     """
     spec = spec if spec is not None else QuadratureSpec()
-    d = weights.d
-    steps = factors.steps
-    if len(steps) != d:
-        raise ValueError(f"need {d} step factors, got {len(steps)}")
+    prefix = np.asarray(prefix, dtype=float)
+    count, d = prefix.shape
+    if len(factors.steps) != d:
+        raise ValueError(f"need {d} step factors, got {len(factors.steps)}")
     g = max(spec.nodes, MIN_PANEL_NODES)
-    grid = _chain_grid(tuple(weights.prefix.tolist()), g)
+    size = _chunk_rows(d, g)
+    log_values = []
+    for lo in range(0, count, size):
+        rows = slice(lo, lo + size)
+        part = prefix[rows]
+        if len(part) == 1 or (part == part[0]).all():
+            grid = _shared_chain_grid(tuple(part[0].tolist()), g)
+        else:
+            grid = _chain_grid(part, g)
+        # a batch of one chunk is integrated as given
+        log_values += _chain_logs(grid, factors if size >= count else factors.rows(rows), g)
+    values = []
+    for log_value in log_values:
+        if not math.isfinite(log_value):
+            raise ValueError(f"chain integral not finite (log value {log_value})")
+        try:
+            values.append(math.exp(log_value))
+        except OverflowError:
+            values.append(math.inf)
+    return np.array(values), np.array(log_values)
+
+
+def _chain_logs(grid: _ChainGrid, factors: ChainFactors, g: int) -> list:
+    """The log integrals of the rows of ``factors`` on ``grid``."""
+    steps = factors.steps
+    count, d = factors.powers.shape
     interp = mapped_interpolation(g)
 
     # Each level is stored relative to its largest value, so the terms that
-    # matter are O(1) and round finely; the offsets are added up exactly.
-    offsets = [float(factors.constant)]
-    level = np.asarray(steps[0](grid.t[:g], grid.log_t[:g]), dtype=float)
-    exponent = float(factors.powers[0])
+    # matter are O(1) and round finely; the offsets, columns of the rows,
+    # are added up exactly.
+    offsets = [factors.constant.reshape(count, 1)]
+    level = steps[0](grid.t[:, :, :g], grid.log_t[:, :, :g])[:, 0]
+    # the power of T in F_i on panel 1, powers[0] + sum_{1 <= k < i} (powers[k]
+    # + 1), for every level; integers, so the order of the sum is immaterial
+    exponents = np.add.accumulate(factors.powers + 1.0, axis=1)
+    exponents -= 1.0
     for i in range(1, d):
-        offsets.append(float(level.max()))
+        offsets.append(_max(level, axis=1, keepdims=True))
         level -= offsets[-1]
         # log F_{i-1} at the mapped points of panels 0..i-1, centred per panel
-        logs = level.reshape(i, g).copy()
-        logs[0] -= exponent * grid.log_t[:g]
-        top = logs.max(axis=1, keepdims=True)
+        logs = level.reshape(count, i, g).copy()
+        exponent = exponents[:, i - 1 : i]
+        logs[:, 0] -= exponent * grid.log_t[:, 0, :g]
+        top = _max(logs, axis=2, keepdims=True)
         logs -= top
-        # einsum sums in a fixed order, and spawns no BLAS threads, whose
-        # spinning slowed the levels after a threaded product 3-4 fold
-        mapped = np.einsum("mc,cp->mp", logs, interp)
+        # einsum sums in a fixed order, row by row alike, and spawns no BLAS
+        # threads, whose spinning slowed the levels after a threaded product
+        # 3-4 fold
+        mapped = np.einsum("mc,cp->mp", logs.reshape(count * i, g), interp)
+        mapped = mapped.reshape(count, i, g * g)
         mapped += top
-        mapped[0] += exponent * grid.log_mapped
-        out = np.empty((i + 1) * g)
-        for m in range(i + 1):
-            base = m * g
-            start = g if m == i else 0  # the newest panel has no stretch below
-            terms = steps[i](grid.step[m][start:], grid.log_step[m][start:])
+        mapped[:, 0] += exponent * grid.log_mapped
+        # the mapped points x_a x_b are symmetric, so mapped[:, m] reads as [a, b]
+        mapped = mapped.reshape(count, i, g, g)
+        terms = steps[i](grid.step[i - 1], grid.log_step[i - 1])
+        terms += grid.log_weight[i - 1]
+        starts = [g * m * (m + 1) // 2 for m in range(i + 1)]
+        for m, first in enumerate(starts):
             if m < i:
-                # the mapped points x_a x_b are symmetric, so mapped[m] reads as [a, b]
-                terms[:g] += grid.log_stretch_weight[m]
-                terms[:g] += mapped[m].reshape(g, g)
-            full = terms[g - start :]
-            full += grid.log_node_weight[:base, None]
-            full += level[:base, None]
-            out[base : base + g] = _log_sum_exp(terms)
-        level = out
-        exponent += factors.powers[i] + 1.0
+                terms[:, first : first + g] += mapped[:, m]
+                first += g
+            if m:
+                terms[:, first : first + m * g] += level[:, : m * g, None]
+        level = _log_sum_exp(terms, starts).reshape(count, (i + 1) * g)
 
-    offsets.append(float(level.max()))
+    offsets.append(_max(level, axis=1, keepdims=True))
     level -= offsets[-1]
     final = level + grid.log_node_weight
-    final += factors.end(grid.t)
-    offsets.append(float(_log_sum_exp(final[:, None])[0]))
-    log_value = math.fsum(offsets)
-    if not math.isfinite(log_value):
-        raise ValueError(f"chain integral not finite (log value {log_value})")
-    try:
-        return math.exp(log_value), log_value
-    except OverflowError:
-        return math.inf, log_value
+    final += factors.end(grid.t)[:, 0]
+    offsets.append(_log_sum_exp(final[:, :, None], [0])[:, 0])
+    return [math.fsum(row) for row in np.concatenate(offsets, axis=1).tolist()]
 
 
-def _log_sum_exp(terms):
-    """Column-wise ``log(sum(exp(terms)))``; overwrites ``terms``."""
-    top = terms.max(axis=0)
-    terms -= top
+def _log_sum_exp(terms, starts):
+    """``log(sum(exp(terms)))`` down axis 1 of a ``(B, rows, cols)`` array,
+    over each run of rows that begins at one of ``starts``; returns ``(B,
+    len(starts), cols)``.  Overwrites ``terms``."""
+    ends = starts[1:] + [terms.shape[1]]
+    top = np.empty((terms.shape[0], len(starts), terms.shape[2]))
+    for k, (a, b) in enumerate(zip(starts, ends)):
+        run = terms[:, a:b]
+        _max(run, axis=1, out=top[:, k])
+        run -= top[:, k, None]
     np.maximum(terms, _EXP_FLOOR, out=terms)
     np.exp(terms, out=terms)
-    out = np.log(terms.sum(axis=0))
+    out = np.empty_like(top)
+    for k, (a, b) in enumerate(zip(starts, ends)):
+        _sum(terms[:, a:b], axis=1, out=out[:, k])  # down the run's rows in order
+    np.log(out, out=out)
     out += top
     return out
 

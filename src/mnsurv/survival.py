@@ -17,6 +17,9 @@
 
 :func:`compare_routes` runs whichever routes apply, collects diagnostics and
 pairwise discrepancies, and never raises on mere inapplicability.
+:func:`compare_batch` does the same for a batch of instances, with one
+batched chain integral per route for each group of rows of one reduced
+``d``; :func:`compare_routes` is its batch of one.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ __all__ = [
     "survival_gaussian",
     "survival_mc",
     "compare_routes",
+    "compare_batch",
 ]
 
 # The exact route refuses instances whose d transition matrices, 8 d (n+1)^2
@@ -154,7 +158,7 @@ def survival_dirichlet(instance: SurvivalInstance, spec: QuadratureSpec | None =
         raise ValueError(
             "Dirichlet route needs all thresholds >= 1; apply reduce_thresholds first"
         )
-    return _integrate(instance, dirichlet_factors(instance), spec)
+    return _integrate([instance], dirichlet_factors([instance]), spec)[0]
 
 
 def survival_gaussian(instance: SurvivalInstance, spec: QuadratureSpec | None = None) -> float:
@@ -168,12 +172,14 @@ def survival_gaussian(instance: SurvivalInstance, spec: QuadratureSpec | None = 
     reason = instance.gaussian_block_reason
     if reason is not None:
         raise ValueError(f"inapplicable (Gaussian route requires J_i >= 1): {reason}")
-    return _integrate(instance, gaussian_factors(instance), spec)
+    return _integrate([instance], gaussian_factors([expansion_context(instance)]), spec)[0]
 
 
-def _integrate(instance, factors, spec):
-    value, _ = integrate_chain(instance.weights, factors, spec)
-    return _clamp_probability(value)
+def _integrate(instances, factors, spec):
+    """The clamped chain integrals of ``factors``, one per instance."""
+    prefix = np.array([instance.weights.prefix for instance in instances])
+    values, _ = integrate_chain(prefix, factors, spec)
+    return [_clamp_probability(value) for value in values.tolist()]
 
 
 def survival_mc(instance: SurvivalInstance, replications: int, seed: int):
@@ -273,7 +279,8 @@ def compare_routes(
 
     Thresholds are reduced internally, so zero entries in ``k`` are
     accepted.  Route inapplicability is recorded in the report rather than
-    raised; only cost-guard violations propagate.
+    raised; only cost-guard violations propagate.  It is
+    :func:`compare_batch` of the one instance.
 
     Parameters
     ----------
@@ -288,6 +295,37 @@ def compare_routes(
         Sample size (``>= MIN_REPLICATIONS``) and RNG seed of the ``"mc"``
         route; both are required when it runs.
     """
+    return compare_batch([instance], spec, routes, tolerance,
+                         replications=replications, seed=seed)[0]
+
+
+def compare_batch(
+    instances,
+    spec: QuadratureSpec | None = None,
+    routes=None,
+    tolerance: float = 1e-8,
+    *,
+    replications: int | None = None,
+    seed: int | None = None,
+) -> list:
+    """:func:`compare_routes` of every instance, as a list in input order.
+
+    ``instances`` is any iterable of instances, consumed once, in order.
+    Row ``r``'s report is bit for bit the report of ``compare_routes`` on
+    its instance alone, except that its Monte Carlo draws with seed ``seed
+    + r``.
+
+    Threshold reduction, the exact route, the expansion context and Monte
+    Carlo run row by row in input order.  The two integral routes run after
+    them, grouped by the reduced ``d``: each group is one batched
+    :func:`mnsurv.quadrature.integrate_chain` call per route, which shares
+    one grid between rows of equal weights (the rows of a sweep).  A
+    failure (a route's cost guard, a Monte Carlo sample below
+    ``MIN_REPLICATIONS``, or an instance that cannot be built while
+    ``instances`` is consumed) raises at its row, so the first failing row
+    in input order decides, and no later row runs.  The chain integrals do
+    not fail: their factors are finite on the grid of every valid instance.
+    """
     spec = spec if spec is not None else QuadratureSpec()
     if routes is None:
         routes = DETERMINISTIC_ROUTES + (("mc",) if replications is not None else ())
@@ -298,60 +336,82 @@ def compare_routes(
     if "mc" in routes and (replications is None or seed is None):
         raise ValueError("mc route needs both replications and a seed")
 
-    if np.all(instance.k >= 1):
-        reduced = instance  # nothing to merge: the instance is already reduced
-    else:
-        rp, rk = reduce_thresholds(instance.p, instance.k)
-        reduced = build_instance(instance.n, rp, rk) if rk.size else None
+    rows = [_Row(idx, instance, routes, replications, seed)
+            for idx, instance in enumerate(instances)]
 
-    exact = dirichlet = gaussian = None
-    gaussian_reason = None
-    dn = gt = None
-
-    if reduced is None or reduced.impossible:
-        # every constraint vacuous (probability 1) or the event impossible (0)
-        value = 1.0 if reduced is None else 0.0
-        exact, dirichlet, gaussian = (
-            value if route in routes else None for route in DETERMINISTIC_ROUTES
-        )
-    else:
-        if "exact" in routes:
-            exact = survival_exact(reduced)
+    groups = {}  # reduced d -> rows whose integrals run, in input order
+    for row in rows:
+        if row.integrate:
+            groups.setdefault(row.reduced.d, []).append(row)
+    for group in groups.values():
         if "dirichlet" in routes:
-            dirichlet = survival_dirichlet(reduced, spec)
-        if reduced.gaussian_block_reason is None:
-            ctx = expansion_context(reduced)
-            if "gaussian" in routes:
-                gaussian = _integrate(reduced, gaussian_factors(ctx), spec)
-            dn, gt = ctx.delta_n, ctx.gamma_tilde
-        elif "gaussian" in routes:
-            gaussian_reason = reduced.gaussian_block_reason
+            reduced = [row.reduced for row in group]
+            for row, value in zip(group, _integrate(reduced, dirichlet_factors(reduced), spec)):
+                row.values["dirichlet"] = value
+        ready = [row for row in group if row.context is not None]
+        if "gaussian" in routes and ready:
+            factors = gaussian_factors([row.context for row in ready])
+            values = _integrate([row.reduced for row in ready], factors, spec)
+            for row, value in zip(ready, values):
+                row.values["gaussian"] = value
+    return [_report(row, spec, tolerance) for row in rows]
 
-    mc = None
-    if "mc" in routes:
-        target = reduced if reduced is not None else instance
-        est, se = survival_mc(target, replications, seed)
-        mc = McResult(est, se, replications, seed)
 
-    values = [v for v in (exact, dirichlet, gaussian) if v is not None]
+class _Row:
+    """Row ``idx`` of a batch: its reduced instance, the values of its exact
+    and Monte Carlo routes, and whether its integral routes are to run."""
+
+    def __init__(self, idx, instance, routes, replications, seed):
+        self.instance = instance
+        self.values = {}  # route -> value
+        self.integrate = False
+        self.context = self.gaussian_reason = self.mc = None
+        if np.all(instance.k >= 1):
+            reduced = instance  # nothing to merge: the instance is already reduced
+        else:
+            rp, rk = reduce_thresholds(instance.p, instance.k)
+            reduced = build_instance(instance.n, rp, rk) if rk.size else None
+        self.reduced = reduced
+
+        if reduced is None or reduced.impossible:
+            # every constraint vacuous (probability 1) or the event impossible (0)
+            value = 1.0 if reduced is None else 0.0
+            self.values = {route: value for route in DETERMINISTIC_ROUTES if route in routes}
+        else:
+            if "exact" in routes:
+                self.values["exact"] = survival_exact(reduced)
+            self.integrate = True
+            if reduced.gaussian_block_reason is None:
+                self.context = expansion_context(reduced)
+            elif "gaussian" in routes:
+                self.gaussian_reason = reduced.gaussian_block_reason
+
+        if "mc" in routes:
+            target = reduced if reduced is not None else instance
+            est, se = survival_mc(target, replications, seed + idx)
+            self.mc = McResult(est, se, replications, seed + idx)
+
+
+def _report(row, spec, tolerance):
+    values = [row.values[r] for r in DETERMINISTIC_ROUTES if r in row.values]
     max_rel = None
     if len(values) >= 2:
         max_rel = max(
             _rel_diff(a, b) for idx, a in enumerate(values) for b in values[idx + 1 :]
         )
-
+    instance, ctx = row.instance, row.context
     return RouteReport(
         n=instance.n,
         d=instance.d,
         p=tuple(float(v) for v in instance.p),
         k=tuple(int(v) for v in instance.k),
-        exact=exact,
-        dirichlet=dirichlet,
-        gaussian=gaussian,
-        gaussian_reason=gaussian_reason,
-        mc=mc,
-        delta_n=dn,
-        gamma_tilde=gt,
+        exact=row.values.get("exact"),
+        dirichlet=row.values.get("dirichlet"),
+        gaussian=row.values.get("gaussian"),
+        gaussian_reason=row.gaussian_reason,
+        mc=row.mc,
+        delta_n=None if ctx is None else ctx.delta_n,
+        gamma_tilde=None if ctx is None else ctx.gamma_tilde,
         max_rel_diff=max_rel,
         nodes=spec.nodes,
         tolerance=tolerance,

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from mnsurv import QuadratureSpec, build_instance, compare_routes, reduce_thresholds, survival
+from mnsurv import QuadratureSpec, build_instance, cli, compare_routes, reduce_thresholds, survival
 from mnsurv.cli import emit_report, report_to_dict, run
 
 
@@ -149,6 +149,32 @@ class TestExitCodes:
         assert run(["compare", "--n", "10", "--p", "0.3", "--k", "3", "--out", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"usage error: cannot write {path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_empty_input_is_a_usage_error(self, tmp_path, monkeypatch, capsys, command, fmt):
+        monkeypatch.setattr(cli, "compare_batch", lambda *args, **kwargs: pytest.fail("ran"))
+        path = tmp_path / "empty.json"
+        path.write_text("[]")
+        assert run([command, "--input", str(path), "--format", fmt]) == 1
+        assert capsys.readouterr().err == f"usage error: {path} holds an empty list\n"
+
+    def test_earliest_failing_row_decides(self, tmp_path, capsys):
+        # rows 1 and 2 are both refused by the exact route's guard
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps([{"n": 10, "p": [0.3], "k": [3]},
+                                    {"n": 30000, "p": [0.5], "k": [1]},
+                                    {"n": 20000, "p": [0.5], "k": [1]}]))
+        assert run(["compare", "--input", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("cost guard: ") and "n = 30000," in err
+
+    def test_sweep_row_that_cannot_be_built_fails_in_its_turn(self, capsys):
+        # row 0 is refused by the exact route before row 1's n is rejected
+        top = 2**63 - 1
+        args = ["sweep", "--n", f"5000:{top}:{top - 5000}", "--p", "0.5", "--k", "1"]
+        assert run(args) == 4
+        assert "n = 5000," in capsys.readouterr().err
 
     def test_cost_guard_exit_code(self, capsys):
         args = ["eval", "--n", "10000", "--p", "0.2,0.3,0.2", "--k", "1800,3000,2000",

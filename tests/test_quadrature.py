@@ -17,6 +17,7 @@ from mnsurv import (
     QuadratureSpec,
     build_instance,
     dirichlet_factors,
+    expansion_context,
     gaussian_factors,
     integrate_chain,
     integrate_region,
@@ -278,9 +279,38 @@ def _zero_end(t):
     return np.zeros(np.shape(t))
 
 
+class _Elementwise:
+    """A factor with no parameter per row: every row is the same function."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __call__(self, *args):
+        return self.fn(*args)
+
+    def rows(self, index):
+        return self
+
+
 def _smooth(steps):
-    """Factors with no log singularity, a zero constant and a zero end."""
-    return ChainFactors(0.0, tuple(steps), _zero_end, (0.0,) * len(steps))
+    """Factors of one row with no log singularity, a zero constant and a zero end."""
+    return ChainFactors(np.zeros(1), tuple(_Elementwise(f) for f in steps),
+                        _Elementwise(_zero_end), np.zeros((1, len(steps))))
+
+
+def _chain(weights, factors, spec=None):
+    """integrate_chain of a batch of one, as two floats."""
+    values, logs = integrate_chain(weights.prefix[None], factors, spec)
+    assert values.shape == logs.shape == (1,)
+    return float(values[0]), float(logs[0])
+
+
+def _dirichlet(inst):
+    return dirichlet_factors([inst])
+
+
+def _gaussian(inst):
+    return gaussian_factors([expansion_context(inst)])
 
 
 class TestIntegrateChain:
@@ -291,7 +321,7 @@ class TestIntegrateChain:
     ], ids=["d1", "d2", "d4"])
     def test_volume(self, p, volume):
         w = make_weights(p)
-        value, log_value = integrate_chain(w, _smooth([_zero_step] * w.d))
+        value, log_value = _chain(w, _smooth([_zero_step] * w.d))
         assert value == pytest.approx(volume, rel=1e-14, abs=0.0)
         assert log_value == pytest.approx(math.log(volume), rel=1e-14, abs=0.0)
 
@@ -300,7 +330,7 @@ class TestIntegrateChain:
         a, b, p1, p2 = 3.0, 7.0, 0.3, 0.7
         w = make_weights([p1, p2 - p1])
         steps = [lambda u, log_u: -a * u, lambda u, log_u: -b * u]
-        value, _ = integrate_chain(w, _smooth(steps))
+        value, _ = _chain(w, _smooth(steps))
         closed = ((1 - math.exp(-a * p1)) / a
                   - math.exp(-b * p2) * (1 - math.exp(-(a - b) * p1)) / (a - b)) / b
         assert value == pytest.approx(closed, rel=1e-14, abs=0.0)
@@ -316,11 +346,11 @@ class TestIntegrateChain:
         inst = build_instance(n, p, k)
         spec = QuadratureSpec(nodes=32)
         for factors, logf in (
-            (dirichlet_factors(inst), lambda s: log_dirichlet_integrand(inst, s)),
-            (gaussian_factors(inst), lambda s: log_gaussian_integrand(inst, s)),
+            (_dirichlet(inst), lambda s: log_dirichlet_integrand(inst, s)),
+            (_gaussian(inst), lambda s: log_gaussian_integrand(inst, s)),
         ):
             tensor, _ = integrate_region(inst.weights, logf, spec)
-            chain, _ = integrate_chain(inst.weights, factors)
+            chain, _ = _chain(inst.weights, factors)
             assert chain == pytest.approx(tensor, rel=1e-13, abs=0.0)
 
     def test_matches_tensor_rule_on_random_small_instances(self):
@@ -333,7 +363,7 @@ class TestIntegrateChain:
                 continue
             tensor, _ = integrate_region(
                 inst.weights, lambda s: log_dirichlet_integrand(inst, s), spec)
-            chain, _ = integrate_chain(inst.weights, dirichlet_factors(inst))
+            chain, _ = _chain(inst.weights, _dirichlet(inst))
             assert chain == pytest.approx(tensor, rel=1e-13, abs=0.0)
             checked += 1
 
@@ -348,45 +378,53 @@ class TestIntegrateChain:
         ]
         for n, p, k, points in cases:
             inst = build_instance(n, p, k)
-            factors = gaussian_factors(inst)
+            factors = _gaussian(inst)
             seen = []
 
-            def counted(f):
-                return lambda *args: seen.append(np.size(args[0])) or f(*args)
+            class Counted:
+                def __init__(self, f):
+                    self.f = f
+
+                def __call__(self, *args):
+                    seen.append(np.size(args[0]))
+                    return self.f(*args)
+
+                def rows(self, index):
+                    return Counted(self.f.rows(index))
 
             counted_factors = factors._replace(
-                steps=tuple(counted(f) for f in factors.steps), end=counted(factors.end))
-            value, _ = integrate_chain(inst.weights, counted_factors, QuadratureSpec(nodes=64))
+                steps=tuple(Counted(f) for f in factors.steps), end=Counted(factors.end))
+            value, _ = _chain(inst.weights, counted_factors, QuadratureSpec(nodes=64))
             assert 0.0 < value < 1.0
             assert sum(seen) == points
 
     def test_shift_invariance(self):
         inst = build_instance(300, [0.3, 0.3], [80, 100])
-        f = dirichlet_factors(inst)
-        _, base = integrate_chain(inst.weights, f)
+        f = _dirichlet(inst)
+        _, base = _chain(inst.weights, f)
         for c in (-800.0, -3.5, 2.0, 700.0, 800.0):
-            value, alt = integrate_chain(inst.weights, f._replace(constant=f.constant + c))
+            value, alt = _chain(inst.weights, f._replace(constant=f.constant + c))
             assert abs(alt - (base + c)) <= 1e-14 * (abs(base) + abs(c))
             # past e^709 the integral overflows, and its log does not
             assert math.isfinite(value) == (c < 800.0)
 
     def test_nodes_below_the_floor_use_the_floor(self):
         inst = build_instance(40, [0.3, 0.25], [10, 8])
-        f = dirichlet_factors(inst)
+        f = _dirichlet(inst)
         floor = QuadratureSpec(nodes=quadrature.MIN_PANEL_NODES)
-        at_floor = integrate_chain(inst.weights, f, floor)
-        assert integrate_chain(inst.weights, f, QuadratureSpec(nodes=2)) == at_floor
-        assert integrate_chain(inst.weights, f, QuadratureSpec(nodes=33)) != at_floor
+        at_floor = _chain(inst.weights, f, floor)
+        assert _chain(inst.weights, f, QuadratureSpec(nodes=2)) == at_floor
+        assert _chain(inst.weights, f, QuadratureSpec(nodes=33)) != at_floor
 
     def test_rejects_wrong_number_of_steps(self):
         w = make_weights([0.3, 0.3])
         with pytest.raises(ValueError, match="step factors"):
-            integrate_chain(w, _smooth([_zero_step]))
+            _chain(w, _smooth([_zero_step]))
 
     def test_rejects_nonfinite_factor(self):
         w = make_weights([0.3, 0.3])
         with pytest.raises(ValueError, match="not finite"):
-            integrate_chain(w, _smooth([_zero_step,
+            _chain(w, _smooth([_zero_step,
                                         lambda u, log_u: np.full(np.shape(u), np.nan)]))
 
 
@@ -433,9 +471,9 @@ class TestCallers:
         inst = build_instance(60, [0.3, 0.2, 0.25], [15, 10, 12])
         spec = QuadratureSpec(nodes=48)
         logf = lambda s: log_dirichlet_integrand(inst, s)
-        factors = dirichlet_factors(inst)
+        factors = _dirichlet(inst)
         both = lambda: (integrate_region(inst.weights, logf, spec),
-                        integrate_chain(inst.weights, factors, spec))
+                        _chain(inst.weights, factors, spec))
         expected = both()
         results = []
         interval = sys.getswitchinterval()

@@ -1,24 +1,29 @@
+import dataclasses
 import importlib.util
 import itertools
 import math
 import pathlib
 import time
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mnsurv import (
     CostGuardError,
     QuadratureSpec,
     build_instance,
+    compare_batch,
     compare_routes,
     survival_dirichlet,
     survival_exact,
     survival_gaussian,
     survival_mc,
 )
-from mnsurv import expansions, survival
+from mnsurv import expansions, quadrature, survival
 from mnsurv.checks import random_instance, random_weights
 
 
@@ -366,10 +371,10 @@ class TestCompareRoutes:
         calls = []
         original = expansions.delta_n
         for module in (expansions, survival):
-            monkeypatch.setattr(module, "delta_n", lambda inst: calls.append(inst) or original(inst))
+            monkeypatch.setattr(module, "delta_n", lambda ctx: calls.append(ctx) or original(ctx))
         report = compare_routes(build_instance(12, [0.3, 0.3], [3, 4]), QuadratureSpec(nodes=8))
         assert report.gaussian is not None and len(calls) == 1
-        assert report.delta_n == original(build_instance(12, [0.3, 0.3], [3, 4]))
+        assert report.delta_n == expansions.expansion_context(build_instance(12, [0.3, 0.3], [3, 4])).delta_n
 
     @pytest.mark.parametrize("routes", [None, ["exact", "dirichlet"]])
     def test_one_gamma_tilde_per_gaussian_instance(self, monkeypatch, routes):
@@ -382,7 +387,7 @@ class TestCompareRoutes:
         assert len(calls) == 1
         assert (report.gaussian is None) == (routes is not None)
         assert report.gamma_tilde == original(inst)
-        assert report.delta_n == expansions.delta_n(inst)
+        assert report.delta_n == expansions.expansion_context(inst).delta_n
 
     def test_reduced_instance_is_built_only_when_cells_merge(self, monkeypatch):
         calls = []
@@ -417,6 +422,98 @@ FROZEN_VALUES = [
     (40, [0.12, 0.1, 0.15, 0.12, 0.1, 0.14], [4, 3, 5, 4, 3, 5], 6, "0x1.357e9986c6955p-1",
      "0x1.357e9986c694ap-1"),
 ]
+
+
+def _report_bits(report):
+    """A report with every float written as its hex digits."""
+    def bits(value):
+        if isinstance(value, float):
+            return value.hex()
+        if isinstance(value, tuple):
+            return tuple(bits(v) for v in value)
+        return value
+    return tuple(bits(getattr(report, f.name)) for f in dataclasses.fields(report))
+
+
+# weights every row of one d may share
+_SHARED_P = {d: np.round(random_weights(np.random.default_rng(d), d), 4) for d in range(1, 7)}
+
+
+@st.composite
+def _batch_rows(draw):
+    """A row: d = 1..6, shared or own weights, and thresholds near the mean,
+    with J_i = 0 cells, with zeros that merge cells, or in the far tail."""
+    d = draw(st.integers(1, 6))
+    n = draw(st.integers(d + 1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    p = _SHARED_P[d] if draw(st.booleans()) else np.round(random_weights(rng, d), 4)
+    kind = draw(st.sampled_from(["mean", "unit", "zero", "tail"]))
+    k = np.maximum(1, np.round(0.9 * n * p)).astype(int)
+    if kind == "unit":
+        k[rng.random(d) < 0.5] = 1  # J_i = 0
+    elif kind == "zero":
+        k[rng.random(d) < 0.5] = 0
+    elif kind == "tail":
+        k = np.round(1.6 * n * p).astype(int) + 1
+    return build_instance(n, p, k.tolist())
+
+
+class TestCompareBatch:
+    """Each row of a batch is bit for bit its own batch of one."""
+
+    @pytest.mark.parametrize("budget", [quadrature._CHUNK_ELEMENTS, 1], ids=["chunks", "row-chunks"])
+    @given(rows=st.lists(_batch_rows(), min_size=1, max_size=8),
+           nodes=st.sampled_from([16, quadrature.MIN_PANEL_NODES, 40]))
+    @settings(max_examples=25, deadline=None)
+    def test_rows_match_their_batch_of_one(self, budget, rows, nodes):
+        spec = QuadratureSpec(nodes=nodes)
+        with mock.patch.object(quadrature, "_CHUNK_ELEMENTS", budget):
+            reports = compare_batch(rows, spec, replications=1000, seed=9)
+            assert len(reports) == len(rows)
+            for idx, (inst, report) in enumerate(zip(rows, reports)):
+                alone = compare_routes(inst, spec, replications=1000, seed=9 + idx)
+                assert _report_bits(report) == _report_bits(alone)
+
+    def test_empty_batch(self):
+        assert compare_batch([]) == []
+
+    def test_one_chain_call_per_route_and_dimension(self, monkeypatch):
+        calls = []
+        original = survival.integrate_chain
+        monkeypatch.setattr(survival, "integrate_chain",
+                            lambda prefix, *args: calls.append(len(prefix)) or original(prefix, *args))
+        rows = [build_instance(20, [0.3], [5]), build_instance(20, [0.3, 0.3], [5, 5]),
+                build_instance(24, [0.25], [6]), build_instance(20, [0.3, 0.3], [1, 5]),
+                build_instance(20, [0.3, 0.3, 0.2], [0, 5, 0])]  # reduces to d = 1
+        compare_batch(rows, QuadratureSpec(nodes=32))
+        # d = 1: three rows, both routes; d = 2: two rows, one Gaussian-ready
+        assert sorted(calls) == [1, 2, 3, 3]
+
+    def test_rows_of_one_weight_vector_share_one_grid(self, monkeypatch):
+        built = []
+        original = quadrature._chain_grid
+        monkeypatch.setattr(quadrature, "_chain_grid",
+                            lambda prefix, g: built.append(prefix.shape) or original(prefix, g))
+        quadrature._shared_chain_grid.cache_clear()
+        p = [0.3, 0.25, 0.2]
+        rows = [build_instance(n, p, [a, 4, 3]) for n in (20, 30) for a in range(2, 30)]
+        compare_batch(rows, QuadratureSpec(nodes=32))
+        assert built == [(1, 3)]  # one grid, built once for both routes
+
+    def test_earliest_failing_row_raises(self):
+        ok = build_instance(10, [0.3], [3])
+        first = build_instance(3_000_000, [0.5], [1])  # exact route refused
+        later = build_instance(20_000, [0.5], [1])
+        with pytest.raises(CostGuardError, match="n = 3000000"):
+            compare_batch([ok, first, later])
+
+    def test_instances_are_consumed_in_order(self):
+        def rows():
+            yield build_instance(5000, [0.5], [1])  # 8 (n+1)^2 bytes exceed the guard
+            raise ValueError("a later row")
+
+        with pytest.raises(CostGuardError):
+            compare_batch(rows(), routes=["exact"])
 
 
 class TestFrozenValues:
