@@ -317,7 +317,7 @@ def _run_eval(args, routes):
     # instance idx of a batch draws with seed + idx
     reports = compare_batch(instances, spec, routes, args.tolerance,
                             replications=args.mc_reps, seed=args.seed)
-    _write(args, emit_reports(reports, args.format, single=len(reports) == 1))
+    _write(args, emit_reports(reports, args.format, single=args.input is None))
     return 0
 
 

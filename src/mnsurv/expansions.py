@@ -15,8 +15,8 @@ times an exact exponential tilt:
   Laplace-type decomposition;
 * ``dirichlet_factors`` / ``gaussian_factors``: the two integrands, each
   defined once as a :class:`mnsurv.quadrature.ChainFactors`, a constant plus
-  one log factor per spacing ``s_i = T_i - T_{i-1}`` of the cumulated
-  coordinates and one of ``T_d``, which is the form
+  one log factor per cell: the spacings ``s_i = T_i - T_{i-1}`` of the
+  cumulated coordinates and the last cell's ``1 - T_d``, which is the form
   :func:`mnsurv.quadrature.integrate_chain` integrates;
 * ``log_dirichlet_integrand`` / ``log_gaussian_integrand``: the sums of
   those factors at points, equal pointwise on the interior of the region.
@@ -29,7 +29,7 @@ coordinates).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -145,13 +145,9 @@ class ExpansionContext:
 
 def expansion_context(instance: SurvivalInstance) -> ExpansionContext:
     """The context of a Gaussian-ready instance (every ``J_i >= 1``)."""
-    ctx = ExpansionContext(
-        instance=instance,
-        capital_lambda=capital_lambda(instance),
-        gamma_tilde=gamma_tilde(instance),
-        delta_n=math.nan,
-    )
-    return replace(ctx, delta_n=delta_n(ctx))
+    lam = capital_lambda(instance)
+    tilt = gamma_tilde(instance)
+    return ExpansionContext(instance, lam, tilt, _delta_n(instance, lam, tilt))
 
 
 def capital_lambda(instance: SurvivalInstance) -> float:
@@ -231,21 +227,23 @@ def quadratic_cancellation_residual(instance: SurvivalInstance) -> float:
     return 0.5 * double_sum - 0.5 * quad_form(instance.weights, e)
 
 
-def delta_n(ctx: ExpansionContext) -> float:
+def delta_n(instance: SurvivalInstance) -> float:
     """Total log-prefactor correction of the Gaussian representation.
 
     ``ln((N+d)!/(N! N^d)) + capital_lambda - sum_i ln(1+eps_i)/2 -
-    N*gamma_tilde`` of ``ctx.instance``, from the context's stored
-    ``capital_lambda`` and ``gamma_tilde``; the factorial ratio is
-    accumulated as ``sum_{i<=d} ln(1 + i/N)`` so no large factorials are
-    ever formed.  :func:`expansion_context` calls it, and its ``delta_n``
-    field holds the result.
+    N*gamma_tilde``; the factorial ratio is accumulated as ``sum_{i<=d}
+    ln(1 + i/N)`` so no large factorials are ever formed.  The ``delta_n``
+    field of :func:`expansion_context` holds the same value.
     """
-    instance = ctx.instance
+    return _delta_n(instance, capital_lambda(instance), gamma_tilde(instance))
+
+
+def _delta_n(instance, lam, tilt):
+    """:func:`delta_n` from the instance's ``capital_lambda`` and ``gamma_tilde``."""
     N = instance.N
     ratio = math.fsum(math.log1p(i / N) for i in range(1, instance.d + 1))
     half_logs = 0.5 * float(np.sum(np.log1p(instance.eps)))
-    return ratio + ctx.capital_lambda - half_logs - N * ctx.gamma_tilde
+    return ratio + lam - half_logs - N * tilt
 
 
 def gamma_star(instance: SurvivalInstance, s) -> float | np.ndarray:
@@ -261,7 +259,7 @@ def gamma_star(instance: SurvivalInstance, s) -> float | np.ndarray:
     _require_n_positive(instance)
     tilts = [cell.tilt for cell in _gaussian_cells([instance])]
     free, total = _cumulated(instance, s, require_interior=True)
-    return _factor_sum(0.0, tilts[:-1], _AtEnd(tilts[-1]), free, total) / instance.N
+    return _factor_sum(0.0, tilts, free, total) / instance.N
 
 
 def entropy_lhs(instance: SurvivalInstance, s) -> float | np.ndarray:
@@ -282,9 +280,9 @@ def h_value(instance: SurvivalInstance, s) -> float | np.ndarray:
     """Concave exponent ``H(s) = sum_{i<=d+1} (J_i/N) ln(s_i)``: the
     Dirichlet factors without their constant, divided by ``N``."""
     _require_n_positive(instance)
-    steps, end = _dirichlet_cells(instance.J[None].astype(float))
+    cells = _dirichlet_cells(instance.J[None].astype(float))
     free, total = _cumulated(instance, s, require_interior=True)
-    return _factor_sum(0.0, steps, end, free, total) / instance.N
+    return _factor_sum(0.0, cells, free, total) / instance.N
 
 
 def h_grad(instance: SurvivalInstance, s) -> np.ndarray:
@@ -318,27 +316,25 @@ def dirichlet_factors(instances) -> ChainFactors:
     """The Dirichlet-type integrands of same-``d`` instances as factors, one
     row per instance.
 
-    ``steps[i](u) = J_i ln u`` for ``i <= d``, ``end(T) = J_{d+1} ln(1 - T)``
+    The cell factors ``J_i ln s_i``, the last one ``J_{d+1} ln(1 - T_d)``,
     and the constant ``ln((N+d)!) - sum_i ln(J_i!)`` over all d+1 cells.  A
     factor with ``J_i = 0`` is exactly 0, even where its argument is 0.
     """
     gaps = [instance.J.tolist() for instance in instances]
     J = np.array(gaps, dtype=float)
-    steps, end = _dirichlet_cells(J)
     constant = np.array([
         _log_multinomial_constant(instance.N + instance.d, tuple(j))
         for instance, j in zip(instances, gaps)
     ])
-    return ChainFactors(constant, steps, end, J[:, :-1])
+    return ChainFactors(constant, _dirichlet_cells(J), J[:, :-1])
 
 
 def _dirichlet_cells(J):
-    """The cells of the ``(B, d+1)`` gaps ``J``: d steps and the end."""
-    cells = [
+    """The d+1 cell factors of the ``(B, d+1)`` gaps ``J``."""
+    return tuple(
         _PowerCell(j, np.flatnonzero(j == 0.0) if has_zero else None)
         for j, has_zero in zip(J.T[:, :, None, None], (J == 0.0).any(axis=0).tolist())
-    ]
-    return tuple(cells[:-1]), _AtEnd(cells[-1])
+    )
 
 
 class _PowerCell(NamedTuple):
@@ -359,19 +355,6 @@ class _PowerCell(NamedTuple):
         j = self.j[index]
         zero = np.flatnonzero(j[:, 0, 0] == 0.0)
         return _PowerCell(j, zero if zero.size else None)
-
-
-class _AtEnd:
-    """The last cell's factor, whose mass is ``1 - T_d``, as a function of ``T_d``."""
-
-    def __init__(self, cell):
-        self.cell = cell
-
-    def __call__(self, t):
-        return self.cell(t, np.log(1.0 - t))
-
-    def rows(self, index):
-        return _AtEnd(self.cell.rows(index))
 
 
 # Up to this total the Dirichlet constant is the log of an exact integer.
@@ -400,8 +383,8 @@ def gaussian_factors(contexts) -> ChainFactors:
     ``delta_n + (d/2) ln N + N gamma_star(s) + ln phi(sqrt(N) (p - s + et))``
     splits by cell: ``Sigma^-1 = diag(1/p) + 11^T/p_{d+1}``, and the free
     ``x_i = s_i - p_i`` sum to ``X = T_d - P_d``.  So both ``N gamma_star``
-    and the normal log-density are a sum of terms in one ``s_i`` each plus
-    terms in ``T_d`` alone (see :class:`_GaussianCell`), and the constant is
+    and the normal log-density are a sum of terms in one cell each, the
+    last in ``T_d`` (see :class:`_GaussianCell`), and the constant is
     ``delta_n + (d/2) ln N - (d ln(2 pi) + ln det Sigma)/2``, with the
     context's ``delta_n``.  Requires ``J_i >= 1`` for every cell.
     """
@@ -413,7 +396,7 @@ def gaussian_factors(contexts) -> ChainFactors:
         for ctx, inst in zip(contexts, instances)
     ])
     powers = np.concatenate([cell.j[:, :, 0] for cell in cells[:-1]], axis=1)
-    return ChainFactors(constant, tuple(cells[:-1]), _AtEnd(cells[-1]), powers)
+    return ChainFactors(constant, tuple(cells), powers)
 
 
 def _gaussian_cells(instances):
@@ -490,7 +473,7 @@ def log_dirichlet_integrand(instance: SurvivalInstance, s) -> float | np.ndarray
     """
     f = dirichlet_factors([instance])
     free, total = _cumulated(instance, s, require_interior=False)
-    return _factor_sum(f.constant, f.steps, f.end, free, total)
+    return _factor_sum(f.constant, f.steps, free, total)
 
 
 def log_gaussian_integrand(instance: SurvivalInstance, s) -> float | np.ndarray:
@@ -504,7 +487,7 @@ def log_gaussian_integrand(instance: SurvivalInstance, s) -> float | np.ndarray:
     """
     f = gaussian_factors([expansion_context(instance)])
     free, total = _cumulated(instance, s, require_interior=True)
-    return _factor_sum(f.constant, f.steps, f.end, free, total)
+    return _factor_sum(f.constant, f.steps, free, total)
 
 
 def _cumulated(instance, s, require_interior):
@@ -525,9 +508,10 @@ def _cumulated(instance, s, require_interior):
     return s, total
 
 
-def _factor_sum(constant, steps, end, s, total):
-    """``constant + sum_i steps[i](s_i, ln s_i) + end(T_d)``, cell by cell in
-    order, for factors of one row.
+def _factor_sum(constant, cells, s, total):
+    """``constant + sum_{i < d} cells[i](s_{i+1}, ln s_{i+1}) + cells[d](T_d,
+    ln(1 - T_d))``, cell by cell in order, for the d+1 cell factors of one
+    row.
 
     The points are given two leading axes of length 1, the row and block
     axes of the factors' arrays, and lose them again at the end.
@@ -536,10 +520,10 @@ def _factor_sum(constant, steps, end, s, total):
     s, total = s[None, None], total[None, None]
     # a zero power meets ln 0 = -inf: the product is nan until set to 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = steps[0](s[..., 0], np.log(s[..., 0]))
-        for i in range(1, len(steps)):
-            out += steps[i](s[..., i], np.log(s[..., i]))
-        out += end(total)
+        out = cells[0](s[..., 0], np.log(s[..., 0]))
+        for i in range(1, len(cells) - 1):
+            out += cells[i](s[..., i], np.log(s[..., i]))
+        out += cells[-1](total, np.log(1.0 - total))
     out += constant
     out = out.reshape(shape)
     return out if out.ndim else float(out)

@@ -5,13 +5,14 @@ Two integrators share the Gauss-Legendre rule of :func:`legendre_rule`.
 * :func:`integrate_chain` is the one the survival routes use.  In the
   cumulated coordinates ``T_i = s_1 + ... + s_i`` the region is ``0 < T_1 <
   ... < T_d`` with ``T_i <= P_i`` (the weight prefix sums), and an
-  integrand that is a sum of per-step log factors ``phi_i(T_i - T_{i-1})``
-  plus an end term ``psi(T_d)``, a :class:`ChainFactors`, makes the
-  ``d``-fold integral a ``d``-step forward recursion of an integral
-  operator.  The recursion is discretised by a Nystrom rule on panels split
-  at the prefix sums, in log space; each target's sum runs over its own
-  terms only, at a cost polynomial in the nodes per panel.  It integrates
-  a batch of same-``d`` integrands, one per row, in one recursion.
+  integrand that is a sum of one log factor per cell, ``phi_i(T_i -
+  T_{i-1})`` for ``i <= d`` and ``phi_{d+1}(1 - T_d)``, a
+  :class:`ChainFactors`, makes the ``d``-fold integral a ``d``-step
+  forward recursion of an integral operator.  The recursion is
+  discretised by a Nystrom rule on panels split at the prefix sums, in log
+  space; each target's sum runs over its own terms only, at a cost
+  polynomial in the nodes per panel.  It integrates a batch of same-``d``
+  integrands, one per row, in one recursion.
 * :func:`integrate_region` is the iterated (tensor-product) rule with
   variable upper limits ``U_i = P_i - (s_1 + ... + s_{i-1})``, for any
   log-integrand at ``G^d`` evaluations.  It is a short serial reference
@@ -22,9 +23,10 @@ Two integrators share the Gauss-Legendre rule of :func:`legendre_rule`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,14 +79,16 @@ class QuadratureSpec:
     panel, of which at least ``MIN_PANEL_NODES`` are used; its cost grows as
     ``d^3 nodes^2``.  For :func:`integrate_region` it is the number per
     axis, exactly, at a cost of ``nodes**d`` evaluations held in memory at
-    once.
+    once.  ``nodes`` is kept as a Python ``int``; a float is refused.
     """
 
     nodes: int = 64
 
     def __post_init__(self):
-        if not MIN_NODES <= self.nodes <= MAX_NODES:
-            raise ValueError(f"nodes must be in [{MIN_NODES}, {MAX_NODES}], got {self.nodes}")
+        nodes = operator.index(self.nodes)
+        if not MIN_NODES <= nodes <= MAX_NODES:
+            raise ValueError(f"nodes must be in [{MIN_NODES}, {MAX_NODES}], got {nodes}")
+        object.__setattr__(self, "nodes", nodes)
 
 
 @lru_cache(maxsize=None)
@@ -166,12 +170,13 @@ def mapped_interpolation(nodes: int) -> np.ndarray:
 
 class ChainFactors(NamedTuple):
     """A batch of ``B`` log-integrands in the cumulated coordinates ``T_i =
-    s_1 + ... + s_i``, one per row.
+    s_1 + ... + s_i``, one per row, with one factor per cell.
 
-    Row ``r`` is ``constant[r] + sum_i steps[i](s_i, ln s_i)[r] + end(T_d)[r]``,
-    the form :func:`integrate_chain` integrates.  As its spacing ``u`` goes
-    to 0, ``steps[i]`` of row ``r`` behaves as ``powers[r, i] * ln u`` plus a
-    smooth function (a power of 0 is a smooth factor).
+    Row ``r`` is ``constant[r] + sum_{i < d} steps[i](s_{i+1}, ln s_{i+1})[r]
+    + steps[d](T_d, ln(1 - T_d))[r]``, the form :func:`integrate_chain`
+    integrates: the last cell's mass is ``s_{d+1} = 1 - T_d``.  As its
+    spacing ``u`` goes to 0, ``steps[i]`` of row ``r``, ``i < d``, behaves as
+    ``powers[r, i] * ln u`` plus a smooth function (a power of 0 is smooth).
 
     The factors are elementwise: called with arrays of shape ``(B, rows,
     cols)``, or ``(1, rows, cols)`` for points every row shares, they return
@@ -180,8 +185,7 @@ class ChainFactors(NamedTuple):
     """
 
     constant: np.ndarray  # (B,)
-    steps: tuple          # d factors of (u, log_u)
-    end: Callable         # factor of T_d
+    steps: tuple          # d+1 cell factors of (coordinate, log of the cell's mass)
     powers: np.ndarray    # (B, d)
 
     def rows(self, index) -> "ChainFactors":
@@ -189,7 +193,6 @@ class ChainFactors(NamedTuple):
         return ChainFactors(
             self.constant[index],
             tuple(step.rows(index) for step in self.steps),
-            self.end.rows(index),
             self.powers[index],
         )
 
@@ -204,9 +207,10 @@ class _ChainGrid(NamedTuple):
     panel ``m <= i``, at row ``G m (m+1) / 2``: column ``b`` of block ``m``
     holds the terms of the target ``t[m, b]``, first the ``G`` points of the
     panel's own rule mapped to ``[P_{m-1}, t[m, b]]`` (none in the newest
-    panel ``m = i``), then every node of the full panels ``0..m-1``;
-    ``log_weight[i-1]`` holds their log rule weights.  Sums run down the
-    columns, which numpy reduces faster than rows.
+    panel ``m = i``), then every node of the full panels ``0..m-1``.  Their
+    log rule weights are stored once: ``log_stretch_weight[:, m]`` for the
+    mapped points of panel ``m``, ``log_node_weight`` for the nodes.  Sums
+    run down the columns, which numpy reduces faster than rows.
     """
 
     t: np.ndarray                   # (R, 1, d*G) nodes
@@ -214,7 +218,7 @@ class _ChainGrid(NamedTuple):
     log_node_weight: np.ndarray     # (R, d*G) log of the rule weight of each node
     step: tuple                     # d-1 arrays, (R, i (i+3) G / 2, G) for level i + 1
     log_step: tuple                 # the same shapes
-    log_weight: tuple               # the same shapes: the log rule weight of each term
+    log_stretch_weight: np.ndarray  # (R, d-1, G, G) log weights of the mapped points
     log_mapped: np.ndarray          # (R, G*G) log of the mapped points of panel 0
 
 
@@ -238,25 +242,21 @@ def _chain_grid(prefix: np.ndarray, g: int) -> _ChainGrid:
         full.append(gap.reshape(rows, m * g, 1) + scaled[:, m, None, :])
     log_node_weight = np.log(width[:, :, None] * w).reshape(rows, d * g)
     log_stretch_weight = np.log(w)[:, None] + np.log(scaled[:, : d - 1])[:, :, None, :]
-    step, log_weight = [], []
+    step = []
     for i in range(1, d):
-        blocks, weights = [], []
+        blocks = []
         for m in range(i + 1):
-            full_weight = np.broadcast_to(log_node_weight[:, : m * g, None], full[m].shape)
             if m < i:
                 blocks.append(stretch[:, m])
-                weights.append(log_stretch_weight[:, m])
             blocks.append(full[m])
-            weights.append(full_weight)
         step.append(np.concatenate(blocks, axis=1))
-        log_weight.append(np.concatenate(weights, axis=1))
     grid = _ChainGrid(
         t=t,
         log_t=np.log(t),
         log_node_weight=log_node_weight,
         step=tuple(step),
         log_step=tuple(np.log(s) for s in step),
-        log_weight=tuple(log_weight),
+        log_stretch_weight=log_stretch_weight,
         log_mapped=np.log(scaled[:, 0, :, None] * x).reshape(rows, g * g),
     )
     for value in grid:
@@ -286,9 +286,9 @@ def _chunk_rows(d: int, g: int) -> int:
 
 
 def integrate_chain(prefix, factors: ChainFactors, spec=None):
-    """Integrals of ``exp(constant + sum_i steps[i](T_i - T_{i-1}) + end(T_d))``
-    over ``0 < T_1 < ... < T_d``, ``T_i <= P_i`` (so ``T_0 = 0``), one per
-    row of a batch.
+    """Integrals of ``exp(constant + sum_{i < d} steps[i](T_{i+1} - T_i) +
+    steps[d](T_d))`` over ``0 < T_1 < ... < T_d``, ``T_i <= P_i`` (so ``T_0
+    = 0``), one per row of a batch.
 
     Parameters
     ----------
@@ -296,10 +296,10 @@ def integrate_chain(prefix, factors: ChainFactors, spec=None):
         Row ``r`` holds the prefix sums ``P_i`` that bound row ``r``'s
         region (``ProbabilityWeights.prefix``).
     factors : ChainFactors
-        The ``B`` log-integrands: ``constant``, ``d`` step factors
-        ``steps[i](u, log_u)`` of the spacings ``u > 0`` (with ``log_u = ln
-        u``), the end factor ``end(T)`` of ``T_d``, and the ``powers`` of the
-        steps' log singularities at ``u = 0``.
+        The ``B`` log-integrands: a ``(B,)`` ``constant``, ``d+1`` cell
+        factors, ``steps[i](u, ln u)`` of the spacings ``u > 0`` for ``i <
+        d`` and ``steps[d](T, ln(1 - T))`` of ``T_d``, and the ``(B, d)``
+        ``powers`` of the spacings' log singularities at ``u = 0``.
     spec : QuadratureSpec, optional
         Nodes per panel; ``max(spec.nodes, MIN_PANEL_NODES)`` are used.
         Defaults to 64.
@@ -314,7 +314,9 @@ def integrate_chain(prefix, factors: ChainFactors, spec=None):
     Raises
     ------
     ValueError
-        If a log is not finite; the message gives the first such row's.
+        If ``factors`` does not hold ``d+1`` cell factors, a ``(B,)``
+        constant and ``(B, d)`` powers for the ``B`` rows of ``prefix``, or
+        if a log is not finite; the message gives the first such row's.
 
     Notes
     -----
@@ -347,8 +349,10 @@ def integrate_chain(prefix, factors: ChainFactors, spec=None):
     spec = spec if spec is not None else QuadratureSpec()
     prefix = np.asarray(prefix, dtype=float)
     count, d = prefix.shape
-    if len(factors.steps) != d:
-        raise ValueError(f"need {d} step factors, got {len(factors.steps)}")
+    if len(factors.steps) != d + 1:
+        raise ValueError(f"need {d + 1} step factors, one per cell, got {len(factors.steps)}")
+    if np.shape(factors.constant) != (count,) or np.shape(factors.powers) != (count, d):
+        raise ValueError(f"factors do not match the {count} prefix rows of d = {d}")
     g = max(spec.nodes, MIN_PANEL_NODES)
     size = _chunk_rows(d, g)
     log_values = []
@@ -406,20 +410,24 @@ def _chain_logs(grid: _ChainGrid, factors: ChainFactors, g: int) -> list:
         # the mapped points x_a x_b are symmetric, so mapped[:, m] reads as [a, b]
         mapped = mapped.reshape(count, i, g, g)
         terms = steps[i](grid.step[i - 1], grid.log_step[i - 1])
-        terms += grid.log_weight[i - 1]
         starts = [g * m * (m + 1) // 2 for m in range(i + 1)]
         for m, first in enumerate(starts):
+            # (factor + weight) + log F_{i-1}: the pinned outputs rest on this order
             if m < i:
-                terms[:, first : first + g] += mapped[:, m]
+                block = terms[:, first : first + g]
+                block += grid.log_stretch_weight[:, m]
+                block += mapped[:, m]
                 first += g
             if m:
-                terms[:, first : first + m * g] += level[:, : m * g, None]
+                block = terms[:, first : first + m * g]
+                block += grid.log_node_weight[:, : m * g, None]
+                block += level[:, : m * g, None]
         level = _log_sum_exp(terms, starts).reshape(count, (i + 1) * g)
 
     offsets.append(_max(level, axis=1, keepdims=True))
     level -= offsets[-1]
     final = level + grid.log_node_weight
-    final += factors.end(grid.t)[:, 0]
+    final += steps[d](grid.t, np.log(1.0 - grid.t))[:, 0]
     offsets.append(_log_sum_exp(final[:, :, None], [0])[:, 0])
     return [math.fsum(row) for row in np.concatenate(offsets, axis=1).tolist()]
 

@@ -34,6 +34,10 @@ class TestEmit:
         assert parsed["instance"] == {"n": 10, "d": 2, "p": [0.3, 0.3], "k": [2, 3]}
         assert parsed["params"] == {"nodes": 32, "tolerance": 1e-8}
 
+    def test_numpy_integer_nodes_serialise(self):
+        report = compare_routes(build_instance(10, [0.3], [3]), QuadratureSpec(nodes=np.int64(40)))
+        assert json.loads(emit_report(report, "json"))["params"]["nodes"] == 40
+
     def test_inapplicable_gaussian_marker(self):
         report = compare_routes(build_instance(10, [0.3, 0.3], [1, 3]))
         parsed = json.loads(emit_report(report, "json"))
@@ -349,6 +353,12 @@ class TestSubcommands:
         parsed = json.loads(payload)
         assert len(parsed) == 2
         assert parsed[1]["instance"]["n"] == 12
+        # a one-record file is still a batch: a list of one report
+        batch.write_text(json.dumps([{"n": 10, "p": [0.3], "k": [3]}]))
+        code, payload = run_to_file(tmp_path, ["eval", "--input", str(batch)])
+        assert code == 0
+        parsed = json.loads(payload)
+        assert isinstance(parsed, list) and parsed[0]["instance"]["n"] == 10
 
     def test_check_passes(self, capsys):
         assert run(["check", "--tol", "1e-8", "--seed", "42"]) == 0

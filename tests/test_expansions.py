@@ -166,7 +166,9 @@ class TestQuadraticCancellation:
 
 class TestDeltaN:
     def test_example_value(self):
-        assert delta_n(expansion_context(example_instance())) == pytest.approx(0.24861698308550365, abs=1e-13)
+        inst = example_instance()
+        assert delta_n(inst) == pytest.approx(0.24861698308550365, abs=1e-13)
+        assert delta_n(inst) == expansion_context(inst).delta_n
 
     def test_vanishes_for_large_samples(self):
         values = []
@@ -174,15 +176,14 @@ class TestDeltaN:
             p = 0.3
             k = round(N * p) + 1
             inst = build_instance(N + 1, [p], [k])
-            values.append(abs(delta_n(expansion_context(inst))))
+            values.append(abs(delta_n(inst)))
         assert values[0] > values[1] > values[2]
         assert values[2] < 1e-3
 
     def test_block_permutation_invariance(self):
         a = build_instance(20, [0.2, 0.3], [3, 5])
         b = build_instance(20, [0.3, 0.2], [5, 3])
-        assert delta_n(expansion_context(a)) == pytest.approx(
-            delta_n(expansion_context(b)), abs=1e-15)
+        assert delta_n(a) == pytest.approx(delta_n(b), abs=1e-15)
 
 
 class TestGammaStar:
@@ -309,10 +310,15 @@ class TestIntegrands:
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_zero_gap_cell_contributes_nothing(self):
-        # first cell has J_1 = 0: its coordinate may touch zero harmlessly
-        inst = build_instance(2, [0.5], [1])
-        val = log_dirichlet_integrand(inst, [0.0])
-        assert val == pytest.approx(math.log(2.0), abs=1e-15)
+        # a cell with J_i = 0 may have zero mass harmlessly
+        for n, p, k, point, value in [
+            (2, [0.5], [1], [0.0], 2.0),                # J = (0, 1): s_1 = 0
+            (2, [0.5], [2], [1.0], 2.0),                # J = (1, 0): s_2 = 1 - T_1 = 0
+            (2, [0.5], [2], [1.0, 0.0], 2.0),           # the same point in full coordinates
+            (3, [0.3, 0.3], [1, 2], [0.5, 0.5], 3.0),   # J = (0, 1, 0): T_2 = 1
+        ]:
+            val = log_dirichlet_integrand(build_instance(n, p, k), point)
+            assert val == pytest.approx(math.log(value), abs=1e-15)
 
     def test_pointwise_equality_example(self):
         inst = example_instance()
@@ -407,7 +413,7 @@ class TestIntegrands:
         inst = build_instance(40, [0.2, 0.25, 0.2, 0.15], [6, 9, 7, 5])
         for factors in (dirichlet_factors([inst]), gaussian_factors([expansion_context(inst)])):
             np.testing.assert_array_equal(factors.powers, [inst.J[:4]])
-            assert len(factors.steps) == 4
+            assert len(factors.steps) == 5  # one per cell
 
 
 # Gaussian-ready instances for d = 1..4 and 6

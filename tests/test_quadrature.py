@@ -275,10 +275,6 @@ def _zero_step(u, log_u):
     return np.zeros(np.shape(u))
 
 
-def _zero_end(t):
-    return np.zeros(np.shape(t))
-
-
 class _Elementwise:
     """A factor with no parameter per row: every row is the same function."""
 
@@ -293,9 +289,10 @@ class _Elementwise:
 
 
 def _smooth(steps):
-    """Factors of one row with no log singularity, a zero constant and a zero end."""
-    return ChainFactors(np.zeros(1), tuple(_Elementwise(f) for f in steps),
-                        _Elementwise(_zero_end), np.zeros((1, len(steps))))
+    """Factors of one row with no log singularity, a zero constant and a
+    zero last cell."""
+    return ChainFactors(np.zeros(1), tuple(_Elementwise(f) for f in [*steps, _zero_step]),
+                        np.zeros((1, len(steps))))
 
 
 def _chain(weights, factors, spec=None):
@@ -392,8 +389,7 @@ class TestIntegrateChain:
                 def rows(self, index):
                     return Counted(self.f.rows(index))
 
-            counted_factors = factors._replace(
-                steps=tuple(Counted(f) for f in factors.steps), end=Counted(factors.end))
+            counted_factors = factors._replace(steps=tuple(Counted(f) for f in factors.steps))
             value, _ = _chain(inst.weights, counted_factors, QuadratureSpec(nodes=64))
             assert 0.0 < value < 1.0
             assert sum(seen) == points
@@ -420,6 +416,13 @@ class TestIntegrateChain:
         w = make_weights([0.3, 0.3])
         with pytest.raises(ValueError, match="step factors"):
             _chain(w, _smooth([_zero_step]))
+
+    def test_rejects_factors_of_another_batch(self):
+        a, b, c = (build_instance(20, [0.3, 0.2], k) for k in ([4, 3], [5, 3], [4, 5]))
+        with pytest.raises(ValueError, match="prefix rows"):
+            integrate_chain(a.weights.prefix[None], dirichlet_factors([a, b, c]))
+        with pytest.raises(ValueError, match="prefix rows"):
+            integrate_chain(np.array([a.weights.prefix] * 3), dirichlet_factors([a]))
 
     def test_rejects_nonfinite_factor(self):
         w = make_weights([0.3, 0.3])
@@ -499,3 +502,9 @@ class TestSpecValidation:
             QuadratureSpec(nodes=1)
         with pytest.raises(ValueError):
             QuadratureSpec(nodes=129)
+
+    def test_rejects_non_integer_nodes(self):
+        with pytest.raises(TypeError):
+            QuadratureSpec(nodes=40.5)
+        spec = QuadratureSpec(nodes=np.int64(40))
+        assert type(spec.nodes) is int and spec.nodes == 40

@@ -369,9 +369,8 @@ class TestCompareRoutes:
 
     def test_one_delta_n_per_gaussian_instance(self, monkeypatch):
         calls = []
-        original = expansions.delta_n
-        for module in (expansions, survival):
-            monkeypatch.setattr(module, "delta_n", lambda ctx: calls.append(ctx) or original(ctx))
+        original = expansions._delta_n
+        monkeypatch.setattr(expansions, "_delta_n", lambda *args: calls.append(args) or original(*args))
         report = compare_routes(build_instance(12, [0.3, 0.3], [3, 4]), QuadratureSpec(nodes=8))
         assert report.gaussian is not None and len(calls) == 1
         assert report.delta_n == expansions.expansion_context(build_instance(12, [0.3, 0.3], [3, 4])).delta_n
