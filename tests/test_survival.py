@@ -229,7 +229,10 @@ class TestGaussian:
 
 # (n, p, k, replications, seed, estimate, stderr): values of an earlier
 # release, which counted hits along the rows of the untransposed draws and
-# held 4e6 uniforms per chunk (the last case spans several chunks)
+# held 4e6 uniforms per chunk (the fifth case spans several chunks then);
+# the last three, of the release that counted along the transposed draws,
+# span three chunks of 2000 replications, start with a zero threshold, and
+# are impossible
 FROZEN_MC = [
     (10, [0.3], [3], 2000, 1, "0x1.399999999999ap-1", "0x1.64f6a95486d30p-7"),
     (25, [0.3, 0.25], [6, 5], 5000, 7, "0x1.88ce703afb7e9p-1", "0x1.87b03b31b507cp-8"),
@@ -237,6 +240,10 @@ FROZEN_MC = [
     (40, [0.1, 0.2, 0.15, 0.2], [3, 6, 5, 7], 4000, 3, "0x1.647ae147ae148p-1",
      "0x1.dc87cd64cc2e6p-8"),
     (100, [0.3, 0.3], [25, 30], 50000, 5, "0x1.99335d249e450p-1", "0x1.d59f33130dbaap-10"),
+    (1000, [0.1, 0.15, 0.2, 0.1, 0.15, 0.1], [95, 150, 195, 100, 145, 100], 5000, 13,
+     "0x1.b3d07c84b5dccp-2", "0x1.ca402132b9907p-8"),
+    (8, [0.2, 0.3, 0.25], [0, 3, 4], 3000, 17, "0x1.78d4fdf3b645ap-2", "0x1.208469470f578p-7"),
+    (10, [0.2, 0.3, 0.25], [4, 4, 4], 2000, 19, "0x0.0p+0", "0x0.0p+0"),
 ]
 
 
