@@ -16,7 +16,6 @@ from mnsurv import (
     gamma_tilde_series,
     stirling_lambda,
 )
-from mnsurv.expansions import gamma_tilde_scaled, gamma_tilde_series_scaled
 
 print("Stirling error lambda_m against its classical bracket:")
 for m in (1, 2, 5, 20, 100, 10**6):
@@ -38,7 +37,7 @@ print()
 print("truncation error under offset scaling (each halving ~ factor 32):")
 prev = None
 for t in (0.4, 0.2, 0.1, 0.05):
-    err = abs(gamma_tilde_scaled(inst, t) - gamma_tilde_series_scaled(inst, t))
+    err = abs(gamma_tilde(inst, t) - gamma_tilde_series(inst, t))
     ratio = "" if prev is None else f"  ratio {prev / err:.1f}"
     print(f"  t = {t:4.2f}: |error| = {err:.3e}{ratio}")
     prev = err

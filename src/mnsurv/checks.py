@@ -258,10 +258,7 @@ def check_remainder_rates(rng) -> CheckResult:
     lo, hi = math.inf, 0.0
     for _ in range(10):
         inst = rate_test_instance(rng)
-        r = lambda t: abs(
-            expansions.gamma_tilde_scaled(inst, t)
-            - expansions.gamma_tilde_series_scaled(inst, t)
-        )
+        r = lambda t: abs(expansions.gamma_tilde(inst, t) - expansions.gamma_tilde_series(inst, t))
         ratio = r(0.2) / r(0.1)
         lo, hi = min(lo, ratio), max(hi, ratio)
     ok_tilde = 20.0 <= lo and hi <= 48.0

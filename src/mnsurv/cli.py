@@ -14,13 +14,13 @@ Subcommands
 
 Exit codes: 0 success, 1 usage error (bad flags, including --nodes and
 --mc-reps out of range, a negative --seed, a tolerance that is not
-positive and finite, a --routes that names no route, an --input or
---out path that cannot be read or written, an --input list or a sweep
-grid with no instance), 2 invalid instance data (bad
-n/p/k), 3 check-suite failure, 4 cost guard (a route's cost bound refuses
-the instance, or a sweep grid exceeds MAX_SWEEP_ROWS rows).  All output
-is byte-deterministic for a given command line, including Monte Carlo
-results (seeds are mandatory).
+positive and finite, a --routes that names no route, or that omits mc
+while --mc-reps is given, an --input or --out path that cannot be read
+or written, an --input list or a sweep grid with no instance), 2 invalid
+instance data (bad n/p/k), 3 check-suite failure, 4 cost guard (a
+route's cost bound refuses the instance, or a sweep grid exceeds
+MAX_SWEEP_ROWS rows).  All output is byte-deterministic for a given
+command line, including Monte Carlo results (seeds are mandatory).
 """
 
 from __future__ import annotations
@@ -311,8 +311,11 @@ def _write(args, payload: bytes):
 def _run_eval(args, routes):
     spec = _quadrature_spec(args)
     _check_flags(args)
-    if routes is not None and "mc" in routes and args.mc_reps is None:
-        raise UsageError("route 'mc' requires --mc-reps and --seed")
+    if routes is not None:
+        if "mc" in routes and args.mc_reps is None:
+            raise UsageError("route 'mc' requires --mc-reps and --seed")
+        if "mc" not in routes and args.mc_reps is not None:
+            raise UsageError("--mc-reps requires route 'mc' in --routes")
     instances = _instances_from_args(args)
     # instance idx of a batch draws with seed + idx
     reports = compare_batch(instances, spec, routes, args.tolerance,

@@ -50,9 +50,7 @@ __all__ = [
     "log_factorial",
     "capital_lambda",
     "gamma_tilde",
-    "gamma_tilde_scaled",
     "gamma_tilde_series",
-    "gamma_tilde_series_scaled",
     "quadratic_cancellation_residual",
     "delta_n",
     "gamma_star",
@@ -162,42 +160,30 @@ def capital_lambda(instance: SurvivalInstance) -> float:
     )
 
 
-def gamma_tilde(instance: SurvivalInstance) -> float:
+def gamma_tilde(instance: SurvivalInstance, t: float = 1.0) -> float:
     """Entropy-minus-quadratic tilt at the lattice offset.
 
     ``sum_i p_i (1+eps_i) ln(1+eps_i) - quad_form(eps_tilde)/2`` over all
-    d+1 cells, the quadratic form taken over the d free coordinates.
-    """
-    return gamma_tilde_scaled(instance, 1.0)
-
-
-def gamma_tilde_scaled(instance: SurvivalInstance, t: float) -> float:
-    """Tilt evaluated at the scaled offset ``t * eps`` (diagnostic hook).
-
-    Used to measure the convergence rate of :func:`gamma_tilde_series`
-    without constructing instances of prescribed offset.
+    d+1 cells, the quadratic form taken over the d free coordinates.  A
+    ``t`` other than 1 evaluates it at the scaled offset ``t * eps``, which
+    measures the convergence rate of :func:`gamma_tilde_series` without
+    constructing instances of prescribed offset.
     """
     _require_gaussian(instance)
-    eps = instance.eps
-    te = t * eps
+    te = t * instance.eps
     entropy = float(np.sum(instance.weights.p_full * (1.0 + te) * np.log1p(te)))
-    d = instance.d
-    quad = quad_form(instance.weights, t * instance.eps_tilde[:d])
+    quad = quad_form(instance.weights, t * instance.eps_tilde[: instance.d])
     return entropy - 0.5 * quad
 
 
-def gamma_tilde_series(instance: SurvivalInstance) -> float:
-    """Truncated cubic+quartic expansion of :func:`gamma_tilde`.
+def gamma_tilde_series(instance: SurvivalInstance, t: float = 1.0) -> float:
+    """Truncated cubic+quartic expansion of :func:`gamma_tilde`, at the same ``t``.
 
     The cubic and quartic sums over the d free coordinates collapse, via
     ``sum_{i<=d} eps_tilde_i = -eps_tilde_{d+1}``, to single sums over all
     d+1 cells with weights ``1/p_i^2`` and ``1/p_i^3``.  No remainder term
     is added; the truncation error is of fifth order in the offset.
     """
-    return gamma_tilde_series_scaled(instance, 1.0)
-
-
-def gamma_tilde_series_scaled(instance: SurvivalInstance, t: float) -> float:
     _require_gaussian(instance)
     e = t * instance.eps_tilde
     p = instance.weights.p_full
@@ -566,8 +552,8 @@ def _require_n_positive(instance):
 
 
 def _require_gaussian(instance):
-    _require_n_positive(instance)
-    if not np.all(instance.J >= 1):
+    if instance.gaussian_block_reason is not None:
+        _require_n_positive(instance)
         raise ValueError(
             "Gaussian-route expansions require J_i >= 1 for every cell "
             f"(gaps j = {instance.j.tolist()})"

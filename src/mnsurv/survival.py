@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +66,9 @@ MAX_TRANSITION_BYTES = 200 * 10**6
 # The smallest Monte Carlo sample.
 MIN_REPLICATIONS = 1000
 
-# Uniforms per simulation chunk, held twice (drawn, then transposed); a chunk
-# holds one replication or more, so Monte Carlo refuses n above this.
+# Uniforms per simulation chunk, held twice (drawn, then transposed), and
+# the previous chunk's copy lives on while the next is drawn: 48 MB in all.
+# A chunk holds one replication or more, so Monte Carlo refuses n above this.
 _MC_CHUNK_VALUES = 2_000_000
 
 DETERMINISTIC_ROUTES = ("exact", "dirichlet", "gaussian")
@@ -187,46 +189,49 @@ def survival_mc(instance: SurvivalInstance, replications: int, seed: int):
 
     Each replication draws ``n`` iid uniforms and checks that at least
     ``kappa_i`` of them fall below the i-th weight prefix for every i, which
-    is the defining order-statistics description of the event.
+    is the defining order-statistics description of the event: the
+    ``kappa_i``-th smallest uniform is at most the prefix.
 
     Returns
     -------
     (float, float)
         Frequency estimate and its binomial standard error; fully determined
-        by ``(seed, replications)``.
+        by ``(seed, replications)``.  An impossible instance (``kappa_d >
+        n``) returns ``(0.0, 0.0)`` without drawing.
 
     Raises
     ------
+    TypeError
+        If ``replications`` or ``seed`` is not an integer.
     ValueError
         If ``replications < MIN_REPLICATIONS`` or ``seed`` is ``None``.
     CostGuardError
         If ``n`` exceeds ``_MC_CHUNK_VALUES``, the uniforms of one chunk.
     """
+    replications = operator.index(replications)
     if replications < MIN_REPLICATIONS:
         raise ValueError(f"replications must be >= {MIN_REPLICATIONS}")
     if seed is None:
         raise ValueError("survival_mc requires a seed")
-    n, d = instance.n, instance.d
+    seed = operator.index(seed)
+    n = instance.n
     if n > _MC_CHUNK_VALUES:
         raise CostGuardError(f"Monte Carlo needs n <= {_MC_CHUNK_VALUES}, got n = {n}")
-    kappa = instance.kappa
-    prefix = instance.weights.prefix
+    if instance.impossible:
+        return 0.0, 0.0
+    prefix, kappa = instance.weights.prefix.tolist(), instance.kappa.tolist()
+    tests = [(p, k) for p, k in zip(prefix, kappa) if k >= 1]  # k = 0 always holds
     rng = np.random.default_rng(seed)
 
     chunk = _MC_CHUNK_VALUES // n
-    done = 0
     hits = 0
-    while done < replications:
-        m = min(chunk, replications - done)
+    for done in range(0, replications, chunk):
         # one replication per column: each count sums n contiguous rows
-        ut = np.ascontiguousarray(rng.random((m, n)).T)
-        ok = np.ones(m, dtype=bool)
-        for i in range(d):
-            if kappa[i] == 0:
-                continue
-            ok &= np.add.reduce(ut <= prefix[i], axis=0, dtype=np.int64) >= kappa[i]
+        ut = np.ascontiguousarray(rng.random((min(chunk, replications - done), n)).T)
+        ok = np.ones(ut.shape[1], dtype=bool)
+        for p, k in tests:
+            ok &= np.add.reduce(ut <= p, axis=0, dtype=np.int64) >= k
         hits += int(np.count_nonzero(ok))
-        done += m
 
     est = hits / replications
     stderr = math.sqrt(est * (1.0 - est) / replications)
@@ -333,8 +338,11 @@ def compare_batch(
     unknown = routes.difference(DETERMINISTIC_ROUTES + ("mc",))
     if unknown:
         raise ValueError(f"unknown routes: {sorted(unknown)}")
-    if "mc" in routes and (replications is None or seed is None):
-        raise ValueError("mc route needs both replications and a seed")
+    if "mc" in routes:
+        if replications is None or seed is None:
+            raise ValueError("mc route needs both replications and a seed")
+        # a report holds Python ints, which serialise; floats are refused
+        replications, seed = operator.index(replications), operator.index(seed)
 
     rows = [_Row(idx, instance, routes, replications, seed)
             for idx, instance in enumerate(instances)]

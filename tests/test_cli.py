@@ -38,6 +38,14 @@ class TestEmit:
         report = compare_routes(build_instance(10, [0.3], [3]), QuadratureSpec(nodes=np.int64(40)))
         assert json.loads(emit_report(report, "json"))["params"]["nodes"] == 40
 
+    def test_numpy_integer_mc_params_serialise(self):
+        inst = build_instance(10, [0.3], [3])
+        plain = emit_report(compare_routes(inst, replications=2000, seed=1), "json")
+        for reps, seed in ((np.int64(2000), 1), (2000, np.int64(1))):
+            report = compare_routes(inst, replications=reps, seed=seed)
+            assert type(report.mc.replications) is int and type(report.mc.seed) is int
+            assert emit_report(report, "json") == plain
+
     def test_inapplicable_gaussian_marker(self):
         report = compare_routes(build_instance(10, [0.3, 0.3], [1, 3]))
         parsed = json.loads(emit_report(report, "json"))
@@ -85,6 +93,12 @@ class TestExitCodes:
         args = ["eval", "--n", "4", "--p", "0.5", "--k", "2",
                 "--routes", "mc", "--mc-reps", "2000"]
         assert run(args) == 1
+
+    def test_usage_error_on_mc_reps_without_mc_route(self, capsys):
+        args = ["eval", "--n", "10", "--p", "0.3", "--k", "3",
+                "--routes", "exact", "--mc-reps", "1000", "--seed", "1"]
+        assert run(args) == 1
+        assert capsys.readouterr().err.startswith("usage error: --mc-reps")
 
     def test_usage_error_on_bad_sweep_range(self, capsys):
         assert run(["sweep", "--n", "10:5:2", "--p", "0.3", "--k", "2"]) == 1

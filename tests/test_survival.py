@@ -278,6 +278,13 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="seed"):
             survival_mc(build_instance(10, [0.3], [3]), 2000, None)
 
+    def test_rejects_float_replications_and_seed(self):
+        # refused with the other arguments, before the cost guard looks at n
+        inst = build_instance(3_000_000, [0.3], [3])
+        for reps, seed in ((2000.0, 1), (2000, 1.0)):
+            with pytest.raises(TypeError, match="float"):
+                survival_mc(inst, reps, seed)
+
     def test_panel_consistency(self):
         rng = np.random.default_rng(43)
         hits = total = 0
