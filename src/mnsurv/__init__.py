@@ -21,7 +21,6 @@ from .covariance import (
     bilinear_form,
     log_mvn_density,
     quad_form,
-    sigma_inverse_entry,
     sigma_inverse_matrix,
     sigma_matrix,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "reduce_thresholds",
     "sigma_matrix",
     "sigma_inverse_matrix",
-    "sigma_inverse_entry",
     "quad_form",
     "bilinear_form",
     "log_mvn_density",

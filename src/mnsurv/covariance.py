@@ -23,7 +23,6 @@ from .model import ProbabilityWeights
 __all__ = [
     "sigma_matrix",
     "sigma_inverse_matrix",
-    "sigma_inverse_entry",
     "quad_form",
     "bilinear_form",
     "log_mvn_density",
@@ -42,17 +41,6 @@ def sigma_matrix(weights: ProbabilityWeights) -> np.ndarray:
 def sigma_inverse_matrix(weights: ProbabilityWeights) -> np.ndarray:
     """Dense inverse built from the closed-form entries."""
     return np.diag(1.0 / weights.p) + 1.0 / weights.p_last
-
-
-def sigma_inverse_entry(weights: ProbabilityWeights, i: int, j: int) -> float:
-    """Closed-form inverse entry for 1-based cell indices ``i, j``."""
-    d = weights.d
-    if not (1 <= i <= d and 1 <= j <= d):
-        raise IndexError(f"indices must be in [1, {d}], got ({i}, {j})")
-    val = 1.0 / weights.p_last
-    if i == j:
-        val += 1.0 / weights.p[i - 1]
-    return val
 
 
 def quad_form(weights: ProbabilityWeights, x) -> float | np.ndarray:

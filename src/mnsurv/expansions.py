@@ -304,7 +304,8 @@ def dirichlet_factors(instances) -> ChainFactors:
 
     The cell factors ``J_i ln s_i``, the last one ``J_{d+1} ln(1 - T_d)``,
     and the constant ``ln((N+d)!) - sum_i ln(J_i!)`` over all d+1 cells.  A
-    factor with ``J_i = 0`` is exactly 0, even where its argument is 0.
+    factor with ``J_i = 0`` is 0 wherever its mass is positive, as every
+    mass on the chain grid is.
     """
     gaps = [instance.J.tolist() for instance in instances]
     J = np.array(gaps, dtype=float)
@@ -317,30 +318,21 @@ def dirichlet_factors(instances) -> ChainFactors:
 
 def _dirichlet_cells(J):
     """The d+1 cell factors of the ``(B, d+1)`` gaps ``J``."""
-    return tuple(
-        _PowerCell(j, np.flatnonzero(j == 0.0) if has_zero else None)
-        for j, has_zero in zip(J.T[:, :, None, None], (J == 0.0).any(axis=0).tolist())
-    )
+    return tuple(_PowerCell(j) for j in J.T[:, :, None, None])
 
 
 class _PowerCell(NamedTuple):
-    """``J ln(mass)``, with the ``(B, 1, 1)`` powers ``J``; the rows listed
-    in ``zero`` have ``J = 0`` and give exactly 0, even where their mass is
-    0 (``None`` if there are none)."""
+    """``J ln(mass)``, with the ``(B, 1, 1)`` powers ``J``.  A mass of 0
+    gives ``-inf``, or ``nan`` where ``J = 0``; the chain grid has none, and
+    :func:`log_dirichlet_integrand` gives a ``J = 0`` cell a mass of 1."""
 
     j: np.ndarray
-    zero: np.ndarray | None
 
     def __call__(self, u, log_u):
-        out = log_u * self.j
-        if self.zero is not None:
-            out[self.zero] = 0.0
-        return out
+        return log_u * self.j
 
     def rows(self, index):
-        j = self.j[index]
-        zero = np.flatnonzero(j[:, 0, 0] == 0.0)
-        return _PowerCell(j, zero if zero.size else None)
+        return _PowerCell(self.j[index])
 
 
 # Up to this total the Dirichlet constant is the log of an exact integer.
@@ -452,13 +444,16 @@ def log_dirichlet_integrand(instance: SurvivalInstance, s) -> float | np.ndarray
     """Log of the Dirichlet-type integrand for the survival probability.
 
     ``ln((N+d)!) - sum_i ln(J_i!) + sum_i J_i ln(s_i)`` over all d+1 cells,
-    where cells with ``J_i = 0`` contribute exactly 0 whatever ``s_i``:
-    the sum of :func:`dirichlet_factors`.  Returns ``-inf`` when some
-    ``s_i = 0`` with ``J_i >= 1``.  Batch evaluation over leading axes;
-    ``s`` has d free or d+1 full coordinates.
+    the sum of :func:`dirichlet_factors`.  Cells with ``J_i = 0`` are given
+    a mass of 1 first, so they contribute exactly 0 whatever ``s_i``.
+    Returns ``-inf`` when some ``s_i = 0`` with ``J_i >= 1``.  Batch
+    evaluation over leading axes; ``s`` has d free or d+1 full coordinates.
     """
     f = dirichlet_factors([instance])
     free, total = _cumulated(instance, s, require_interior=False)
+    empty = instance.J == 0
+    free = np.where(empty[:-1], 1.0, free)
+    total = np.where(empty[-1], 0.0, total)  # 1 - T_d is the last cell's mass
     return _factor_sum(f.constant, f.steps, free, total)
 
 
@@ -504,7 +499,7 @@ def _factor_sum(constant, cells, s, total):
     """
     shape = total.shape
     s, total = s[None, None], total[None, None]
-    # a zero power meets ln 0 = -inf: the product is nan until set to 0
+    # a mass of 0 has ln 0 = -inf, and one below 0 a nan
     with np.errstate(divide="ignore", invalid="ignore"):
         out = cells[0](s[..., 0], np.log(s[..., 0]))
         for i in range(1, len(cells) - 1):

@@ -100,10 +100,18 @@ def make_weights(p) -> ProbabilityWeights:
     )
 
 
+def _is_bool(x) -> bool:
+    return isinstance(x, (bool, np.bool_))
+
+
 def _validate_thresholds(k) -> np.ndarray:
+    # numpy reads [1, True] as integers, so a listed bool is looked for first
+    listed_bool = isinstance(k, (list, tuple)) and any(map(_is_bool, k))
     k = np.asarray(k)
     if k.ndim != 1 or k.size == 0:
         raise ValueError("k must be a non-empty 1-d vector")
+    if listed_bool or k.dtype == np.bool_:
+        raise ValueError("thresholds must be integers, not booleans")
     if not np.issubdtype(k.dtype, np.integer):
         kf = np.asarray(k, dtype=float)
         if not np.all(np.isfinite(kf) & (kf == np.floor(kf))):
@@ -194,7 +202,7 @@ def instance_with_weights(n, weights: ProbabilityWeights, k) -> SurvivalInstance
 
 def _positive_n(n) -> int:
     try:
-        valid = int(n) == n and n >= 1
+        valid = not _is_bool(n) and int(n) == n and n >= 1
     except (TypeError, ValueError, OverflowError):
         valid = False
     if not valid:

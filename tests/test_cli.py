@@ -126,7 +126,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "record",
-        ['{"x": 1}', '{"n": null, "p": [0.3], "k": [1]}', '{"n": 1e999, "p": [0.3], "k": [1]}'],
+        ['{"x": 1}', '{"n": null, "p": [0.3], "k": [1]}', '{"n": 1e999, "p": [0.3], "k": [1]}',
+         '{"n": true, "p": [0.3], "k": [1]}'],
     )
     def test_validation_error_on_record_without_valid_n(self, tmp_path, capsys, record):
         batch = tmp_path / "batch.json"

@@ -8,7 +8,6 @@ from mnsurv import (
     make_weights,
     quad_form,
     bilinear_form,
-    sigma_inverse_entry,
     sigma_inverse_matrix,
     sigma_matrix,
 )
@@ -18,22 +17,13 @@ from mnsurv.checks import random_weights
 class TestClosedForms:
     def test_scalar_case(self):
         w = make_weights([0.5])
-        assert sigma_inverse_entry(w, 1, 1) == pytest.approx(4.0, rel=1e-15, abs=0.0)
+        assert sigma_inverse_matrix(w)[0, 0] == pytest.approx(4.0, rel=1e-15, abs=0.0)
 
     def test_two_cell_entries(self):
-        w = make_weights([0.3, 0.3])
-        assert sigma_inverse_entry(w, 1, 1) == pytest.approx(35 / 6, rel=1e-14, abs=0.0)
-        assert sigma_inverse_entry(w, 1, 2) == pytest.approx(2.5, rel=1e-15, abs=0.0)
-        for i in range(1, 3):
-            for j in range(1, 3):
-                assert sigma_inverse_entry(w, i, j) == sigma_inverse_entry(w, j, i)
-
-    def test_index_bounds(self):
-        w = make_weights([0.5])
-        with pytest.raises(IndexError):
-            sigma_inverse_entry(w, 0, 1)
-        with pytest.raises(IndexError):
-            sigma_inverse_entry(w, 1, 2)
+        inverse = sigma_inverse_matrix(make_weights([0.3, 0.3]))
+        assert inverse[0, 0] == pytest.approx(35 / 6, rel=1e-14, abs=0.0)
+        assert inverse[0, 1] == pytest.approx(2.5, rel=1e-15, abs=0.0)
+        assert (inverse == inverse.T).all()
 
     def test_inverse_identity_random(self):
         rng = np.random.default_rng(11)

@@ -52,6 +52,9 @@ class TestBuildInstance:
             (10, [0.3], [10**20]),          # threshold past int64
             (10, [0.3, 0.3], [2**62, 2**62]),  # running sum past int64
             (10, [0.3, 0.3], [2.0**62, 2.0**62]),  # the same, as floats
+            (True, [0.3], [1]),             # n a boolean
+            (10, [0.3], [True]),            # threshold a boolean
+            (10, [0.3, 0.3], [1, True]),    # a boolean among integer thresholds
         ],
     )
     def test_rejects_invalid_inputs(self, n, p, k):

@@ -26,7 +26,8 @@ from mnsurv import (
     log_gaussian_integrand,
     make_weights,
 )
-from mnsurv.checks import random_instance
+from mnsurv.checks import random_instance, random_weights
+from mnsurv.model import WEIGHT_MARGIN
 
 
 class TestLegendreRule:
@@ -429,6 +430,42 @@ class TestIntegrateChain:
         with pytest.raises(ValueError, match="not finite"):
             _chain(w, _smooth([_zero_step,
                                         lambda u, log_u: np.full(np.shape(u), np.nan)]))
+
+
+def _prefix_at_margin(p):
+    """The prefix sums of ``p`` after its largest weight is lowered so that
+    the last cell holds ``WEIGHT_MARGIN``, to the ulp."""
+    p = np.array(p, dtype=float)
+    big = int(np.argmax(p))
+    p[big] -= WEIGHT_MARGIN - (1.0 - float(p.sum()))
+    while 1.0 - float(p.sum()) < WEIGHT_MARGIN:
+        p[big] = np.nextafter(p[big], 0.0)
+    return make_weights(p).prefix
+
+
+class TestChainGrid:
+    @pytest.mark.parametrize("g", [2, 32, 128])
+    def test_masses_are_positive_with_finite_logs(self, g):
+        # every cell factor meets a positive mass on the grid: the steps, the
+        # nodes T and 1 - T, even with weights at the margin
+        rng = np.random.default_rng(g)
+        for d in range(1, 7):
+            prefixes = [make_weights(random_weights(rng, d)).prefix,
+                        make_weights([WEIGHT_MARGIN] * d).prefix,
+                        _prefix_at_margin([WEIGHT_MARGIN] * (d - 1) + [1.0 - d * WEIGHT_MARGIN])]
+            for _ in range(3):
+                p = random_weights(rng, d)
+                p[rng.random(d) < 0.5] = WEIGHT_MARGIN
+                prefixes.append(make_weights(p).prefix)
+                prefixes.append(_prefix_at_margin(p / p.sum()))
+            for prefix in prefixes:
+                grid = quadrature._chain_grid(prefix[None], g)
+                for mass in (grid.t, 1.0 - grid.t, *grid.step):
+                    assert (mass > 0.0).all()
+                    assert np.isfinite(np.log(mass)).all()
+                for logs in (grid.log_t, *grid.log_step, grid.log_node_weight,
+                             grid.log_stretch_weight, grid.log_mapped):
+                    assert np.isfinite(logs).all()
 
 
 def _d3_g48_integral(logf):

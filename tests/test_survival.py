@@ -4,6 +4,7 @@ import itertools
 import math
 import pathlib
 import time
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -284,6 +285,19 @@ class TestMonteCarlo:
         for reps, seed in ((2000.0, 1), (2000, 1.0)):
             with pytest.raises(TypeError, match="float"):
                 survival_mc(inst, reps, seed)
+
+    def test_peak_memory_is_two_chunks(self, monkeypatch):
+        # the chunk being counted and the next one being drawn, never a copy
+        monkeypatch.setattr(survival, "_MC_CHUNK_VALUES", 200_000)
+        inst = build_instance(10_000, [0.3, 0.3], [2990, 3000])  # 20 replications a chunk
+        survival_mc(build_instance(4, [0.5], [2]), 1000, 5)  # numpy.random imports lazily
+        tracemalloc.start()
+        try:
+            survival_mc(inst, 1000, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * 200_000
 
     def test_panel_consistency(self):
         rng = np.random.default_rng(43)
