@@ -4,7 +4,8 @@ Every algebraic building block of the Gaussian representation is an exact
 identity, so each check measures a residual that should sit at roundoff
 level.  The suite reports one :class:`CheckResult` per named check; the
 command-line ``check`` subcommand prints them and fails the process when any
-residual exceeds its tolerance.
+residual exceeds its tolerance.  Route agreement runs its panel through
+:func:`mnsurv.survival.compare_batch`, the driver of the command line.
 
 The module also hosts the seeded random-instance generators shared with the
 test suite, including the filtered panels used for the remainder-rate checks
@@ -22,8 +23,7 @@ import numpy as np
 from . import expansions
 from .covariance import quad_form, sigma_inverse_matrix, sigma_matrix
 from .model import SurvivalInstance, build_instance, make_weights
-from .quadrature import QuadratureSpec
-from .survival import survival_dirichlet, survival_exact, survival_gaussian
+from .survival import compare_batch, survival_exact
 
 __all__ = [
     "CheckResult",
@@ -282,15 +282,12 @@ def check_route_agreement(tolerance) -> CheckResult:
         (1000, [0.15] * 5, [145] * 5),
         (1000, [0.12, 0.1, 0.15, 0.12, 0.1, 0.14], [110, 95, 140, 110, 90, 130]),
     ]
-    spec = QuadratureSpec()
+    reports = compare_batch([build_instance(*row) for row in panel])
     worst = 0.0
-    for n, p, k in panel:
-        inst = build_instance(n, p, k)
-        exact = survival_exact(inst)
-        diri = survival_dirichlet(inst, spec)
-        gauss = survival_gaussian(inst, spec)
-        worst = max(worst, abs(diri - exact) / exact, abs(gauss - diri) / diri)
-    return _result("route_agreement", worst, tolerance, f"{len(panel)} instances, G={spec.nodes}")
+    for r in reports:
+        worst = max(worst, abs(r.dirichlet - r.exact) / r.exact,
+                    abs(r.gaussian - r.dirichlet) / r.dirichlet)
+    return _result("route_agreement", worst, tolerance, f"{len(panel)} instances, G={reports[0].nodes}")
 
 
 def check_monotonicity(rng, draws=60) -> CheckResult:

@@ -202,22 +202,18 @@ def _build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     ev = subs.add_parser("eval", help="evaluate one instance (or a JSON batch)")
-    ev.add_argument("--n", type=int)
-    ev.add_argument("--p", help="comma-separated weights")
-    ev.add_argument("--k", help="comma-separated thresholds")
-    ev.add_argument("--input", help="JSON file with a list of {n, p, k} objects")
+    cp = subs.add_parser("compare", help="run all applicable routes and compare")
+    for sub in (ev, cp):
+        sub.add_argument("--n", type=int)
+        sub.add_argument("--p", help="comma-separated weights")
+        sub.add_argument("--k", help="comma-separated thresholds")
+        sub.add_argument("--input", help="JSON file with a list of {n, p, k} objects")
     ev.add_argument(
         "--routes",
         help="subset of exact,dirichlet,gaussian,mc (default: the deterministic "
         "three, plus mc when --mc-reps is given)",
     )
     _add_common(ev)
-
-    cp = subs.add_parser("compare", help="run all applicable routes and compare")
-    cp.add_argument("--n", type=int)
-    cp.add_argument("--p", help="comma-separated weights")
-    cp.add_argument("--k", help="comma-separated thresholds")
-    cp.add_argument("--input", help="JSON file with a list of {n, p, k} objects")
     _add_common(cp)
 
     sw = subs.add_parser("sweep", help="evaluate a grid of (n, k) combinations")
@@ -249,7 +245,7 @@ def _instances_from_args(args):
                 records = json.load(fh)
         except OSError as exc:
             raise UsageError(f"cannot read {args.input}: {exc}")
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
             raise UsageError(f"{args.input} is not valid JSON: {exc}")
         if not isinstance(records, list):
             raise UsageError("--input must contain a JSON list of {n, p, k} objects")
@@ -270,9 +266,10 @@ def _instances_from_args(args):
 
 
 def _quadrature_spec(args):
-    if not MIN_NODES <= args.nodes <= MAX_NODES:
-        raise UsageError(f"--nodes must be in [{MIN_NODES}, {MAX_NODES}], got {args.nodes}")
-    return QuadratureSpec(nodes=args.nodes)
+    try:
+        return QuadratureSpec(nodes=args.nodes)
+    except ValueError as exc:
+        raise UsageError(f"--{exc}") from None
 
 
 def _check_seed(args):

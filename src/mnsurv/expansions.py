@@ -7,7 +7,7 @@ times an exact exponential tilt:
 * ``stirling_lambda``: the error ``ln(m!) - [ln(2*pi*m)/2 + m*ln(m) - m]`` in
   Stirling's approximation, pinned inside ``[1/(12m+1), 1/(12m)]``;
 * ``capital_lambda``, ``delta_n``: aggregated Stirling errors and the total
-  log-prefactor correction;
+  log-prefactor correction, which ``expansion_context`` computes;
 * ``gamma_tilde`` / ``gamma_tilde_series``: entropy-minus-quadratic tilt at
   the lattice offset, with its cubic+quartic expansion;
 * ``gamma_star`` / ``entropy_lhs``: the position-dependent tilt;
@@ -131,21 +131,28 @@ def stirling_lambda(m: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ExpansionContext:
-    """:func:`capital_lambda`, :func:`gamma_tilde` and :func:`delta_n` of
-    ``instance``, computed once for a caller that reports them and also
-    builds the instance's :func:`gaussian_factors`."""
+    """:func:`gamma_tilde` and :func:`delta_n` of ``instance``, computed once
+    for a caller that reports them and also builds the instance's
+    :func:`gaussian_factors`."""
 
     instance: SurvivalInstance
-    capital_lambda: float
     gamma_tilde: float
     delta_n: float
 
 
 def expansion_context(instance: SurvivalInstance) -> ExpansionContext:
-    """The context of a Gaussian-ready instance (every ``J_i >= 1``)."""
-    lam = capital_lambda(instance)
+    """The context of a Gaussian-ready instance (every ``J_i >= 1``).
+
+    ``delta_n`` is the total log-prefactor correction of the Gaussian
+    representation, ``ln((N+d)!/(N! N^d)) + capital_lambda - sum_i
+    ln(1+eps_i)/2 - N*gamma_tilde``; the factorial ratio is accumulated as
+    ``sum_{i<=d} ln(1 + i/N)`` so no large factorials are ever formed.
+    """
     tilt = gamma_tilde(instance)
-    return ExpansionContext(instance, lam, tilt, _delta_n(instance, lam, tilt))
+    N = instance.N
+    ratio = math.fsum(math.log1p(i / N) for i in range(1, instance.d + 1))
+    half_logs = 0.5 * float(np.sum(np.log1p(instance.eps)))
+    return ExpansionContext(instance, tilt, ratio + capital_lambda(instance) - half_logs - N * tilt)
 
 
 def capital_lambda(instance: SurvivalInstance) -> float:
@@ -214,22 +221,9 @@ def quadratic_cancellation_residual(instance: SurvivalInstance) -> float:
 
 
 def delta_n(instance: SurvivalInstance) -> float:
-    """Total log-prefactor correction of the Gaussian representation.
-
-    ``ln((N+d)!/(N! N^d)) + capital_lambda - sum_i ln(1+eps_i)/2 -
-    N*gamma_tilde``; the factorial ratio is accumulated as ``sum_{i<=d}
-    ln(1 + i/N)`` so no large factorials are ever formed.  The ``delta_n``
-    field of :func:`expansion_context` holds the same value.
-    """
-    return _delta_n(instance, capital_lambda(instance), gamma_tilde(instance))
-
-
-def _delta_n(instance, lam, tilt):
-    """:func:`delta_n` from the instance's ``capital_lambda`` and ``gamma_tilde``."""
-    N = instance.N
-    ratio = math.fsum(math.log1p(i / N) for i in range(1, instance.d + 1))
-    half_logs = 0.5 * float(np.sum(np.log1p(instance.eps)))
-    return ratio + lam - half_logs - N * tilt
+    """Total log-prefactor correction of the Gaussian representation, the
+    ``delta_n`` of :func:`expansion_context`."""
+    return expansion_context(instance).delta_n
 
 
 def gamma_star(instance: SurvivalInstance, s) -> float | np.ndarray:

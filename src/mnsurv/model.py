@@ -30,6 +30,10 @@ WEIGHT_MARGIN = 1e-12
 # Counts are int64, so n + 1 and the threshold sum must not exceed this.
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
+# The numpy dtype kinds of p and k that are read as numbers: signed and
+# unsigned integers and floats.
+_NUMBER_KINDS = "iuf"
+
 
 def _frozen(a, dtype=float):
     out = np.array(a, dtype=dtype)
@@ -76,11 +80,15 @@ def make_weights(p) -> ProbabilityWeights:
     ------
     ValueError
         If any ``p_i`` or the implied last weight sits within ``WEIGHT_MARGIN``
-        of zero, or the vector is empty / not one-dimensional.
+        of zero, or the vector is empty / not one-dimensional, or holds
+        strings or other non-numbers.
     """
-    p = np.asarray(p, dtype=float)
+    p = np.asarray(p)
     if p.ndim != 1 or p.size == 0:
         raise ValueError("p must be a non-empty 1-d vector of probabilities")
+    if p.dtype.kind not in _NUMBER_KINDS:  # numpy would read "0.3" as 0.3
+        raise ValueError("p must hold numbers, not strings or other objects")
+    p = p.astype(float, copy=False)
     if not np.all(np.isfinite(p)):
         raise ValueError("p must be finite")
     if np.any(p < WEIGHT_MARGIN):
@@ -112,6 +120,8 @@ def _validate_thresholds(k) -> np.ndarray:
         raise ValueError("k must be a non-empty 1-d vector")
     if listed_bool or k.dtype == np.bool_:
         raise ValueError("thresholds must be integers, not booleans")
+    if k.dtype.kind not in _NUMBER_KINDS:
+        raise ValueError("thresholds must be integers, not strings or other objects")
     if not np.issubdtype(k.dtype, np.integer):
         kf = np.asarray(k, dtype=float)
         if not np.all(np.isfinite(kf) & (kf == np.floor(kf))):
@@ -158,7 +168,7 @@ class SurvivalInstance:
         """True when ``kappa_d > n``: the survival event has probability 0."""
         return int(self.kappa[-1]) > self.n
 
-    @property
+    @cached_property
     def gaussian_block_reason(self) -> str | None:
         if self.N < 1:
             return "N <= 0"

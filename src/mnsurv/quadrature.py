@@ -41,6 +41,8 @@ __all__ = [
     "integrate_chain",
     "integrate_region",
     "MAX_NODE_EVALS",
+    "MAX_CHAIN_EVALUATIONS",
+    "chain_evaluations",
     "MIN_NODES",
     "MAX_NODES",
     "MIN_PANEL_NODES",
@@ -282,7 +284,35 @@ _CHUNK_ELEMENTS = 2**18
 
 
 def _chunk_rows(d: int, g: int) -> int:
-    return max(1, _CHUNK_ELEMENTS // (max(1, (d - 1) * d * (d + 4) // 6) * g * g))
+    return max(1, _CHUNK_ELEMENTS // max(g * g, chain_evaluations(d, g)))
+
+
+# The chain rule refuses a row of more factor evaluations than this.  Its
+# grid and the terms of its last level peak, by tracemalloc, at 20.5-24.6
+# bytes per evaluation for d = 10 at G = 64 and 128, and 18.6-21.0 at d =
+# 18, G = 64 (the two survival integrands), so an admitted row stays under
+# about 1 GB: d <= 22 at G = 128, d <= 35 at G = 64.
+MAX_CHAIN_EVALUATIONS = 2**25
+
+
+def chain_evaluations(d: int, nodes: int) -> int:
+    """The factor evaluations of one row of :func:`integrate_chain` in ``d``
+    cells, ``(d-1) d (d+4) / 6 G^2`` at ``G = max(nodes, MIN_PANEL_NODES)``
+    nodes per panel.
+
+    Raises
+    ------
+    CostGuardError
+        If they exceed ``MAX_CHAIN_EVALUATIONS``.
+    """
+    g = max(nodes, MIN_PANEL_NODES)
+    count = (d - 1) * d * (d + 4) // 6 * g * g
+    if count > MAX_CHAIN_EVALUATIONS:
+        raise CostGuardError(
+            f"the chain rule's {count} factor evaluations per row (d = {d}, G = {g}) "
+            f"exceed the {MAX_CHAIN_EVALUATIONS} guard"
+        )
+    return count
 
 
 def integrate_chain(prefix, factors: ChainFactors, spec=None):
@@ -317,6 +347,9 @@ def integrate_chain(prefix, factors: ChainFactors, spec=None):
         If ``factors`` does not hold ``d+1`` cell factors, a ``(B,)``
         constant and ``(B, d)`` powers for the ``B`` rows of ``prefix``, or
         if a log is not finite; the message gives the first such row's.
+    CostGuardError
+        If a row takes more than ``MAX_CHAIN_EVALUATIONS`` factor
+        evaluations (:func:`chain_evaluations`), before anything is built.
 
     Notes
     -----
@@ -354,7 +387,7 @@ def integrate_chain(prefix, factors: ChainFactors, spec=None):
     if np.shape(factors.constant) != (count,) or np.shape(factors.powers) != (count, d):
         raise ValueError(f"factors do not match the {count} prefix rows of d = {d}")
     g = max(spec.nodes, MIN_PANEL_NODES)
-    size = _chunk_rows(d, g)
+    size = _chunk_rows(d, g)  # raises past the cost guard, before any grid is built
     log_values = []
     for lo in range(0, count, size):
         rows = slice(lo, lo + size)

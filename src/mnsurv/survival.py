@@ -12,7 +12,8 @@
   integrand (valid whenever every ``J_i >= 1``).
 
   Both integral routes use the chain rule of
-  :func:`mnsurv.quadrature.integrate_chain` on the integrand's factors.
+  :func:`mnsurv.quadrature.integrate_chain` on the integrand's factors,
+  and refuse a row past its cost guard.
 * :func:`survival_mc` simulates the defining order-statistics event.
 
 :func:`compare_routes` runs whichever routes apply, collects diagnostics and
@@ -44,7 +45,13 @@ from .expansions import (
     log_gaussian_integrand,
 )
 from .model import SurvivalInstance, build_instance, reduce_thresholds
-from .quadrature import CostGuardError, QuadratureSpec, integrate_chain, integrate_region
+from .quadrature import (
+    CostGuardError,
+    QuadratureSpec,
+    chain_evaluations,
+    integrate_chain,
+    integrate_region,
+)
 
 __all__ = [
     "MAX_TRANSITION_BYTES",
@@ -321,7 +328,8 @@ def compare_batch(
     its instance alone, except that its Monte Carlo draws with seed ``seed
     + r``.
 
-    Threshold reduction, the exact route, the expansion context and Monte
+    Threshold reduction, the expansion context, the chain rule's cost guard
+    (:func:`mnsurv.quadrature.chain_evaluations`), the exact route and Monte
     Carlo run row by row in input order.  The two integral routes run after
     them, grouped by the reduced ``d``: each group is one batched
     :func:`mnsurv.quadrature.integrate_chain` call per route, which shares
@@ -329,8 +337,9 @@ def compare_batch(
     failure (a route's cost guard, a Monte Carlo sample below
     ``MIN_REPLICATIONS``, or an instance that cannot be built while
     ``instances`` is consumed) raises at its row, so the first failing row
-    in input order decides, and no later row runs.  The chain integrals do
-    not fail: their factors are finite on the grid of every valid instance.
+    in input order decides, and no later row runs.  The chain integrals
+    fail in no other way: their factors are finite on the grid of every
+    valid instance, and their guard was checked in the row phase.
     """
     spec = spec if spec is not None else QuadratureSpec()
     if routes is None:
@@ -345,7 +354,7 @@ def compare_batch(
         # a report holds Python ints, which serialise; floats are refused
         replications, seed = operator.index(replications), operator.index(seed)
 
-    rows = [_Row(idx, instance, routes, replications, seed)
+    rows = [_Row(idx, instance, routes, spec, replications, seed)
             for idx, instance in enumerate(instances)]
 
     groups = {}  # reduced d -> rows whose integrals run, in input order
@@ -370,7 +379,7 @@ class _Row:
     """Row ``idx`` of a batch: its reduced instance, the values of its exact
     and Monte Carlo routes, and whether its integral routes are to run."""
 
-    def __init__(self, idx, instance, routes, replications, seed):
+    def __init__(self, idx, instance, routes, spec, replications, seed):
         self.instance = instance
         self.values = {}  # route -> value
         self.integrate = False
@@ -387,13 +396,15 @@ class _Row:
             value = 1.0 if reduced is None else 0.0
             self.values = {route: value for route in DETERMINISTIC_ROUTES if route in routes}
         else:
-            if "exact" in routes:
-                self.values["exact"] = survival_exact(reduced)
             self.integrate = True
             if reduced.gaussian_block_reason is None:
                 self.context = expansion_context(reduced)
             elif "gaussian" in routes:
                 self.gaussian_reason = reduced.gaussian_block_reason
+            if "dirichlet" in routes or ("gaussian" in routes and self.context is not None):
+                chain_evaluations(reduced.d, spec.nodes)  # the chain rule's cost guard
+            if "exact" in routes:
+                self.values["exact"] = survival_exact(reduced)
 
         if "mc" in routes:
             target = reduced if reduced is not None else instance

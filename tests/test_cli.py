@@ -4,11 +4,13 @@ import io
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mnsurv import QuadratureSpec, build_instance, cli, compare_routes, reduce_thresholds, survival
+from mnsurv import (QuadratureSpec, build_instance, cli, compare_routes, quadrature,
+                    reduce_thresholds, survival)
 from mnsurv.cli import emit_report, report_to_dict, run
 
 
@@ -178,7 +180,8 @@ class TestExitCodes:
         assert run([command, "--input", str(path), "--format", fmt]) == 1
         assert capsys.readouterr().err == f"usage error: {path} holds an empty list\n"
 
-    def test_earliest_failing_row_decides(self, tmp_path, capsys):
+    def test_earliest_failing_row_decides(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(quadrature, "_chain_grid", lambda *args: pytest.fail("built a grid"))
         # rows 1 and 2 are both refused by the exact route's guard
         path = tmp_path / "batch.json"
         path.write_text(json.dumps([{"n": 10, "p": [0.3], "k": [3]},
@@ -187,6 +190,13 @@ class TestExitCodes:
         assert run(["compare", "--input", str(path)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("cost guard: ") and "n = 30000," in err
+        # row 1 is refused by the chain rule's guard, row 2 by the exact route's
+        path.write_text(json.dumps([{"n": 10, "p": [0.3], "k": [3]},
+                                    {"n": 100, "p": [0.015] * 60, "k": [1] * 60},
+                                    {"n": 30000, "p": [0.5], "k": [1]}]))
+        assert run(["compare", "--input", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("cost guard: the chain rule's ") and "(d = 60, G = 64)" in err
 
     def test_sweep_row_that_cannot_be_built_fails_in_its_turn(self, capsys):
         # row 0 is refused by the exact route before row 1's n is rejected
@@ -231,6 +241,42 @@ class TestExitCodes:
         assert run(["sweep", "--n", "1:2000000:1", "--p", "0.5", "--k", "1", "--nodes", "2"]) == 4
         err = capsys.readouterr().err
         assert err == "cost guard: --n grid of 2000000 rows exceeds the 1000000 row guard\n"
+
+    def test_cost_guard_on_chain_rule(self, monkeypatch, capsys):
+        # about 11.5 GB of grid and terms if it ran; refused before anything large
+        monkeypatch.setattr(quadrature, "_chain_grid", lambda *args: pytest.fail("built a grid"))
+        args = ["compare", "--n", "100", "--p", ",".join(["0.015"] * 60),
+                "--k", ",".join(["1"] * 60), "--nodes", "128"]
+        tracemalloc.start()
+        try:
+            assert run(args) == 4
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**7
+        err = capsys.readouterr().err
+        assert err.startswith("cost guard: the chain rule's ") and err.count("\n") == 1
+
+    def test_usage_error_on_deeply_nested_input(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 5000 + "]" * 5000)
+        assert run(["compare", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: {path} is not valid JSON: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "record, name",
+        [('{"n": 10, "p": ["0.3"], "k": [3]}', "p"),
+         ('{"n": 10, "p": [0.3], "k": ["3"]}', "thresholds"),
+         ('{"n": 10, "p": [0.3], "k": ["abc"]}', "thresholds")],
+    )
+    def test_validation_error_on_numbers_given_as_strings(self, tmp_path, capsys, record, name):
+        path = tmp_path / "batch.json"
+        path.write_text(f"[{record}]")
+        assert run(["compare", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid instance: --input record 0: {name} must ")
+        assert "np." not in err and err.count("\n") == 1
 
     def test_cost_guard_on_monte_carlo_n(self, capsys):
         args = ["eval", "--n", "3000000", "--p", "0.5", "--k", "1", "--routes", "mc",

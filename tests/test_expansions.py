@@ -362,8 +362,8 @@ class TestIntegrands:
             ctx = expansion_context(inst)
             for m in [inst.N] + inst.J.tolist():
                 assert 1 / (12 * m + 1) <= stirling_lambda(m) <= 1 / (12 * m)
-            assert ctx.capital_lambda == capital_lambda(inst)
-            assert abs(ctx.capital_lambda) <= 1 / (12 * inst.N) + sum(
+            assert ctx.gamma_tilde == gamma_tilde(inst) and ctx.delta_n == delta_n(inst)
+            assert abs(capital_lambda(inst)) <= 1 / (12 * inst.N) + sum(
                 1 / (12 * j) for j in inst.J
             )
 

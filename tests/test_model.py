@@ -55,11 +55,18 @@ class TestBuildInstance:
             (True, [0.3], [1]),             # n a boolean
             (10, [0.3], [True]),            # threshold a boolean
             (10, [0.3, 0.3], [1, True]),    # a boolean among integer thresholds
+            (10, ["0.3"], [3]),             # a weight given as a string
+            (10, [0.3], ["3"]),             # a threshold given as a string
+            (10, [0.3], ["abc"]),           # a threshold that is no number
+            (10, [0.3], [None]),            # a threshold that is an object
         ],
     )
     def test_rejects_invalid_inputs(self, n, p, k):
         with pytest.raises(ValueError):
             build_instance(n, p, k)
+
+    def test_integral_float_thresholds_are_accepted(self):
+        assert build_instance(10, [0.3], [3.0]).k.tolist() == [3]
 
     def test_small_n_has_no_offsets(self):
         inst = build_instance(2, [0.3, 0.3, 0.2], [1, 0, 1])

@@ -467,6 +467,20 @@ class TestChainGrid:
                              grid.log_stretch_weight, grid.log_mapped):
                     assert np.isfinite(logs).all()
 
+    @pytest.mark.parametrize("d, g", [(1, 32), (2, 32), (4, 40), (6, 64)])
+    def test_chain_evaluations_count_the_grid_steps(self, d, g):
+        grid = quadrature._chain_grid(np.cumsum(np.full((1, d), 0.9 / d), axis=1), g)
+        assert quadrature.chain_evaluations(d, g) == sum(step[0].size for step in grid.step)
+
+    def test_chain_evaluations_guard(self):
+        assert quadrature.chain_evaluations(6, 128) == 819_200
+        assert quadrature.chain_evaluations(22, 128) <= quadrature.MAX_CHAIN_EVALUATIONS
+        assert quadrature.chain_evaluations(35, 64) <= quadrature.MAX_CHAIN_EVALUATIONS
+        assert quadrature.chain_evaluations(57, 2) <= quadrature.MAX_CHAIN_EVALUATIONS
+        for d, g in ((23, 128), (36, 64), (58, 2)):
+            with pytest.raises(CostGuardError, match=f"d = {d}, G = {max(g, 32)}"):
+                quadrature.chain_evaluations(d, g)
+
 
 def _d3_g48_integral(logf):
     return integrate_region(make_weights([0.3, 0.2, 0.25]), logf, QuadratureSpec(nodes=48))

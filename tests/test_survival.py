@@ -182,6 +182,13 @@ class TestDirichlet:
     def test_impossible_short_circuit(self):
         assert survival_dirichlet(build_instance(2, [0.5], [5])) == 0.0
 
+    def test_chain_cost_guard(self, monkeypatch):
+        # (d-1) d (d+4) / 6 G^2 = 618,659,840 factor evaluations at d = 60, G = 128
+        monkeypatch.setattr(quadrature, "_chain_grid", lambda *args: pytest.fail("built a grid"))
+        inst = build_instance(100, [0.015] * 60, [1] * 60)
+        with pytest.raises(CostGuardError, match=r"618659840 .* \(d = 60, G = 128\)"):
+            survival_dirichlet(inst, QuadratureSpec(nodes=128))
+
     def test_minimal_sample_size(self):
         # n = d with all thresholds 1: constant integrand, still exact
         inst = build_instance(2, [0.3, 0.3], [1, 1])
@@ -397,8 +404,8 @@ class TestCompareRoutes:
 
     def test_one_delta_n_per_gaussian_instance(self, monkeypatch):
         calls = []
-        original = expansions._delta_n
-        monkeypatch.setattr(expansions, "_delta_n", lambda *args: calls.append(args) or original(*args))
+        original = survival.expansion_context
+        monkeypatch.setattr(survival, "expansion_context", lambda inst: calls.append(inst) or original(inst))
         report = compare_routes(build_instance(12, [0.3, 0.3], [3, 4]), QuadratureSpec(nodes=8))
         assert report.gaussian is not None and len(calls) == 1
         assert report.delta_n == expansions.expansion_context(build_instance(12, [0.3, 0.3], [3, 4])).delta_n
@@ -533,6 +540,15 @@ class TestCompareBatch:
         later = build_instance(20_000, [0.5], [1])
         with pytest.raises(CostGuardError, match="n = 3000000"):
             compare_batch([ok, first, later])
+
+    def test_chain_cost_guard_applies_to_integral_routes_only(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_chain_grid", lambda *args: pytest.fail("built a grid"))
+        wide = build_instance(100, [0.015] * 60, [1] * 60)  # J_i = 0: not Gaussian-ready
+        with pytest.raises(CostGuardError, match="chain rule"):
+            compare_batch([build_instance(10, [0.3], [3]), wide])
+        exact, gaussian = (compare_batch([wide], routes=[route])[0] for route in ("exact", "gaussian"))
+        assert 0.0 < exact.exact < 1.0
+        assert gaussian.gaussian is None and gaussian.gaussian_reason == "J_i = 0"
 
     def test_instances_are_consumed_in_order(self):
         def rows():
