@@ -61,22 +61,21 @@ def random_weights(rng, d):
     return p[:d]
 
 
-def random_instance(rng, d=None, n_range=(4, 25), k_max=None):
-    """Unconstrained valid instance; thresholds may be zero or infeasible."""
-    d = int(rng.integers(1, 4)) if d is None else d
+def random_instance(rng, n_range=(4, 25)):
+    """Unconstrained valid instance, d in 1..3; thresholds may be zero or infeasible."""
+    d = int(rng.integers(1, 4))
     n = int(rng.integers(*n_range))
     p = random_weights(rng, d)
-    hi = k_max if k_max is not None else max(2, n // d + 2)
-    k = rng.integers(0, hi + 1, size=d)
+    k = rng.integers(0, max(2, n // d + 2) + 1, size=d)
     return build_instance(n, p, k)
 
 
-def random_gaussian_ready_instance(rng, d=None, n_range=(15, 45), eps_bounds=(0.0, 0.3)):
-    """Instance with every ``J_i >= 1`` and bounded relative offsets."""
+def random_gaussian_ready_instance(rng, d=None, eps_bounds=(0.0, 0.3)):
+    """Instance with n in 15..44, every ``J_i >= 1`` and bounded relative offsets."""
     lo, hi = eps_bounds
     for _ in range(10_000):
         dd = int(rng.integers(1, 4)) if d is None else d
-        n = int(rng.integers(*n_range))
+        n = int(rng.integers(15, 45))
         p = random_weights(rng, dd)
         N = n - dd
         k = np.maximum(2, np.round(N * p + rng.integers(-3, 4, size=dd)).astype(int) + 1)
@@ -91,7 +90,11 @@ def random_gaussian_ready_instance(rng, d=None, n_range=(15, 45), eps_bounds=(0.
     raise RuntimeError("failed to draw a suitable random instance")
 
 
-def rate_test_instance(rng, min_dominance=0.6):
+# The rate checks' filters: a remainder's leading coefficient keeps this share.
+_MIN_DOMINANCE = 0.6
+
+
+def rate_test_instance(rng):
     """Instance whose fifth-order tilt coefficient dominates its absolute mass.
 
     The series-remainder rate check presumes the fifth-order term leads the
@@ -105,34 +108,34 @@ def rate_test_instance(rng, min_dominance=0.6):
         den = float(np.sum(np.abs(e) ** 5 / pf**4))
         if den == 0.0:
             continue
-        if abs(float(np.sum(e**5 / pf**4))) / den >= min_dominance:
+        if abs(float(np.sum(e**5 / pf**4))) / den >= _MIN_DOMINANCE:
             return inst
     raise RuntimeError("failed to draw a rate-test instance")
 
 
-def rate_test_direction(rng, inst, max_delta=0.4, min_dominance=0.6, tries=200):
+def rate_test_direction(rng, inst):
     """Direction for the quadratic-remainder rate check of the position tilt.
 
-    Scaled so the relative displacement stays small, and filtered so the
+    Scaled so the largest relative displacement is 0.4, and filtered so the
     cubic coefficient of the remainder does not cancel.  Returns ``None``
-    when the instance admits no such direction (possible for d = 1, where
-    the direction only fixes the scale); callers then redraw the instance.
+    when 200 draws find no such direction (possible for d = 1, where the
+    direction only fixes the scale); callers then redraw the instance.
     """
     jn = inst.J / inst.N
-    for _ in range(tries):
+    for _ in range(200):
         v = rng.normal(size=inst.d)
         w = np.append(v / inst.p, -v.sum() / inst.weights.p_last)
-        w *= max_delta / np.max(np.abs(w))
-        if abs(float(np.sum(jn * w**3))) / float(np.sum(jn * np.abs(w) ** 3)) >= min_dominance:
+        w *= 0.4 / np.max(np.abs(w))
+        if abs(float(np.sum(jn * w**3))) / float(np.sum(jn * np.abs(w) ** 3)) >= _MIN_DOMINANCE:
             return w[: inst.d] * inst.p
     return None
 
 
-def rate_test_pair(rng, **kwargs):
+def rate_test_pair(rng):
     """A (instance, direction) pair satisfying both dominance filters."""
     for _ in range(1000):
         inst = rate_test_instance(rng)
-        v = rate_test_direction(rng, inst, **kwargs)
+        v = rate_test_direction(rng, inst)
         if v is not None:
             return inst, v
     raise RuntimeError("failed to draw a rate-test pair")
@@ -170,9 +173,9 @@ def check_stirling_bounds() -> CheckResult:
     return _result("stirling_bounds", max(worst, 0.0), 0.0, "m in 1..1000 and 1e6")
 
 
-def check_covariance_algebra(rng, draws=50) -> CheckResult:
+def check_covariance_algebra(rng) -> CheckResult:
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(50):
         d = int(rng.integers(1, 7))
         w = make_weights(random_weights(rng, d))
         sigma = sigma_matrix(w)
@@ -181,21 +184,21 @@ def check_covariance_algebra(rng, draws=50) -> CheckResult:
         worst = max(worst, abs(det_dense - det_closed) / det_closed)
         eye_gap = np.max(np.abs(sigma @ sigma_inverse_matrix(w) - np.eye(d)))
         worst = max(worst, float(eye_gap))
-    return _result("covariance_algebra", worst, 1e-10, f"{draws} random weight vectors")
+    return _result("covariance_algebra", worst, 1e-10, "50 random weight vectors")
 
 
-def check_quadratic_cancellation(rng, draws=50) -> CheckResult:
+def check_quadratic_cancellation(rng) -> CheckResult:
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(50):
         inst = random_gaussian_ready_instance(rng)
         scale = max(quad_form(inst.weights, inst.eps_tilde[: inst.d]), 1.0)
         worst = max(worst, abs(expansions.quadratic_cancellation_residual(inst)) / scale)
-    return _result("quadratic_cancellation", worst, 1e-14, f"{draws} random instances")
+    return _result("quadratic_cancellation", worst, 1e-14, "50 random instances")
 
 
-def check_entropy_identities(rng, tolerance, draws=50) -> CheckResult:
+def check_entropy_identities(rng, tolerance) -> CheckResult:
     worst = 0.0
-    for _ in range(draws):
+    for _ in range(50):
         inst = random_gaussian_ready_instance(rng)
         jn = inst.J / inst.N
         pf = inst.weights.p_full
@@ -211,28 +214,26 @@ def check_entropy_identities(rng, tolerance, draws=50) -> CheckResult:
             expansions.gamma_star(inst, s)
         )
         worst = max(worst, abs(float(expansions.entropy_lhs(inst, s)) - rhs))
-    return _result("entropy_identities", worst, tolerance, f"{draws} random instances")
+    return _result("entropy_identities", worst, tolerance, "50 random instances")
 
 
-def check_integrand_equality(rng, tolerance, instances=20, points=100) -> CheckResult:
+def check_integrand_equality(rng, tolerance) -> CheckResult:
     worst = 0.0
-    for _ in range(instances):
+    for _ in range(20):
         inst = random_gaussian_ready_instance(rng)
-        pts = np.vstack([_interior_point(rng, inst) for _ in range(points)])
+        pts = np.vstack([_interior_point(rng, inst) for _ in range(100)])
         gap = np.abs(
             np.asarray(expansions.log_dirichlet_integrand(inst, pts))
             - np.asarray(expansions.log_gaussian_integrand(inst, pts))
         )
         worst = max(worst, float(gap.max()))
-    return _result(
-        "integrand_equality", worst, tolerance, f"{instances} instances x {points} points"
-    )
+    return _result("integrand_equality", worst, tolerance, "20 instances x 100 points")
 
 
-def check_h_properties(rng, tolerance, draws=20) -> CheckResult:
+def check_h_properties(rng, tolerance) -> CheckResult:
     worst = 0.0
     hess_ok = True
-    for _ in range(draws):
+    for _ in range(20):
         inst = random_gaussian_ready_instance(rng)
         jn = inst.J / inst.N
         # stationarity at the maximizer, exact in floating point
@@ -290,16 +291,16 @@ def check_route_agreement(tolerance) -> CheckResult:
     return _result("route_agreement", worst, tolerance, f"{len(panel)} instances, G={reports[0].nodes}")
 
 
-def check_monotonicity(rng, draws=60) -> CheckResult:
+def check_monotonicity(rng) -> CheckResult:
     worst = -math.inf
-    for _ in range(draws):
+    for _ in range(60):
         inst = random_instance(rng, n_range=(3, 13))
         i = int(rng.integers(0, inst.d))
         k2 = inst.k.copy()
         k2[i] += 1
         bumped = build_instance(inst.n, inst.p, k2)
         worst = max(worst, survival_exact(bumped) - survival_exact(inst))
-    return _result("monotonicity", max(worst, 0.0), 1e-12, f"{draws} random (instance, axis) pairs")
+    return _result("monotonicity", max(worst, 0.0), 1e-12, "60 random (instance, axis) pairs")
 
 
 def run_check_suite(seed=7, route_tol=1e-8, identity_tol=1e-10):

@@ -45,7 +45,7 @@ from .survival import (
 )
 from .checks import run_check_suite
 
-__all__ = ["run", "main", "emit_report", "emit_reports", "report_to_dict"]
+__all__ = ["run", "main", "emit_reports", "report_to_dict"]
 
 
 # A sweep holds every report until it writes them.  Measured with
@@ -134,11 +134,6 @@ def _csv_lines(reports):
         row += [_csv_cell(r.delta_n), _csv_cell(r.gamma_tilde), _csv_cell(r.max_rel_diff)]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
-
-
-def emit_report(report: RouteReport, fmt: str = "json") -> bytes:
-    """Serialize one report; JSON keys follow the documented layout."""
-    return emit_reports([report], fmt, single=True)
 
 
 def emit_reports(reports, fmt: str = "json", single: bool = False) -> bytes:

@@ -14,8 +14,6 @@ whose last axis holds the d coordinates.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .model import ProbabilityWeights
@@ -28,8 +26,6 @@ __all__ = [
     "log_mvn_density",
     "coordinate_sum",
 ]
-
-_LOG_2PI = math.log(2.0 * math.pi)
 
 
 def sigma_matrix(weights: ProbabilityWeights) -> np.ndarray:
@@ -68,13 +64,13 @@ def bilinear_form(weights: ProbabilityWeights, x, y) -> float | np.ndarray:
 def log_mvn_density(weights: ProbabilityWeights, x) -> float | np.ndarray:
     """Log-density at ``x`` of the centered normal with covariance ``Sigma``.
 
-    Accepts a single point or an array of shape (..., d).  The
-    log-determinant is ``weights.log_det``, which the weights compute once
-    and keep.
+    Accepts a single point or an array of shape (..., d).  The log of the
+    normalising constant is ``weights.log_normaliser``, which the weights
+    compute once and keep.
     """
     out = _quad_form(weights, _checked_points(weights, x))
     out *= -0.5
-    out -= 0.5 * (weights.d * _LOG_2PI + weights.log_det)
+    out -= weights.log_normaliser
     return _scalar_or_array(out)
 
 

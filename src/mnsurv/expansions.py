@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -289,9 +288,6 @@ def h_hessian(instance: SurvivalInstance, s) -> np.ndarray:
     return hess
 
 
-_LOG_2PI = math.log(2.0 * math.pi)
-
-
 def dirichlet_factors(instances) -> ChainFactors:
     """The Dirichlet-type integrands of same-``d`` instances as factors, one
     row per instance.
@@ -304,7 +300,7 @@ def dirichlet_factors(instances) -> ChainFactors:
     gaps = [instance.J.tolist() for instance in instances]
     J = np.array(gaps, dtype=float)
     constant = np.array([
-        _log_multinomial_constant(instance.N + instance.d, tuple(j))
+        _log_multinomial_constant(instance.N + instance.d, j)
         for instance, j in zip(instances, gaps)
     ])
     return ChainFactors(constant, _dirichlet_cells(J), J[:, :-1])
@@ -333,10 +329,8 @@ class _PowerCell(NamedTuple):
 _EXACT_MULTINOMIAL_MAX = 10**4
 
 
-@lru_cache(maxsize=64)
 def _log_multinomial_constant(total, J):
-    """``ln(total!) - sum_i ln(J_i!)``; cached, so repeated integrals of one
-    instance compute it once.
+    """``ln(total!) - sum_i ln(J_i!)``.
 
     Up to ``_EXACT_MULTINOMIAL_MAX`` it is the log of the exact integer
     ``total! / prod_i J_i!``, which is off by an ulp or two of the result;
@@ -364,7 +358,7 @@ def gaussian_factors(contexts) -> ChainFactors:
     cells = _gaussian_cells(instances)
     constant = np.array([
         ctx.delta_n + 0.5 * inst.d * math.log(inst.N)
-        - 0.5 * (inst.d * _LOG_2PI + inst.weights.log_det)
+        - inst.weights.log_normaliser
         for ctx, inst in zip(contexts, instances)
     ])
     powers = np.concatenate([cell.j[:, :, 0] for cell in cells[:-1]], axis=1)

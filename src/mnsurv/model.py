@@ -9,6 +9,7 @@ used by the integral routes, and merges away zero thresholds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -57,6 +58,9 @@ class ProbabilityWeights:
         All cell weights including the implicit last one.
     log_det : float
         ``sum(ln p_full)``, the log-determinant of ``diag(p) - p p^T``; cached.
+    log_normaliser : float
+        ``(d ln(2 pi) + log_det) / 2``, the log of the normalising constant
+        of the normal density with that covariance; cached.
     """
 
     p: np.ndarray
@@ -71,6 +75,10 @@ class ProbabilityWeights:
     @cached_property
     def log_det(self) -> float:
         return float(np.sum(np.log(self.p_full)))
+
+    @cached_property
+    def log_normaliser(self) -> float:
+        return 0.5 * (self.d * math.log(2.0 * math.pi) + self.log_det)
 
 
 def make_weights(p) -> ProbabilityWeights:
@@ -112,6 +120,10 @@ def _is_bool(x) -> bool:
     return isinstance(x, (bool, np.bool_))
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not _is_bool(x)
+
+
 def _validate_thresholds(k) -> np.ndarray:
     # numpy reads [1, True] as integers, so a listed bool is looked for first
     listed_bool = isinstance(k, (list, tuple)) and any(map(_is_bool, k))
@@ -120,9 +132,11 @@ def _validate_thresholds(k) -> np.ndarray:
         raise ValueError("k must be a non-empty 1-d vector")
     if listed_bool or k.dtype == np.bool_:
         raise ValueError("thresholds must be integers, not booleans")
-    if k.dtype.kind not in _NUMBER_KINDS:
+    # numpy keeps ints past int64 as objects; the sign and sum checks below are exact
+    huge = k.dtype == object and all(map(_is_int, k.tolist()))
+    if k.dtype.kind not in _NUMBER_KINDS and not huge:
         raise ValueError("thresholds must be integers, not strings or other objects")
-    if not np.issubdtype(k.dtype, np.integer):
+    if k.dtype.kind == "f":
         kf = np.asarray(k, dtype=float)
         if not np.all(np.isfinite(kf) & (kf == np.floor(kf))):
             raise ValueError("thresholds must be integers")

@@ -269,7 +269,8 @@ def _chain_grid(prefix: np.ndarray, g: int) -> _ChainGrid:
 
 @lru_cache(maxsize=8)
 def _shared_chain_grid(prefix: tuple, g: int) -> _ChainGrid:
-    """The one-row grid of ``prefix``, kept for the next integral over it."""
+    """The one-row grid of ``prefix``, kept for the next integral over it;
+    for rows of at most ``_CHUNK_ELEMENTS`` evaluations, about 4 MB a grid."""
     return _chain_grid(np.array([prefix]), g)
 
 
@@ -376,8 +377,10 @@ def integrate_chain(prefix, factors: ChainFactors, spec=None):
     ``_CHUNK_ELEMENTS`` together, so the working set stays in cache.  Every
     elementwise operation, and every sum's order, is that of the row alone,
     so neither the batch nor the chunking moves a bit.  A chunk whose rows
-    share their prefix sums uses one grid for all of them, and the last
-    eight such grids are kept for the next call.
+    share their prefix sums uses one grid for all of them.  Up to
+    ``_CHUNK_ELEMENTS`` evaluations a row, the last eight such grids are kept
+    for the next call; a wider row's grid lives only in this call, and the
+    next rows reuse it while their prefix sums are the same.
     """
     spec = spec if spec is not None else QuadratureSpec()
     prefix = np.asarray(prefix, dtype=float)
@@ -388,14 +391,19 @@ def integrate_chain(prefix, factors: ChainFactors, spec=None):
         raise ValueError(f"factors do not match the {count} prefix rows of d = {d}")
     g = max(spec.nodes, MIN_PANEL_NODES)
     size = _chunk_rows(d, g)  # raises past the cost guard, before any grid is built
+    cached = chain_evaluations(d, g) <= _CHUNK_ELEMENTS
     log_values = []
+    wide = None  # the prefix sums of the last wide row's grid
     for lo in range(0, count, size):
         rows = slice(lo, lo + size)
         part = prefix[rows]
-        if len(part) == 1 or (part == part[0]).all():
-            grid = _shared_chain_grid(tuple(part[0].tolist()), g)
-        else:
+        key = tuple(part[0].tolist())
+        if len(part) > 1 and not (part == part[0]).all():
             grid = _chain_grid(part, g)
+        elif cached:
+            grid = _shared_chain_grid(key, g)
+        elif key != wide:
+            wide, grid = key, _chain_grid(part[:1], g)
         # a batch of one chunk is integrated as given
         log_values += _chain_logs(grid, factors if size >= count else factors.rows(rows), g)
     values = []

@@ -11,7 +11,7 @@ import pytest
 
 from mnsurv import (QuadratureSpec, build_instance, cli, compare_routes, quadrature,
                     reduce_thresholds, survival)
-from mnsurv.cli import emit_report, report_to_dict, run
+from mnsurv.cli import emit_reports, report_to_dict, run
 
 
 def run_to_file(tmp_path, args, name="out.bin"):
@@ -24,7 +24,7 @@ class TestEmit:
     def test_json_round_trip_is_bit_exact(self):
         inst = build_instance(10, [0.3, 0.3], [2, 3])
         report = compare_routes(inst, QuadratureSpec(nodes=32), replications=5000, seed=3)
-        parsed = json.loads(emit_report(report, "json"))
+        parsed = json.loads(emit_reports([report], "json", single=True))
         assert parsed["routes"]["exact"] == report.exact
         assert parsed["routes"]["dirichlet"] == report.dirichlet
         assert parsed["routes"]["gaussian"] == report.gaussian
@@ -38,24 +38,24 @@ class TestEmit:
 
     def test_numpy_integer_nodes_serialise(self):
         report = compare_routes(build_instance(10, [0.3], [3]), QuadratureSpec(nodes=np.int64(40)))
-        assert json.loads(emit_report(report, "json"))["params"]["nodes"] == 40
+        assert json.loads(emit_reports([report], "json", single=True))["params"]["nodes"] == 40
 
     def test_numpy_integer_mc_params_serialise(self):
         inst = build_instance(10, [0.3], [3])
-        plain = emit_report(compare_routes(inst, replications=2000, seed=1), "json")
+        plain = emit_reports([compare_routes(inst, replications=2000, seed=1)], "json", single=True)
         for reps, seed in ((np.int64(2000), 1), (2000, np.int64(1))):
             report = compare_routes(inst, replications=reps, seed=seed)
             assert type(report.mc.replications) is int and type(report.mc.seed) is int
-            assert emit_report(report, "json") == plain
+            assert emit_reports([report], "json", single=True) == plain
 
     def test_inapplicable_gaussian_marker(self):
         report = compare_routes(build_instance(10, [0.3, 0.3], [1, 3]))
-        parsed = json.loads(emit_report(report, "json"))
+        parsed = json.loads(emit_reports([report], "json", single=True))
         assert "inapplicable" in parsed["routes"]["gaussian"]
 
     def test_csv_columns(self):
         report = compare_routes(build_instance(10, [0.3, 0.3], [2, 3]))
-        text = emit_report(report, "csv").decode()
+        text = emit_reports([report], "csv", single=True).decode()
         header, row = text.strip().splitlines()
         assert header == (
             "n,d,p_1,p_2,k_1,k_2,exact,dirichlet,gaussian,"
@@ -235,6 +235,19 @@ class TestExitCodes:
         assert run(args) == 2
         err = capsys.readouterr().err
         assert err.startswith("invalid instance: n must be below ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, k, message",
+        [
+            ("sweep", "99999999999999999999", "the threshold sum must not exceed "),
+            ("eval", "99999999999999999999", "the threshold sum must not exceed "),
+            ("sweep", "-99999999999999999999", "thresholds must be nonnegative"),
+        ],
+    )
+    def test_validation_error_on_threshold_past_int64(self, capsys, command, k, message):
+        assert run([command, "--n", "5", "--p", "0.3", "--k", k]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid instance: " + message) and err.count("\n") == 1
 
     def test_cost_guard_on_fixed_k_grid(self, capsys):
         # counted from the range, before any row is built
@@ -487,9 +500,9 @@ class TestFloatFormatting:
         for _ in range(1000):
             x = float(rng.uniform(-1, 1)) * 10.0 ** int(rng.integers(-12, 12))
             report = dataclasses.replace(base, exact=x)
-            text = emit_report(report, "json").decode()
+            text = emit_reports([report], "json", single=True).decode()
             assert f'"exact": {x!r},' in text
             assert json.loads(text)["routes"]["exact"].hex() == x.hex()
-            _, row = emit_report(report, "csv").decode().splitlines()
+            _, row = emit_reports([report], "csv", single=True).decode().splitlines()
             cell = row.split(",")[4]
             assert cell == repr(x) and float(cell).hex() == x.hex()

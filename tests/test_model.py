@@ -65,6 +65,20 @@ class TestBuildInstance:
         with pytest.raises(ValueError):
             build_instance(n, p, k)
 
+    @pytest.mark.parametrize(
+        "k, message",
+        [
+            ([2**70], "int64"),             # numpy keeps it as an object
+            ([3, 2**70], "int64"),
+            ([2**63], "int64"),             # numpy keeps it as uint64
+            ([-2**70], "nonnegative"),
+            ([2**70, "3"], "strings or other objects"),
+        ],
+    )
+    def test_huge_integer_thresholds_get_their_own_message(self, k, message):
+        with pytest.raises(ValueError, match=message):
+            build_instance(10, [0.3] * len(k), k)
+
     def test_integral_float_thresholds_are_accepted(self):
         assert build_instance(10, [0.3], [3.0]).k.tolist() == [3]
 

@@ -534,6 +534,32 @@ class TestCompareBatch:
         compare_batch(rows, QuadratureSpec(nodes=32))
         assert built == [(1, 3)]  # one grid, built once for both routes
 
+    def test_wide_rows_leave_no_grid_alive(self):
+        # d = 8 at G = 64 is past _CHUNK_ELEMENTS, so every row is a chunk
+        spec = QuadratureSpec(nodes=64)
+        rng = np.random.default_rng(8)
+        rows = [build_instance(200, np.round(random_weights(rng, 8), 4), [15] * 8)
+                for _ in range(9)]
+        compare_batch(rows[:1], spec, routes=["dirichlet"])  # the rule's own caches
+        tracemalloc.start()
+        try:
+            compare_batch(rows[1:], spec, routes=["dirichlet"])
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 2e6
+
+    def test_wide_rows_of_one_weight_vector_build_one_grid_per_route_call(self, monkeypatch):
+        built = []
+        original = quadrature._chain_grid
+        monkeypatch.setattr(quadrature, "_chain_grid",
+                            lambda prefix, g: built.append(prefix.shape) or original(prefix, g))
+        quadrature._shared_chain_grid.cache_clear()
+        rows = [build_instance(200, [0.1] * 8, [k] * 8) for k in (17, 18, 19)]
+        compare_batch(rows, QuadratureSpec(nodes=64))
+        assert built == [(1, 8), (1, 8)]  # the Dirichlet route's, then the Gaussian one's
+        assert quadrature._shared_chain_grid.cache_info().currsize == 0
+
     def test_earliest_failing_row_raises(self):
         ok = build_instance(10, [0.3], [3])
         first = build_instance(3_000_000, [0.5], [1])  # exact route refused
@@ -624,6 +650,25 @@ class TestChainAccuracy:
                 exact, rel=_dirichlet_bound(n), abs=0.0
             )
             checked += 1
+
+    def test_wide_d_against_exact(self):
+        # the scope in d that README states: two rows each of d = 8-20, every
+        # S_i's threshold half a standard deviation below its mean
+        rng = np.random.default_rng(50)
+        rows = []
+        for d in (8, 12, 16, 20):
+            for _ in range(2):
+                n = int(rng.integers(100, 601))
+                p = random_weights(rng, d)
+                prefix = np.cumsum(p)
+                kappa = np.round(n * prefix - 0.5 * np.sqrt(n * prefix * (1.0 - prefix)))
+                rows.append(build_instance(n, p, np.maximum(np.diff(kappa, prepend=0), 2)))
+        quadrature._shared_chain_grid.cache_clear()
+        for inst, report in zip(rows, compare_batch(rows)):
+            exact = survival_exact(inst)
+            assert report.dirichlet == pytest.approx(exact, rel=1e-11, abs=0.0)
+            assert report.gaussian == pytest.approx(exact, rel=1e-11, abs=0.0)
+        assert quadrature._shared_chain_grid.cache_info().currsize == 0  # none kept
 
     def test_small_n_panels_at_any_node_count(self):
         # --nodes 2..32 all mean 32 per panel: same bits, within 1e-13
