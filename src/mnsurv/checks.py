@@ -32,7 +32,6 @@ __all__ = [
     "random_instance",
     "random_gaussian_ready_instance",
     "rate_test_instance",
-    "rate_test_direction",
     "rate_test_pair",
     "gamma_star_remainder",
 ]
@@ -113,31 +112,25 @@ def rate_test_instance(rng):
     raise RuntimeError("failed to draw a rate-test instance")
 
 
-def rate_test_direction(rng, inst):
-    """Direction for the quadratic-remainder rate check of the position tilt.
-
-    Scaled so the largest relative displacement is 0.4, and filtered so the
-    cubic coefficient of the remainder does not cancel.  Returns ``None``
-    when 200 draws find no such direction (possible for d = 1, where the
-    direction only fixes the scale); callers then redraw the instance.
-    """
-    jn = inst.J / inst.N
-    for _ in range(200):
-        v = rng.normal(size=inst.d)
-        w = np.append(v / inst.p, -v.sum() / inst.weights.p_last)
-        w *= 0.4 / np.max(np.abs(w))
-        if abs(float(np.sum(jn * w**3))) / float(np.sum(jn * np.abs(w) ** 3)) >= _MIN_DOMINANCE:
-            return w[: inst.d] * inst.p
-    return None
-
-
 def rate_test_pair(rng):
-    """A (instance, direction) pair satisfying both dominance filters."""
+    """A (instance, direction) pair for the quadratic-remainder rate check of
+    the position tilt, satisfying both dominance filters.
+
+    The instance is a :func:`rate_test_instance`.  The direction is scaled so
+    the largest relative displacement is 0.4, and filtered so the cubic
+    coefficient of the remainder does not cancel.  When 200 draws find no
+    such direction (possible for d = 1, where the direction only fixes the
+    scale), the instance is redrawn.
+    """
     for _ in range(1000):
         inst = rate_test_instance(rng)
-        v = rate_test_direction(rng, inst)
-        if v is not None:
-            return inst, v
+        jn = inst.J / inst.N
+        for _ in range(200):
+            v = rng.normal(size=inst.d)
+            w = np.append(v / inst.p, -v.sum() / inst.weights.p_last)
+            w *= 0.4 / np.max(np.abs(w))
+            if abs(float(np.sum(jn * w**3))) / float(np.sum(jn * np.abs(w) ** 3)) >= _MIN_DOMINANCE:
+                return inst, w[: inst.d] * inst.p
     raise RuntimeError("failed to draw a rate-test pair")
 
 

@@ -18,9 +18,10 @@ positive and finite, a --routes that names no route, or that omits mc
 while --mc-reps is given, an --input or --out path that cannot be read
 or written, an --input list or a sweep grid with no instance), 2 invalid
 instance data (bad n/p/k), 3 check-suite failure, 4 cost guard (a
-route's cost bound refuses the instance, or a sweep grid exceeds
-MAX_SWEEP_ROWS rows).  All output is byte-deterministic for a given
-command line, including Monte Carlo results (seeds are mandatory).
+route's cost bound refuses the instance, or a sweep grid or an --input
+list exceeds MAX_BATCH_ROWS rows).  All output is byte-deterministic for
+a given command line, including Monte Carlo results (seeds are
+mandatory).
 """
 
 from __future__ import annotations
@@ -48,11 +49,12 @@ from .checks import run_check_suite
 __all__ = ["run", "main", "emit_reports", "report_to_dict"]
 
 
-# A sweep holds every report until it writes them.  Measured with
-# tracemalloc at d = 3 and 6, a row holds 6.1-6.8 kB until JSON is written
-# and 1.1-1.2 kB for CSV, so a million JSON rows take more than 6 GB, most
-# of an 8 GB machine.  Grids beyond this are refused.
-MAX_SWEEP_ROWS = 10**6
+# A sweep or an --input batch holds every report until it writes them.
+# Measured with tracemalloc, a sweep row at d = 3 and 6 holds 6.1-6.8 kB
+# until JSON is written and 1.1-1.2 kB for CSV, and an --input record at
+# d = 3 holds 7.6-7.7 kB, so a million JSON rows take more than 6 GB, most
+# of an 8 GB machine.  Larger grids and lists are refused.
+MAX_BATCH_ROWS = 10**6
 
 
 class UsageError(Exception):
@@ -72,14 +74,7 @@ def report_to_dict(report: RouteReport) -> dict:
     gaussian = report.gaussian
     if gaussian is None and report.gaussian_reason is not None:
         gaussian = {"inapplicable": report.gaussian_reason}
-    mc = None
-    if report.mc is not None:
-        mc = {
-            "estimate": report.mc.estimate,
-            "stderr": report.mc.stderr,
-            "replications": report.mc.replications,
-            "seed": report.mc.seed,
-        }
+    mc = None if report.mc is None else dict(vars(report.mc))
     return {
         "instance": {
             "n": report.n,
@@ -246,6 +241,10 @@ def _instances_from_args(args):
             raise UsageError("--input must contain a JSON list of {n, p, k} objects")
         if not records:
             raise UsageError(f"{args.input} holds an empty list")
+        if len(records) > MAX_BATCH_ROWS:
+            raise CostGuardError(
+                f"--input list of {len(records)} records exceeds the {MAX_BATCH_ROWS} row guard"
+            )
         instances = []
         for idx, rec in enumerate(records):
             if not isinstance(rec, dict):
@@ -326,14 +325,14 @@ def _run_sweep(args):
         kind, rows = "--k-all", 0
         for n in ns:  # counted only until the guard is passed
             rows += math.comb(max(n, 0), d)
-            if rows > MAX_SWEEP_ROWS:
+            if rows > MAX_BATCH_ROWS:
                 break
         size = f"at least {rows}" if n != ns[-1] else rows
     else:
         kind, rows = "--n", len(ns)
         size = rows
-    if rows > MAX_SWEEP_ROWS:
-        raise CostGuardError(f"{kind} grid of {size} rows exceeds the {MAX_SWEEP_ROWS} row guard")
+    if rows > MAX_BATCH_ROWS:
+        raise CostGuardError(f"{kind} grid of {size} rows exceeds the {MAX_BATCH_ROWS} row guard")
     grid = []
     for n in ns:
         if args.k_all:
@@ -407,9 +406,7 @@ def run(argv=None) -> int:
             return _run_eval(args, None)
         if args.command == "sweep":
             return _run_sweep(args)
-        if args.command == "check":
-            return _run_check(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        return _run_check(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

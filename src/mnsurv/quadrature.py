@@ -152,20 +152,15 @@ def mapped_interpolation(nodes: int) -> np.ndarray:
     ``c``: values at the ``G`` nodes of ``[0, 1]``, times ``L``, give the
     interpolant at the nodes of the rule mapped to ``[0, x_b]``, for every
     ``b``.  It is the barycentric formula with the closed-form weights
-    ``(-1)^c sqrt(x_c (1 - x_c) w_c)`` of the Gauss-Legendre nodes.
+    ``(-1)^c sqrt(x_c (1 - x_c) w_c)`` of the Gauss-Legendre nodes.  For
+    every accepted ``nodes``, no product ``x_b x_a`` is a node.
     """
     x, w = legendre_rule(nodes)
     bary = np.sqrt(x * (1.0 - x) * w)
     bary[1::2] *= -1.0
     points = np.multiply.outer(x, x).ravel()
-    diff = points - x[:, None]
-    hits = diff == 0.0
-    diff[hits] = 1.0
-    terms = bary[:, None] / diff
+    terms = bary[:, None] / (points - x[:, None])
     out = terms / terms.sum(axis=0)
-    for c, col in zip(*np.nonzero(hits)):  # a point on a node takes its value
-        out[:, col] = 0.0
-        out[c, col] = 1.0
     out.setflags(write=False)
     return out
 
@@ -284,10 +279,6 @@ def _shared_chain_grid(prefix: tuple, g: int) -> _ChainGrid:
 _CHUNK_ELEMENTS = 2**18
 
 
-def _chunk_rows(d: int, g: int) -> int:
-    return max(1, _CHUNK_ELEMENTS // max(g * g, chain_evaluations(d, g)))
-
-
 # The chain rule refuses a row of more factor evaluations than this.  Its
 # grid and the terms of its last level peak, by tracemalloc, at 20.5-24.6
 # bytes per evaluation for d = 10 at G = 64 and 128, and 18.6-21.0 at d =
@@ -377,10 +368,11 @@ def integrate_chain(prefix, factors: ChainFactors, spec=None):
     ``_CHUNK_ELEMENTS`` together, so the working set stays in cache.  Every
     elementwise operation, and every sum's order, is that of the row alone,
     so neither the batch nor the chunking moves a bit.  A chunk whose rows
-    share their prefix sums uses one grid for all of them.  Up to
-    ``_CHUNK_ELEMENTS`` evaluations a row, the last eight such grids are kept
-    for the next call; a wider row's grid lives only in this call, and the
-    next rows reuse it while their prefix sums are the same.
+    differ in their prefix sums builds one grid per row.  Any other chunk
+    takes a one-row grid, and the chunks after it reuse that grid while
+    their prefix sums repeat.  A new one-row grid comes from the last eight
+    kept for rows of up to ``_CHUNK_ELEMENTS`` evaluations, or, for a wider
+    row, is built for this call alone.
     """
     spec = spec if spec is not None else QuadratureSpec()
     prefix = np.asarray(prefix, dtype=float)
@@ -390,20 +382,20 @@ def integrate_chain(prefix, factors: ChainFactors, spec=None):
     if np.shape(factors.constant) != (count,) or np.shape(factors.powers) != (count, d):
         raise ValueError(f"factors do not match the {count} prefix rows of d = {d}")
     g = max(spec.nodes, MIN_PANEL_NODES)
-    size = _chunk_rows(d, g)  # raises past the cost guard, before any grid is built
-    cached = chain_evaluations(d, g) <= _CHUNK_ELEMENTS
+    evaluations = chain_evaluations(d, g)  # raises past the cost guard, before any grid is built
+    size = max(1, _CHUNK_ELEMENTS // max(g * g, evaluations))
+    cached = evaluations <= _CHUNK_ELEMENTS
     log_values = []
-    wide = None  # the prefix sums of the last wide row's grid
+    key = None  # the prefix sums of the last one-row grid
     for lo in range(0, count, size):
         rows = slice(lo, lo + size)
         part = prefix[rows]
-        key = tuple(part[0].tolist())
+        first = tuple(part[0].tolist())
         if len(part) > 1 and not (part == part[0]).all():
-            grid = _chain_grid(part, g)
-        elif cached:
-            grid = _shared_chain_grid(key, g)
-        elif key != wide:
-            wide, grid = key, _chain_grid(part[:1], g)
+            key, grid = None, _chain_grid(part, g)
+        elif first != key:
+            key = first
+            grid = _shared_chain_grid(key, g) if cached else _chain_grid(part[:1], g)
         # a batch of one chunk is integrated as given
         log_values += _chain_logs(grid, factors if size >= count else factors.rows(rows), g)
     values = []

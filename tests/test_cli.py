@@ -229,6 +229,23 @@ class TestExitCodes:
         assert err == "cost guard: --k-all grid of at least 1004731 rows exceeds the 1000000 row guard\n"
         assert len(calls) == 182  # C(183, 3) > 10^6 >= C(182, 3)
 
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    def test_cost_guard_on_input_list(self, tmp_path, monkeypatch, capsys, command):
+        # an --input list holds every report until it is written, as a sweep does
+        built = []
+        monkeypatch.setattr(cli, "MAX_BATCH_ROWS", 3)
+        monkeypatch.setattr(cli, "build_instance",
+                            lambda *args: built.append(args) or build_instance(*args))
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps([{"n": 10, "p": [0.3], "k": [3]}] * 4))
+        assert run([command, "--input", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert err == "cost guard: --input list of 4 records exceeds the 3 row guard\n"
+        assert built == []
+        path.write_text(json.dumps([{"n": 10, "p": [0.3], "k": [3]}] * 3))
+        code, payload = run_to_file(tmp_path, [command, "--input", str(path)])
+        assert code == 0 and len(json.loads(payload)) == 3 and len(built) == 3
+
     def test_validation_error_on_n_past_int64(self, capsys):
         args = ["eval", "--n", "100000000000000000000", "--p", "0.5", "--k", "1",
                 "--routes", "dirichlet"]

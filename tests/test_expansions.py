@@ -28,6 +28,7 @@ from mnsurv import (
     quadratic_cancellation_residual,
     stirling_lambda,
 )
+from mnsurv import expansions
 from mnsurv.checks import (
     gamma_star_remainder,
     random_gaussian_ready_instance,
@@ -181,6 +182,51 @@ class TestDeltaN:
         a = build_instance(20, [0.2, 0.3], [3, 5])
         b = build_instance(20, [0.3, 0.2], [5, 3])
         assert delta_n(a) == pytest.approx(delta_n(b), abs=1e-15)
+
+
+def _gaps(rng, total, d):
+    """d+1 random gaps that sum to ``total - d``, as an instance's ``J`` do."""
+    return rng.multinomial(total - d, rng.dirichlet(np.ones(d + 1))).tolist()
+
+
+def _exact_constant(total, J):
+    """The integer ``total! / prod_i J_i!``, as ``total! / (total - d)!`` times
+    a product of binomials, which is far faster than dividing factorials."""
+    value, rest = math.perm(total, total - sum(J)), sum(J)
+    for j in J:
+        value *= math.comb(rest, j)
+        rest -= j
+    return value
+
+
+class TestLogMultinomialConstant:
+    """``ln(total!) - sum_i ln(J_i!)``: an exact integer's log up to
+    ``_EXACT_MULTINOMIAL_MAX``, a difference of log-gammas beyond."""
+
+    def test_against_the_exact_integer_past_the_exact_range(self):
+        J = [3, 0, 7, 2]
+        assert _exact_constant(15, J) == math.factorial(15) // math.prod(map(math.factorial, J))
+        rng = np.random.default_rng(10001)
+        for total in (10**4 + 1, 2 * 10**4, 10**5):
+            assert total > expansions._EXACT_MULTINOMIAL_MAX
+            cases = [_gaps(rng, total, d) for d in range(1, 7)]
+            with_zero = _gaps(rng, total, 3)
+            with_zero[0] += with_zero[1]
+            with_zero[1] = 0
+            for J in cases + [with_zero]:
+                exact = math.log(_exact_constant(total, J))
+                assert expansions._log_multinomial_constant(total, J) == pytest.approx(
+                    exact, rel=0, abs=1e-9), J
+
+    def test_branches_agree_at_the_boundary(self, monkeypatch):
+        rng = np.random.default_rng(10000)
+        total = expansions._EXACT_MULTINOMIAL_MAX
+        cases = [_gaps(rng, total, d) for d in range(1, 7)]
+        exact = [expansions._log_multinomial_constant(total, J) for J in cases]
+        monkeypatch.setattr(expansions, "_EXACT_MULTINOMIAL_MAX", total - 1)
+        for J, value in zip(cases, exact):
+            assert expansions._log_multinomial_constant(total, J) == pytest.approx(
+                value, rel=0, abs=1e-9), J
 
 
 class TestGammaStar:

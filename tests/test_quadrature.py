@@ -271,6 +271,13 @@ class TestMappedInterpolation:
         np.testing.assert_allclose(quadrature.mapped_interpolation(64).sum(axis=0), 1.0,
                                    rtol=0, atol=1e-13)
 
+    def test_no_mapped_point_is_a_node(self):
+        # the barycentric formula divides by x_b x_a - x_c, so no accepted rule may
+        # put a product of two nodes on a node
+        for g in range(quadrature.MIN_NODES, quadrature.MAX_NODES + 1):
+            x, _ = legendre_rule(g)
+            assert not np.isin(np.multiply.outer(x, x), x).any(), g
+
 
 def _zero_step(u, log_u):
     return np.zeros(np.shape(u))

@@ -534,6 +534,40 @@ class TestCompareBatch:
         compare_batch(rows, QuadratureSpec(nodes=32))
         assert built == [(1, 3)]  # one grid, built once for both routes
 
+    def test_mixed_chunk_between_chunks_of_one_prefix(self, monkeypatch):
+        # d = 3 at G = 32 goes 36 rows a chunk: prefix a, then a and b alternating, then a again
+        built = []
+        original = quadrature._chain_grid
+        monkeypatch.setattr(quadrature, "_chain_grid",
+                            lambda prefix, g: built.append(prefix.shape) or original(prefix, g))
+        quadrature._shared_chain_grid.cache_clear()
+        spec = QuadratureSpec(nodes=32)
+        a, b = [0.3, 0.25, 0.2], [0.2, 0.3, 0.25]
+        shared = [build_instance(n, a, [3, k, 3]) for n in (40, 50) for k in range(2, 20)]
+        mixed = [build_instance(45, p, [3, k, 3]) for k in range(2, 20) for p in (a, b)]
+        rows = shared + mixed + shared
+        reports = compare_batch(rows, spec)
+        # each route builds the mixed chunk's grid; the shared one is built once and kept
+        assert built == [(1, 3), (36, 3), (36, 3)]
+        for inst, report in zip(rows, reports):
+            assert _report_bits(report) == _report_bits(compare_routes(inst, spec))
+
+    def test_wide_rows_of_two_prefixes_build_a_grid_per_change(self, monkeypatch):
+        built = []
+        original = quadrature._chain_grid
+        monkeypatch.setattr(quadrature, "_chain_grid",
+                            lambda prefix, g: built.append(prefix.shape) or original(prefix, g))
+        quadrature._shared_chain_grid.cache_clear()
+        spec = QuadratureSpec(nodes=64)
+        a, b = [0.1] * 8, [0.11] * 4 + [0.09] * 4
+        rows = [build_instance(200, p, [17] * 8) for p in (a, b, a)]
+        reports = compare_batch(rows, spec, routes=["dirichlet"])
+        assert built == [(1, 8)] * 3
+        assert quadrature._shared_chain_grid.cache_info().currsize == 0
+        for inst, report in zip(rows, reports):
+            alone = compare_routes(inst, spec, routes=["dirichlet"])
+            assert _report_bits(report) == _report_bits(alone)
+
     def test_wide_rows_leave_no_grid_alive(self):
         # d = 8 at G = 64 is past _CHUNK_ELEMENTS, so every row is a chunk
         spec = QuadratureSpec(nodes=64)
