@@ -308,7 +308,7 @@ def _run_eval(args, routes):
         if "mc" not in routes and args.mc_reps is not None:
             raise UsageError("--mc-reps requires route 'mc' in --routes")
     instances = _instances_from_args(args)
-    # instance idx of a batch draws with seed + idx
+    # records of one reduced (n, p) share the Monte Carlo sample of seed + (index of the first)
     reports = compare_batch(instances, spec, routes, args.tolerance,
                             replications=args.mc_reps, seed=args.seed)
     _write(args, emit_reports(reports, args.format, single=args.input is None))
@@ -342,7 +342,7 @@ def _run_sweep(args):
             grid.append((n, _int_list(args.k)))
     if not grid:
         raise UsageError("sweep grid is empty")
-    # sweep row idx draws with seed + idx
+    # the rows of one n share the Monte Carlo sample of seed + (index of its first row)
     reports = compare_batch(_sweep_instances(p, grid), spec, tolerance=args.tolerance,
                             replications=args.mc_reps, seed=args.seed)
     _write(args, emit_reports(reports, args.format))

@@ -20,7 +20,8 @@
 pairwise discrepancies, and never raises on mere inapplicability.
 :func:`compare_batch` does the same for a batch of instances, with one
 batched chain integral per route for each group of rows of one reduced
-``d``; :func:`compare_routes` is its batch of one.
+``d``, and one Monte Carlo sample for each group of rows of one reduced
+``(n, p)``; :func:`compare_routes` is its batch of one.
 """
 
 from __future__ import annotations
@@ -204,7 +205,8 @@ def survival_mc(instance: SurvivalInstance, replications: int, seed: int):
     (float, float)
         Frequency estimate and its binomial standard error; fully determined
         by ``(seed, replications)``.  An impossible instance (``kappa_d >
-        n``) returns ``(0.0, 0.0)`` without drawing.
+        n``) returns ``(0.0, 0.0)`` and one whose thresholds are all 0
+        returns ``(1.0, 0.0)``, both without drawing, whatever ``n``.
 
     Raises
     ------
@@ -215,35 +217,69 @@ def survival_mc(instance: SurvivalInstance, replications: int, seed: int):
     CostGuardError
         If ``n`` exceeds ``_MC_CHUNK_VALUES``, the uniforms of one chunk.
     """
+    replications, seed = _check_mc(instance, replications, seed)
+    return _mc_sample([instance], replications, seed)[0]
+
+
+def _check_mc(instance, replications, seed):
+    """:func:`survival_mc`'s argument checks and cost guard, without drawing;
+    returns ``replications`` and ``seed`` as Python ints."""
     replications = operator.index(replications)
     if replications < MIN_REPLICATIONS:
         raise ValueError(f"replications must be >= {MIN_REPLICATIONS}")
     if seed is None:
         raise ValueError("survival_mc requires a seed")
     seed = operator.index(seed)
-    n = instance.n
-    if n > _MC_CHUNK_VALUES:
-        raise CostGuardError(f"Monte Carlo needs n <= {_MC_CHUNK_VALUES}, got n = {n}")
-    if instance.impossible:
-        return 0.0, 0.0
-    prefix, kappa = instance.weights.prefix.tolist(), instance.kappa.tolist()
-    tests = [(p, k) for p, k in zip(prefix, kappa) if k >= 1]  # k = 0 always holds
+    if _mc_draws(instance) and instance.n > _MC_CHUNK_VALUES:
+        raise CostGuardError(f"Monte Carlo needs n <= {_MC_CHUNK_VALUES}, got n = {instance.n}")
+    return replications, seed
+
+
+def _mc_draws(instance):
+    """Whether the event can both fail and hold, so that its estimate needs
+    a sample: not impossible, and some threshold above 0."""
+    return not instance.impossible and int(instance.kappa[-1]) >= 1
+
+
+def _mc_sample(instances, replications, seed):
+    """:func:`survival_mc` of checked instances of one ``n`` and one prefix
+    vector, all on the one sample that ``seed`` draws.
+
+    Each chunk counts its uniforms below every prefix ``P_i`` once, and each
+    instance tests its own ``kappa`` against those counts, so an instance
+    costs ``O(replications d)`` on top of the ``O(replications n)`` draw.
+    Only the prefixes where some instance has a threshold ``k_i >= 1`` are
+    counted, at most ``n`` of them (every instance of a batch is reduced):
+    where an instance has ``k_i = 0``, ``S_i >= kappa_i`` follows from its
+    test at the last such prefix below, of the same ``kappa``.
+    """
+    results = [(0.0, 0.0) if instance.impossible else (1.0, 0.0) for instance in instances]
+    drawn = [idx for idx, instance in enumerate(instances) if _mc_draws(instance)]
+    if not drawn:
+        return results
+    n, prefix = instances[drawn[0]].n, instances[drawn[0]].weights.prefix.tolist()
+    k = np.array([instances[idx].k for idx in drawn])  # one row per instance
+    counted = np.flatnonzero(k.any(axis=0))
+    kappa = np.cumsum(k, axis=1)[:, counted]
     rng = np.random.default_rng(seed)
 
     chunk = _MC_CHUNK_VALUES // n
-    hits = 0
+    hits = [0] * len(drawn)
     for done in range(0, replications, chunk):
         u = rng.random((min(chunk, replications - done), n))  # one replication per row
-        ok = np.ones(len(u), dtype=bool)
-        for p, k in tests:
-            # int32 is exact for n <= _MC_CHUNK_VALUES; on rows of n <= 40
-            # einsum counts faster than sum or count_nonzero
-            ok &= np.einsum("ij->i", u <= p, dtype=np.int32) >= k
-        hits += int(np.count_nonzero(ok))
+        # int32 is exact for n <= _MC_CHUNK_VALUES; on rows of n <= 40
+        # einsum counts faster than sum or count_nonzero
+        counts = [np.einsum("ij->i", u <= prefix[i], dtype=np.int32) for i in counted.tolist()]
+        for row, row_kappa in enumerate(kappa):
+            ok = np.ones(len(u), dtype=bool)
+            for count, kappa_i in zip(counts, row_kappa.tolist()):
+                ok &= count >= kappa_i
+            hits[row] += int(np.count_nonzero(ok))
 
-    est = hits / replications
-    stderr = math.sqrt(est * (1.0 - est) / replications)
-    return est, stderr
+    for idx, h in zip(drawn, hits):
+        est = h / replications
+        results[idx] = (est, math.sqrt(est * (1.0 - est) / replications))
+    return results
 
 
 @dataclass(frozen=True)
@@ -325,21 +361,30 @@ def compare_batch(
 
     ``instances`` is any iterable of instances, consumed once, in order.
     Row ``r``'s report is bit for bit the report of ``compare_routes`` on
-    its instance alone, except that its Monte Carlo draws with seed ``seed
-    + r``.
+    its instance alone, except for its Monte Carlo seed.
+
+    Monte Carlo runs on the reduced instance (the instance itself when every
+    threshold is 0).  Rows whose targets share ``n`` and the prefix sums
+    share one sample, drawn with seed ``seed + r`` for the group's first
+    row ``r``; every row of the group records that seed, and its estimate
+    is bit for bit :func:`survival_mc` of its target with it.  Rows of one
+    ``(n, p)`` (a sweep over thresholds) thus see common random numbers:
+    each estimate keeps its binomial law, but their errors are correlated,
+    and raising a threshold of one of them never raises its estimate.
 
     Threshold reduction, the expansion context, the chain rule's cost guard
-    (:func:`mnsurv.quadrature.chain_evaluations`), the exact route and Monte
-    Carlo run row by row in input order.  The two integral routes run after
-    them, grouped by the reduced ``d``: each group is one batched
-    :func:`mnsurv.quadrature.integrate_chain` call per route, which shares
-    one grid between rows of equal weights (the rows of a sweep).  A
-    failure (a route's cost guard, a Monte Carlo sample below
-    ``MIN_REPLICATIONS``, or an instance that cannot be built while
-    ``instances`` is consumed) raises at its row, so the first failing row
-    in input order decides, and no later row runs.  The chain integrals
-    fail in no other way: their factors are finite on the grid of every
-    valid instance, and their guard was checked in the row phase.
+    (:func:`mnsurv.quadrature.chain_evaluations`), the exact route and the
+    Monte Carlo checks and cost guard run row by row in input order.  The
+    two integral routes run after them, grouped by the reduced ``d``: each
+    group is one batched :func:`mnsurv.quadrature.integrate_chain` call per
+    route, which shares one grid between rows of equal weights (the rows of
+    a sweep).  Monte Carlo samples are drawn last.  A failure (a route's
+    cost guard, a Monte Carlo sample below ``MIN_REPLICATIONS``, or an
+    instance that cannot be built while ``instances`` is consumed) raises
+    at its row, so the first failing row in input order decides, and no
+    later row runs.  The chain integrals and the samples fail in no other
+    way: their factors are finite on the grid of every valid instance, and
+    their guards were checked in the row phase.
     """
     spec = spec if spec is not None else QuadratureSpec()
     if routes is None:
@@ -372,14 +417,27 @@ def compare_batch(
             values = _integrate([row.reduced for row in ready], factors, spec)
             for row, value in zip(ready, values):
                 row.values["gaussian"] = value
+
+    if "mc" in routes:
+        samples = {}  # (n, prefix sums) of the Monte Carlo target -> its rows, in input order
+        for row in rows:
+            target = row.mc_target
+            samples.setdefault((target.n, target.weights.prefix.tobytes()), []).append(row)
+        for group in samples.values():
+            group_seed = seed + group[0].idx
+            results = _mc_sample([row.mc_target for row in group], replications, group_seed)
+            for row, (est, se) in zip(group, results):
+                row.mc = McResult(est, se, replications, group_seed)
     return [_report(row, spec, tolerance) for row in rows]
 
 
 class _Row:
-    """Row ``idx`` of a batch: its reduced instance, the values of its exact
-    and Monte Carlo routes, and whether its integral routes are to run."""
+    """Row ``idx`` of a batch: its reduced instance, the value of its exact
+    route, the instance its Monte Carlo runs on, and whether its integral
+    routes are to run."""
 
     def __init__(self, idx, instance, routes, spec, replications, seed):
+        self.idx = idx
         self.instance = instance
         self.values = {}  # route -> value
         self.integrate = False
@@ -407,9 +465,8 @@ class _Row:
                 self.values["exact"] = survival_exact(reduced)
 
         if "mc" in routes:
-            target = reduced if reduced is not None else instance
-            est, se = survival_mc(target, replications, seed + idx)
-            self.mc = McResult(est, se, replications, seed + idx)
+            self.mc_target = reduced if reduced is not None else instance
+            _check_mc(self.mc_target, replications, seed)
 
 
 def _report(row, spec, tolerance):

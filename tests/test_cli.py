@@ -315,6 +315,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("cost guard: Monte Carlo ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("k", ["0", "2000002"])
+    def test_monte_carlo_without_a_draw_is_not_guarded(self, tmp_path, k):
+        # all thresholds 0 (probability 1) or kappa_d > n (0): no sample is drawn
+        code, out = run_to_file(tmp_path, ["eval", "--n", "2000001", "--p", "0.5", "--k", k,
+                                           "--mc-reps", "1000", "--seed", "1"])
+        assert code == 0
+        mc = json.loads(out)["routes"]["mc"]
+        assert mc == {"estimate": 1.0 if k == "0" else 0.0, "stderr": 0.0,
+                      "replications": 1000, "seed": 1}
+
     def test_exact_route_at_n_1000_is_in_scope(self, tmp_path):
         code, out = run_to_file(tmp_path, [
             "eval", "--n", "1000", "--p", "0.2,0.3,0.2", "--k", "180,300,200",
@@ -508,6 +518,51 @@ class TestMcSeedRule:
         for idx, rec in enumerate(parsed):
             record = {"n": rec["instance"]["n"], "p": [0.3, 0.2], "k": [2, 1]}
             self._assert_mc(record, rec["routes"]["mc"], 1000, 2 + idx)
+
+
+class TestSweepSharedSample:
+    """The rows of one n in a sweep share one Monte Carlo sample."""
+
+    # thresholds that barely move the probability: independent samples per
+    # row put 5 estimates above the one of a lower threshold
+    ARGS = ["sweep", "--n", "7:9:2", "--p", "0.02,0.5", "--k-all", "--mc-reps", "1000",
+            "--seed", "4", "--nodes", "8"]
+
+    def test_one_draw_per_n(self, tmp_path, monkeypatch):
+        draws = []
+        default_rng = np.random.default_rng
+
+        def counting_rng(seed):
+            rng = default_rng(seed)
+
+            class Counted:
+                def random(self, size):
+                    draws.append(seed)
+                    return rng.random(size)
+
+            return Counted()
+
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        code, payload = run_to_file(tmp_path, self.ARGS)
+        assert code == 0
+        seeds = [rec["routes"]["mc"]["seed"] for rec in json.loads(payload)]
+        # C(7, 2) = 21 rows at n = 7, then 36 at n = 9
+        assert seeds == [4] * 21 + [25] * 36
+        assert draws == [4, 25]
+
+    def test_raising_a_threshold_never_raises_the_estimate(self, tmp_path):
+        code, payload = run_to_file(tmp_path, self.ARGS)
+        assert code == 0
+        estimate = {(rec["instance"]["n"], tuple(rec["instance"]["k"])): rec["routes"]["mc"]["estimate"]
+                    for rec in json.loads(payload)}
+        pairs = 0
+        for (n, k), est in estimate.items():
+            for i in range(len(k)):
+                higher = (n, k[:i] + (k[i] + 1,) + k[i + 1:])
+                if higher in estimate:
+                    assert estimate[higher] <= est
+                    pairs += 1
+        assert pairs == 2 * 15 + 2 * 28  # every k with sum(k) < n, raised in either cell
 
 
 class TestFloatFormatting:

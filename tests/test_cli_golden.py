@@ -27,10 +27,16 @@ CASES = [
     (["eval", "--n", "60", "--p", "0.3,0.2,0.25", "--k", "15,10,12",
       "--routes", "gaussian,dirichlet", "--nodes", "24"],
      "96f258bfc2833ed4334ec0a1811fc35e6a67874b87836b3889081137463b4bed"),
+    # the sweep above with Monte Carlo: each n's rows share one sample, with
+    # seeds 3, 18 and 54
+    (["sweep", "--n", "6:12:3", "--p", "0.3,0.2", "--k-all", "--format", "csv", "--nodes", "12",
+      "--mc-reps", "1000", "--seed", "3"],
+     "4dc70f26d5f222dc9e2a510eb6ad088a090aa70034617a4e571a858e51a9f3a5"),
 ]
 
 
-IDS = ["compare-d2-mc", "compare-d5-n100", "compare-d6-n1000", "sweep-k-all-csv", "eval-integral-routes"]
+IDS = ["compare-d2-mc", "compare-d5-n100", "compare-d6-n1000", "sweep-k-all-csv", "eval-integral-routes",
+       "sweep-k-all-csv-mc"]
 
 
 @pytest.mark.parametrize("args, digest", CASES, ids=IDS)

@@ -19,6 +19,7 @@ from mnsurv import (
     build_instance,
     compare_batch,
     compare_routes,
+    reduce_thresholds,
     survival_dirichlet,
     survival_exact,
     survival_gaussian,
@@ -264,6 +265,12 @@ class TestMonteCarlo:
         est, se = survival_mc(build_instance(2, [0.5], [5]), 2000, 1)
         assert est == 0.0 and se == 0.0
 
+    @pytest.mark.parametrize("k, value", [([0, 0], 1.0), ([0, 2_000_002], 0.0)])
+    def test_no_draw_past_the_guard(self, monkeypatch, k, value):
+        # neither event needs a sample, so the n guard does not apply
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("drew"))
+        assert survival_mc(build_instance(2_000_001, [0.3, 0.2], k), 2000, 1) == (value, 0.0)
+
     def test_binomial_consistency(self):
         inst = build_instance(2, [0.5], [1])
         est, se = survival_mc(inst, 100_000, 314)
@@ -492,8 +499,38 @@ def _batch_rows(draw):
     return build_instance(n, p, k.tolist())
 
 
+def _mc_target(inst):
+    """The instance Monte Carlo runs on: the reduced one, if any cell is left."""
+    rp, rk = reduce_thresholds(inst.p, inst.k)
+    return build_instance(inst.n, rp, rk) if rk.size else inst
+
+
+def _mc_key(inst):
+    target = _mc_target(inst)
+    return target.n, tuple(target.weights.prefix.tolist())
+
+
+class _CountingRng:
+    """``numpy.random.default_rng`` whose generators count their draws."""
+
+    def __init__(self):
+        self.draws = 0
+        self._default_rng = np.random.default_rng
+
+    def __call__(self, seed):
+        rng, outer = self._default_rng(seed), self
+
+        class Counted:
+            def random(self, size):
+                outer.draws += 1
+                return rng.random(size)
+
+        return Counted()
+
+
 class TestCompareBatch:
-    """Each row of a batch is bit for bit its own batch of one."""
+    """Each row of a batch is bit for bit its own batch of one, but for the
+    seed of its Monte Carlo sample."""
 
     @pytest.mark.parametrize("budget", [quadrature._CHUNK_ELEMENTS, 1], ids=["chunks", "row-chunks"])
     @given(rows=st.lists(_batch_rows(), min_size=1, max_size=8),
@@ -504,8 +541,10 @@ class TestCompareBatch:
         with mock.patch.object(quadrature, "_CHUNK_ELEMENTS", budget):
             reports = compare_batch(rows, spec, replications=1000, seed=9)
             assert len(reports) == len(rows)
+            first = {}  # (n, prefix sums) of a Monte Carlo target -> its first row
             for idx, (inst, report) in enumerate(zip(rows, reports)):
-                alone = compare_routes(inst, spec, replications=1000, seed=9 + idx)
+                assert report.mc.seed == 9 + first.setdefault(_mc_key(inst), idx)
+                alone = compare_routes(inst, spec, replications=1000, seed=report.mc.seed)
                 assert _report_bits(report) == _report_bits(alone)
 
     def test_empty_batch(self):
@@ -609,6 +648,48 @@ class TestCompareBatch:
         exact, gaussian = (compare_batch([wide], routes=[route])[0] for route in ("exact", "gaussian"))
         assert 0.0 < exact.exact < 1.0
         assert gaussian.gaussian is None and gaussian.gaussian_reason == "J_i = 0"
+
+    def test_rows_of_one_sample_are_their_own_survival_mc(self):
+        p = [0.3, 0.25]
+        rows = [
+            build_instance(12, p, [3, 4]),
+            build_instance(10, p, [3, 4]),
+            build_instance(12, p, [2, 5]),
+            build_instance(12, [0.3, 0.25, 0.2], [2, 5, 0]),  # reduces to the rows above
+            build_instance(12, p, [8, 8]),  # impossible
+            build_instance(10, p, [4, 4]),
+            build_instance(12, p, [1, 1]),
+        ]
+        reports = compare_batch(rows, routes=["mc"], replications=2000, seed=40)
+        assert [report.mc.seed for report in reports] == [40, 41, 40, 40, 40, 41, 40]
+        for inst, report in zip(rows, reports):
+            est, se = survival_mc(_mc_target(inst), 2000, report.mc.seed)
+            assert (report.mc.estimate.hex(), report.mc.stderr.hex()) == (est.hex(), se.hex())
+
+    def test_one_draw_per_chunk_of_each_shared_sample(self, monkeypatch):
+        rng = _CountingRng()
+        monkeypatch.setattr(np.random, "default_rng", rng)
+        rows = [build_instance(n, [0.3, 0.25], [a, 2]) for n in (9, 11) for a in range(1, 6)]
+        compare_batch(rows, routes=["mc"], replications=1000, seed=1)
+        assert rng.draws == 2
+        monkeypatch.setattr(survival, "_MC_CHUNK_VALUES", 4000)  # 444 and 363 a chunk
+        rng.draws = 0
+        compare_batch(rows, routes=["mc"], replications=1000, seed=1)
+        assert rng.draws == 3 + 3
+
+    def test_no_sample_before_every_row_passes_its_guard(self, monkeypatch):
+        rng = _CountingRng()
+        monkeypatch.setattr(np.random, "default_rng", rng)
+
+        def rows():
+            yield build_instance(10, [0.3], [3])
+            yield build_instance(10, [0.3], [4])
+            yield build_instance(3_000_000, [0.5], [1])  # past the Monte Carlo guard
+            pytest.fail("row 3 was consumed")
+
+        with pytest.raises(CostGuardError, match="Monte Carlo needs n <= 2000000, got n = 3000000"):
+            compare_batch(rows(), routes=["mc"], replications=1000, seed=1)
+        assert rng.draws == 0
 
     def test_instances_are_consumed_in_order(self):
         def rows():
