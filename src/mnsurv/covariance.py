@@ -47,7 +47,7 @@ def quad_form(weights: ProbabilityWeights, x) -> float | np.ndarray:
     p_last``.  Sums over coordinates run left to right, one coordinate at a
     time, so a point gives the same bits alone and as a row of a batch.
     """
-    return _scalar_or_array(_quad_form(weights, _checked_points(weights, x)))
+    return _scalar_or_array(_quad_form(weights.p, weights.p_last, _checked_points(weights, x)))
 
 
 def bilinear_form(weights: ProbabilityWeights, x, y) -> float | np.ndarray:
@@ -68,7 +68,7 @@ def log_mvn_density(weights: ProbabilityWeights, x) -> float | np.ndarray:
     normalising constant is ``weights.log_normaliser``, which the weights
     compute once and keep.
     """
-    out = _quad_form(weights, _checked_points(weights, x))
+    out = _quad_form(weights.p, weights.p_last, _checked_points(weights, x))
     out *= -0.5
     out -= weights.log_normaliser
     return _scalar_or_array(out)
@@ -85,22 +85,26 @@ def coordinate_sum(x) -> np.ndarray:
     return total
 
 
-def _quad_form(weights, x):
-    total = _scaled_dot(x, x, weights.p)
+def _quad_form(p, p_last, x):
+    """:func:`quad_form` of the points ``x`` under the weights ``p`` (the
+    last axis holds the d coordinates) and ``p_last``, which may hold one
+    row of weights per point: a row gets the bits of its point alone."""
+    total = _scaled_dot(x, x, p)
     square = coordinate_sum(x)
     square *= square
-    square /= weights.p_last
+    square /= p_last
     total += square
     return total
 
 
 def _scaled_dot(x, y, p):
-    """``sum_i x_i y_i / p_i`` over the coordinates; broadcasts ``x`` and ``y``."""
+    """``sum_i x_i y_i / p_i`` over the coordinates; broadcasts ``x``, ``y``
+    and ``p``."""
     total = x[..., 0] * y[..., 0]
-    total /= p[0]
-    for i in range(1, p.shape[0]):
+    total /= p[..., 0]
+    for i in range(1, p.shape[-1]):
         term = x[..., i] * y[..., i]
-        term /= p[i]
+        term /= p[..., i]
         total += term
     return total
 

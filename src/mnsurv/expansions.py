@@ -7,7 +7,8 @@ times an exact exponential tilt:
 * ``stirling_lambda``: the error ``ln(m!) - [ln(2*pi*m)/2 + m*ln(m) - m]`` in
   Stirling's approximation, pinned inside ``[1/(12m+1), 1/(12m)]``;
 * ``capital_lambda``, ``delta_n``: aggregated Stirling errors and the total
-  log-prefactor correction, which ``expansion_context`` computes;
+  log-prefactor correction, which ``expansion_context`` computes
+  (``expansion_contexts`` for a group of same-d instances at once);
 * ``gamma_tilde`` / ``gamma_tilde_series``: entropy-minus-quadratic tilt at
   the lattice offset, with its cubic+quartic expansion;
 * ``gamma_star`` / ``entropy_lhs``: the position-dependent tilt;
@@ -36,7 +37,7 @@ import numpy as np
 
 # log_mvn_density is not called here: the benchmark's tracer
 # (bench/tracing.py) wraps it in this module.
-from .covariance import coordinate_sum, log_mvn_density, quad_form
+from .covariance import _quad_form, coordinate_sum, log_mvn_density, quad_form
 from .model import SurvivalInstance
 from .quadrature import ChainFactors
 
@@ -45,6 +46,7 @@ __all__ = [
     "gaussian_factors",
     "ExpansionContext",
     "expansion_context",
+    "expansion_contexts",
     "stirling_lambda",
     "log_factorial",
     "capital_lambda",
@@ -145,13 +147,36 @@ def expansion_context(instance: SurvivalInstance) -> ExpansionContext:
     ``delta_n`` is the total log-prefactor correction of the Gaussian
     representation, ``ln((N+d)!/(N! N^d)) + capital_lambda - sum_i
     ln(1+eps_i)/2 - N*gamma_tilde``; the factorial ratio is accumulated as
-    ``sum_{i<=d} ln(1 + i/N)`` so no large factorials are ever formed.
+    ``sum_{i<=d} ln(1 + i/N)`` so no large factorials are ever formed.  It
+    is :func:`expansion_contexts` of the one instance, with its tilt from
+    :func:`gamma_tilde`.
     """
-    tilt = gamma_tilde(instance)
-    N = instance.N
-    ratio = math.fsum(math.log1p(i / N) for i in range(1, instance.d + 1))
-    half_logs = 0.5 * float(np.sum(np.log1p(instance.eps)))
-    return ExpansionContext(instance, tilt, ratio + capital_lambda(instance) - half_logs - N * tilt)
+    return _contexts([instance], [gamma_tilde(instance)])[0]
+
+
+def expansion_contexts(instances) -> list:
+    """:func:`expansion_context` of each of same-``d`` Gaussian-ready
+    instances, as a list, in one pass over ``(R, d+1)`` arrays; each
+    context is bit for bit that of its instance alone."""
+    p_full = np.array([instance.weights.p_full for instance in instances])
+    eps = np.array([instance.eps for instance in instances])
+    eps_tilde = np.array([instance.eps_tilde for instance in instances])
+    return _contexts(instances, _tilts(p_full, eps, eps_tilde, 1.0).tolist())
+
+
+def _contexts(instances, tilts):
+    """The contexts of same-``d`` instances whose :func:`gamma_tilde` are
+    ``tilts``.  The factorial ratio and ``capital_lambda`` are sums of a
+    few terms per row, taken in plain Python."""
+    eps = np.array([instance.eps for instance in instances])
+    half_logs = (0.5 * np.sum(np.log1p(eps), axis=1)).tolist()
+    contexts = []
+    for instance, tilt, half in zip(instances, tilts, half_logs):
+        N = instance.N
+        ratio = math.fsum(math.log1p(i / N) for i in range(1, instance.d + 1))
+        delta = ratio + capital_lambda(instance) - half - N * tilt
+        contexts.append(ExpansionContext(instance, tilt, delta))
+    return contexts
 
 
 def capital_lambda(instance: SurvivalInstance) -> float:
@@ -176,9 +201,20 @@ def gamma_tilde(instance: SurvivalInstance, t: float = 1.0) -> float:
     constructing instances of prescribed offset.
     """
     _require_gaussian(instance)
-    te = t * instance.eps
-    entropy = float(np.sum(instance.weights.p_full * (1.0 + te) * np.log1p(te)))
-    quad = quad_form(instance.weights, t * instance.eps_tilde[: instance.d])
+    return float(_tilts(instance.weights.p_full, instance.eps, instance.eps_tilde, t))
+
+
+def _tilts(p_full, eps, eps_tilde, t):
+    """:func:`gamma_tilde` at ``t`` from the cell weights, ``eps`` and
+    ``eps_tilde`` of one instance, shape ``(d+1,)``, or of one instance a
+    row, ``(R, d+1)``.  The quadratic form sums its coordinates left to
+    right with each row's own weights, and a sum along contiguous rows
+    takes each row in the order of its own 1-d ``np.sum``, so every row
+    keeps the bits of its instance alone."""
+    d = p_full.shape[-1] - 1
+    te = t * eps
+    entropy = np.sum(p_full * (1.0 + te) * np.log1p(te), axis=-1)
+    quad = _quad_form(p_full[..., :d], p_full[..., d], t * eps_tilde[..., :d])
     return entropy - 0.5 * quad
 
 

@@ -5,7 +5,8 @@
   d-step forward recursion on the distribution of ``S_i`` over ``0..n``,
   truncated below ``kappa_i`` after each step, at ``O(d n^2)`` cost.  It
   refuses instances whose transition matrices exceed
-  ``MAX_TRANSITION_BYTES``.
+  ``MAX_TRANSITION_BYTES``.  The matrices are not cached: a batch builds
+  them once per distinct ``(n, p)``.
 * :func:`survival_dirichlet` integrates the Dirichlet-type integrand over
   the nested region (valid whenever every gap ``j_i >= 1``).
 * :func:`survival_gaussian` integrates the equivalent Gaussian-representation
@@ -18,15 +19,16 @@
 
 :func:`compare_routes` runs whichever routes apply, collects diagnostics and
 pairwise discrepancies, and never raises on mere inapplicability.
-:func:`compare_batch` does the same for a batch of instances, with one
-batched chain integral per route for each group of rows of one reduced
-``d``, and one Monte Carlo sample for each group of rows of one reduced
-``(n, p)``; :func:`compare_routes` is its batch of one.
+:func:`compare_batch` does the same for a batch of instances.  After a
+row phase of reductions and cost guards, it runs each route once per
+group of rows: one exact recursion for each reduced ``(n, d)``, one pass
+for the expansion contexts and one batched chain integral per route for
+each reduced ``d``, and one Monte Carlo sample for each reduced ``(n,
+p)``; :func:`compare_routes` is its batch of one.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -40,6 +42,7 @@ from .expansions import (
     delta_n,
     dirichlet_factors,
     expansion_context,
+    expansion_contexts,
     gamma_tilde,
     gaussian_factors,
     log_dirichlet_integrand,
@@ -71,6 +74,11 @@ __all__ = [
 # bytes, exceed this; d = 6 at n = 1000 takes 48 MB.
 MAX_TRANSITION_BYTES = 200 * 10**6
 
+# A group of exact rows holds the matrices of a chunk of weight vectors and
+# the vectors of a chunk of rows in at most this many float64 entries (2 MB)
+# each, or in one instance's matrices or one row where those are more.
+_EXACT_CHUNK_ENTRIES = 2**18
+
 # The smallest Monte Carlo sample.
 MIN_REPLICATIONS = 1000
 
@@ -92,40 +100,93 @@ def survival_exact(instance: SurvivalInstance) -> float:
     per step and zeroed below ``kappa_i``; after each step it is rescaled by
     a power of two so that its maximum lies in ``[1/2, 1)``, and the binary
     exponents are added up, so deep tails keep their relative accuracy.
-    Every term is nonnegative, so nothing cancels.  The matrices depend on
-    ``(n, p)`` only and are cached, so consecutive calls on one ``(n, p)``
-    (a sweep over thresholds) build them once.
+    Every term is nonnegative, so nothing cancels.  It is the group step of
+    :func:`compare_batch` on the one instance.
     """
-    n, d = instance.n, instance.d
-    kappa = instance.kappa
     if instance.impossible:
         return 0.0
-    if kappa[-1] == 0:
+    if instance.kappa[-1] == 0:
         return 1.0
+    _check_transition_bytes(instance)
+    return _exact_group([instance])[0]
+
+
+def _check_transition_bytes(instance):
+    """The exact route's cost guard, on the matrices of one instance."""
+    n, d = instance.n, instance.d
     size = 8 * d * (n + 1) ** 2
     if size > MAX_TRANSITION_BYTES:
         raise CostGuardError(
             f"transition matrices of {size} bytes (8 d (n+1)^2, n = {n}, d = {d}) "
             f"exceed {MAX_TRANSITION_BYTES} bytes"
         )
-    mats = _transition_matrices(n, tuple(instance.weights.p_full.tolist()))
-    f = np.zeros(n + 1)
-    f[0] = 1.0
-    exponent = 0
-    for mat, kap in zip(mats, kappa.tolist()):
-        # einsum sums in a fixed order; a BLAS product's order can depend
-        # on its thread count, and with it the last bits
-        f = np.einsum("s,st->t", f, mat)
-        f[:kap] = 0.0
-        e = math.frexp(float(f.max()))[1]  # 0 once every entry has underflowed
-        np.ldexp(f, -e, out=f)
+
+
+def _exact_group(instances):
+    """:func:`survival_exact` of checked instances of one ``(n, d)``, none
+    impossible or vacuous, as a list.  Each distinct weight vector's
+    matrices are built once, one chunk of them alive at a time."""
+    n, d = instances[0].n, instances[0].d
+    owners = {}  # weight vector -> its rows, in input order
+    for idx, instance in enumerate(instances):
+        owners.setdefault(instance.weights.p_full.tobytes(), []).append(idx)
+    lone_first = sorted(owners.values(), key=len)
+    kappa = np.array([instance.kappa for instance in instances])
+    sets = max(1, _EXACT_CHUNK_ENTRIES // (d * (n + 1) ** 2))
+    values = [None] * len(instances)
+    for start in range(0, len(lone_first), sets):
+        for idx, value in _exact_chunk(instances, lone_first[start : start + sets], kappa):
+            values[idx] = value
+    return values
+
+
+def _exact_chunk(instances, chunk, kappa):
+    """``(row, value)`` pairs of ``chunk``, the row lists of distinct weight
+    vectors, lone ones first.  Lone rows run together, each on its own
+    matrices; the rows of a shared weight vector (a sweep's) run together
+    on its one set, in chunks of rows."""
+    n = instances[0].n
+    p_full = np.array([instances[owned[0]].weights.p_full for owned in chunk])
+    mats = _transition_matrices(n, p_full)
+    lone = [owned[0] for owned in chunk if len(owned) == 1]
+    parts = [(lone, mats[: len(lone)])] if lone else []
+    rows = max(1, _EXACT_CHUNK_ENTRIES // (n + 1))
+    for owned, shared in zip(chunk[len(lone) :], mats[len(lone) :]):
+        parts += [(owned[first : first + rows], shared) for first in range(0, len(owned), rows)]
+    return [pair for part, part_mats in parts
+            for pair in zip(part, _exact_recursion(part_mats, kappa[part]))]
+
+
+def _exact_recursion(mats, kappa):
+    """The recursion of the rows of ``kappa`` (shape ``(R, d)``), on one
+    shared set of matrices ``(d, n+1, n+1)`` or on one set per row ``(R, d,
+    n+1, n+1)``.  Each row's value is bit for bit that of the row alone."""
+    size = mats.shape[-1]
+    f = np.zeros((len(kappa), size))
+    f[:, 0] = 1.0
+    exponent = np.zeros(len(kappa), dtype=np.int64)
+    columns = np.arange(size)
+    for i in range(kappa.shape[1]):
+        # einsum sums over s in a fixed order, the same for a row alone and
+        # in a batch; a BLAS product's order can depend on its thread count,
+        # and with it the last bits
+        if mats.ndim == 3:
+            f = np.einsum("rs,st->rt", f, mats[i])
+        else:
+            f = np.einsum("rs,rst->rt", f, mats[:, i])
+        f[columns < kappa[:, i, None]] = 0.0
+        e = np.frexp(f.max(axis=1))[1]  # 0 once every entry of a row has underflowed
+        np.ldexp(f, -e[:, None], out=f)
         exponent += e
-    return _clamp_probability(math.ldexp(math.fsum(f.tolist()), exponent))
+    return [
+        _clamp_probability(math.ldexp(math.fsum(row), e))
+        for row, e in zip(f.tolist(), exponent.tolist())
+    ]
 
 
-@functools.lru_cache(maxsize=1)
-def _transition_matrices(n: int, p_full: tuple) -> np.ndarray:
-    """``M[i, s, t] = P(S_{i+1} = t | S_i = s)``, shape ``(d, n+1, n+1)``.
+def _transition_matrices(n: int, p_full: np.ndarray) -> np.ndarray:
+    """``M[u, i, s, t] = P(S_{i+1} = t | S_i = s)`` under the weights
+    ``p_full[u]``, shape ``(U, d, n+1, n+1)`` for ``U`` weight vectors.
 
     Row ``s`` of step ``i`` is the pmf of ``Binomial(n - s, q_i)`` shifted
     right by ``s``, with ``q_i = p_i / R_i`` and ``1 - q_i = R_{i+1} / R_i``
@@ -133,22 +194,21 @@ def _transition_matrices(n: int, p_full: tuple) -> np.ndarray:
     the last up by Pascal's rule, ``M[s, t] = (1 - q) M[s+1, t+1] + q M[s+1,
     t]``, which adds nonnegative terms only: each entry keeps a relative
     error of a few ulps per trial, with no large logarithms to cancel.  One
-    matrix product per row applies the rule to every step at once.
+    stacked matrix product per row applies the rule to every step of every
+    weight vector at once.
     """
-    p_full = np.asarray(p_full)
-    tail = np.cumsum(p_full[::-1])[::-1]
-    weights = np.stack([p_full[:-1] / tail[:-1], tail[1:] / tail[:-1]], axis=1)[:, :, None]
-    d = weights.shape[0]
+    u, d = p_full.shape[0], p_full.shape[1] - 1
+    tail = np.cumsum(p_full[:, ::-1], axis=1)[:, ::-1]
+    weights = np.stack([p_full[:, :-1] / tail[:, :-1], tail[:, 1:] / tail[:, :-1]], axis=2)
+    weights = weights.reshape(u * d, 2, 1)
     # one zero column past t = n feeds the (1 - q) term of the last column
-    mats = np.zeros((d, n + 1, n + 2))
+    mats = np.zeros((u * d, n + 1, n + 2))
     mats[:, n, n] = 1.0
     pairs = np.lib.stride_tricks.sliding_window_view(mats, 2, axis=2)  # (M[s, t], M[s, t+1])
     rows = mats[:, :, :, None]
     for s in range(n - 1, -1, -1):
         np.matmul(pairs[:, s + 1, s : n + 1], weights, out=rows[:, s, s : n + 1])
-    mats = mats[:, :, : n + 1]
-    mats.flags.writeable = False
-    return mats
+    return mats[:, :, : n + 1].reshape(u, d, n + 1, n + 1)
 
 
 def _clamp_probability(value: float) -> float:
@@ -372,19 +432,20 @@ def compare_batch(
     each estimate keeps its binomial law, but their errors are correlated,
     and raising a threshold of one of them never raises its estimate.
 
-    Threshold reduction, the expansion context, the chain rule's cost guard
-    (:func:`mnsurv.quadrature.chain_evaluations`), the exact route and the
-    Monte Carlo checks and cost guard run row by row in input order.  The
-    two integral routes run after them, grouped by the reduced ``d``: each
-    group is one batched :func:`mnsurv.quadrature.integrate_chain` call per
-    route, which shares one grid between rows of equal weights (the rows of
-    a sweep).  Monte Carlo samples are drawn last.  A failure (a route's
-    cost guard, a Monte Carlo sample below ``MIN_REPLICATIONS``, or an
-    instance that cannot be built while ``instances`` is consumed) raises
-    at its row, so the first failing row in input order decides, and no
-    later row runs.  The chain integrals and the samples fail in no other
-    way: their factors are finite on the grid of every valid instance, and
-    their guards were checked in the row phase.
+    The row phase runs in input order and keeps only what decides which row
+    fails first: threshold reduction, the cost guards of the chain rule
+    (:func:`mnsurv.quadrature.chain_evaluations`) and the exact route, and
+    the Monte Carlo checks.  The group steps follow: the exact route per
+    reduced ``(n, d)``, the expansion contexts per reduced ``d``, one
+    batched :func:`mnsurv.quadrature.integrate_chain` call per integral
+    route and reduced ``d`` (rows of equal weights share one grid), and
+    the Monte Carlo samples last.  A failure (a cost guard, a Monte Carlo
+    sample below ``MIN_REPLICATIONS``, or an instance that cannot be built
+    while ``instances`` is consumed) raises at its row, so the first
+    failing row in input order decides, and no later row runs or is
+    consumed.  The group steps fail in no other way: their factors are
+    finite on the grid of every valid instance, and their guards were
+    checked in the row phase.
     """
     spec = spec if spec is not None else QuadratureSpec()
     if routes is None:
@@ -402,16 +463,21 @@ def compare_batch(
     rows = [_Row(idx, instance, routes, spec, replications, seed)
             for idx, instance in enumerate(instances)]
 
-    groups = {}  # reduced d -> rows whose integrals run, in input order
-    for row in rows:
-        if row.integrate:
-            groups.setdefault(row.reduced.d, []).append(row)
-    for group in groups.values():
+    integrated = [row for row in rows if row.integrate]
+    if "exact" in routes:
+        for group in _groups(integrated, lambda row: (row.reduced.n, row.reduced.d)):
+            for row, value in zip(group, _one_or_many(group, survival_exact, _exact_group)):
+                row.values["exact"] = value
+    for group in _groups([row for row in integrated if row.ready], lambda row: row.reduced.d):
+        for row, context in zip(group, _one_or_many(group, expansion_context, expansion_contexts)):
+            row.context = context
+
+    for group in _groups(integrated, lambda row: row.reduced.d):
         if "dirichlet" in routes:
             reduced = [row.reduced for row in group]
             for row, value in zip(group, _integrate(reduced, dirichlet_factors(reduced), spec)):
                 row.values["dirichlet"] = value
-        ready = [row for row in group if row.context is not None]
+        ready = [row for row in group if row.ready]
         if "gaussian" in routes and ready:
             factors = gaussian_factors([row.context for row in ready])
             values = _integrate([row.reduced for row in ready], factors, spec)
@@ -431,16 +497,31 @@ def compare_batch(
     return [_report(row, spec, tolerance) for row in rows]
 
 
+def _groups(rows, key):
+    """The rows of each value of ``key``, in input order, as lists in the
+    order of their first rows."""
+    groups = {}
+    for row in rows:
+        groups.setdefault(key(row), []).append(row)
+    return list(groups.values())
+
+
+def _one_or_many(group, one, many):
+    """``many`` of the group's reduced instances, or ``[one(instance)]`` for
+    a group of one, whose calls the benchmark's tracer sees."""
+    return [one(group[0].reduced)] if len(group) == 1 else many([row.reduced for row in group])
+
+
 class _Row:
-    """Row ``idx`` of a batch: its reduced instance, the value of its exact
-    route, the instance its Monte Carlo runs on, and whether its integral
-    routes are to run."""
+    """Row ``idx`` of a batch: its reduced instance, the instance its Monte
+    Carlo runs on, whether its integral routes are to run and whether it is
+    Gaussian-ready, and the values the group steps give it."""
 
     def __init__(self, idx, instance, routes, spec, replications, seed):
         self.idx = idx
         self.instance = instance
         self.values = {}  # route -> value
-        self.integrate = False
+        self.integrate = self.ready = False
         self.context = self.gaussian_reason = self.mc = None
         if np.all(instance.k >= 1):
             reduced = instance  # nothing to merge: the instance is already reduced
@@ -455,14 +536,13 @@ class _Row:
             self.values = {route: value for route in DETERMINISTIC_ROUTES if route in routes}
         else:
             self.integrate = True
-            if reduced.gaussian_block_reason is None:
-                self.context = expansion_context(reduced)
-            elif "gaussian" in routes:
+            self.ready = reduced.gaussian_block_reason is None
+            if not self.ready and "gaussian" in routes:
                 self.gaussian_reason = reduced.gaussian_block_reason
-            if "dirichlet" in routes or ("gaussian" in routes and self.context is not None):
+            if "dirichlet" in routes or ("gaussian" in routes and self.ready):
                 chain_evaluations(reduced.d, spec.nodes)  # the chain rule's cost guard
             if "exact" in routes:
-                self.values["exact"] = survival_exact(reduced)
+                _check_transition_bytes(reduced)
 
         if "mc" in routes:
             self.mc_target = reduced if reduced is not None else instance
@@ -480,8 +560,8 @@ def _report(row, spec, tolerance):
     return RouteReport(
         n=instance.n,
         d=instance.d,
-        p=tuple(float(v) for v in instance.p),
-        k=tuple(int(v) for v in instance.k),
+        p=tuple(instance.p.tolist()),
+        k=tuple(instance.k.tolist()),
         exact=row.values.get("exact"),
         dirichlet=row.values.get("dirichlet"),
         gaussian=row.values.get("gaussian"),

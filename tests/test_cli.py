@@ -364,15 +364,17 @@ class TestSubcommands:
         for route in ("dirichlet", "gaussian"):
             assert abs(parsed["routes"][route] - exact) <= 1e-13 * exact
 
-    def test_sweep_builds_transition_matrices_once(self, tmp_path):
-        survival._transition_matrices.cache_clear()
+    def test_sweep_builds_transition_matrices_once(self, tmp_path, monkeypatch):
+        builds = []
+        original = survival._transition_matrices
+        monkeypatch.setattr(survival, "_transition_matrices",
+                            lambda n, p_full: builds.append((n, p_full.shape[0])) or original(n, p_full))
         code, out = run_to_file(tmp_path, ["sweep", "--n", "9", "--p", "0.3,0.25", "--k-all",
                                            "--nodes", "8", "--format", "csv"])
         assert code == 0
         rows = out.decode().count("\n") - 1
         assert rows == 36  # C(9, 2)
-        info = survival._transition_matrices.cache_info()
-        assert (info.misses, info.hits) == (1, rows - 1)
+        assert builds == [(9, 1)]  # one build of one weight vector's matrices
 
     def test_eval_routes_filter(self, tmp_path):
         code, payload = run_to_file(

@@ -32,6 +32,7 @@ from mnsurv import expansions
 from mnsurv.checks import (
     gamma_star_remainder,
     random_gaussian_ready_instance,
+    random_weights,
     rate_test_instance,
     rate_test_pair,
 )
@@ -603,6 +604,71 @@ class TestFrozenBits:
             for name, value in single.items():
                 assert type(value) is float, name
                 assert value == values[name][index], name
+
+
+# float.hex of gamma_tilde(inst, 0.5) and gamma_tilde(inst, 2) on FROZEN_INSTANCES
+FROZEN_SCALED_TILTS = [
+    ("0x1.f120a3bf55c80p-15", "0x1.6b5b3f3c716b0p-8"),
+    ("-0x1.66620f9da9800p-15", "0x1.1db40cc3b8280p-9"),
+    ("-0x1.3af03f5831f00p-13", "-0x1.5996c31e29ac0p-8"),
+    ("-0x1.9317d4101df20p-10", "-0x1.000e9bd318a84p-4"),
+    ("-0x1.da8e61ecec700p-10", "-0x1.24aaa4626de44p-4"),
+    ("-0x1.7f76542c177c0p-11", "-0x1.f36f053be1870p-6"),
+]
+
+
+def _wide_rows():
+    """The d = 8, 12, 16, 20 rows of the survival tests' wide-d accuracy check."""
+    rng = np.random.default_rng(50)
+    rows = []
+    for d in (8, 12, 16, 20):
+        for _ in range(2):
+            n = int(rng.integers(100, 601))
+            p = random_weights(rng, d)
+            prefix = np.cumsum(p)
+            kappa = np.round(n * prefix - 0.5 * np.sqrt(n * prefix * (1.0 - prefix)))
+            rows.append(build_instance(n, p, np.maximum(np.diff(kappa, prepend=0), 2)))
+    return rows
+
+
+def _context_bits(ctx):
+    return ctx.instance, ctx.gamma_tilde.hex(), ctx.delta_n.hex()
+
+
+class TestGroupedContexts:
+    """A group of same-d instances gets each instance's own context bits."""
+
+    def test_rows_match_their_instance_alone(self):
+        rng = np.random.default_rng(60)
+        for d in range(1, 7):
+            group = [build_instance(n, p, k) for n, p, k in FROZEN_INSTANCES if len(p) == d]
+            while len(group) < 40:  # thresholds within 2 sd of the mean, n = 20..1000
+                n = int(rng.integers(20, 1001))
+                p = random_weights(rng, d)
+                mean = n * p
+                k = np.round(mean + rng.uniform(-2.0, 2.0, d) * np.sqrt(mean)).astype(int)
+                inst = build_instance(n, p, np.maximum(k, 2))
+                if inst.gaussian_block_reason is None:
+                    group.append(inst)
+            expected = [_context_bits(expansion_context(inst)) for inst in group]
+            for size in (2, 3, len(group)):
+                contexts = expansions.expansion_contexts(group[:size])
+                assert [_context_bits(ctx) for ctx in contexts] == expected[:size]
+
+    def test_wide_rows_match_their_instance_alone(self):
+        rows = _wide_rows()
+        for d in (8, 12, 16, 20):
+            group = [inst for inst in rows if inst.d == d]
+            contexts = expansions.expansion_contexts(group)
+            assert [_context_bits(ctx) for ctx in contexts] == [
+                _context_bits(expansion_context(inst)) for inst in group
+            ]
+
+    @pytest.mark.parametrize("inst_args, bits", list(zip(FROZEN_INSTANCES, FROZEN_SCALED_TILTS)),
+                             ids=FROZEN_IDS)
+    def test_scaled_tilts_keep_their_bits(self, inst_args, bits):
+        inst = build_instance(*inst_args)
+        assert (gamma_tilde(inst, 0.5).hex(), gamma_tilde(inst, 2.0).hex()) == bits
 
 
 def _interior(rng, inst):

@@ -19,6 +19,8 @@ from mnsurv import (
     build_instance,
     compare_batch,
     compare_routes,
+    instance_with_weights,
+    make_weights,
     reduce_thresholds,
     survival_dirichlet,
     survival_exact,
@@ -698,6 +700,92 @@ class TestCompareBatch:
 
         with pytest.raises(CostGuardError):
             compare_batch(rows(), routes=["exact"])
+
+
+def _exact_panel(rng):
+    """Seeded rows at d = 1..6, n = 4..300: near the mean, zero thresholds,
+    impossible and vacuous rows, and deep tails up to 25 sd above the mean
+    of each S_i, so that the binary exponents differ per row; a third of
+    the (n, p) repeat with other thresholds."""
+    rows = []
+    while len(rows) < 240:
+        d = int(rng.integers(1, 7))
+        n = int(rng.choice([4, 17, 60, 150, 300])) if rng.random() < 0.7 else int(rng.integers(4, 301))
+        p = np.round(random_weights(rng, d), 4)
+        prefix = np.cumsum(p)
+        sd = np.sqrt(n * prefix * (1.0 - prefix))
+        for _ in range(int(rng.integers(1, 5)) if rng.random() < 0.35 else 1):
+            kind = rng.integers(5)
+            if kind == 0:  # zero thresholds, sometimes all of them
+                k = rng.integers(0, n // d + 2, d) * (rng.random(d) < 0.6)
+            elif kind == 1:  # impossible
+                k = np.full(d, n // d + 1)
+            else:
+                z = rng.uniform(0.0, 25.0, d) if kind == 2 else rng.uniform(-3.0, 1.0, d)
+                kappa = np.clip(np.round(n * prefix + z * sd), 0, n)
+                k = np.diff(np.maximum.accumulate(kappa), prepend=0)
+            rows.append(build_instance(n, p, k.astype(int)))
+    return rows
+
+
+class TestGroupedExact:
+    """The exact route runs once per group of rows of one reduced (n, d)."""
+
+    @pytest.mark.parametrize("budget", [survival._EXACT_CHUNK_ENTRIES, 1], ids=["chunks", "one-each"])
+    def test_rows_match_survival_exact(self, monkeypatch, budget):
+        rows = _exact_panel(np.random.default_rng(70))
+        # a batch runs the exact route on the reduced instance (_mc_target)
+        expected = [survival_exact(_mc_target(inst)).hex() for inst in rows]
+        assert len({(inst.n, inst.d) for inst in rows}) < len(rows)  # groups of several rows
+        assert any(0.0 < float.fromhex(value) < 1e-30 for value in expected)
+        assert {0.0, 1.0} <= {float.fromhex(value) for value in expected}
+        monkeypatch.setattr(survival, "_EXACT_CHUNK_ENTRIES", budget)
+        reports = compare_batch(rows, routes=["exact"])
+        assert [report.exact.hex() for report in reports] == expected
+
+    def test_sweep_over_several_row_chunks_builds_its_matrices_once(self, monkeypatch):
+        builds, chunks = [], []
+        build, recursion = survival._transition_matrices, survival._exact_recursion
+        monkeypatch.setattr(survival, "_transition_matrices",
+                            lambda n, p_full: builds.append((n, p_full.shape[0])) or build(n, p_full))
+        monkeypatch.setattr(survival, "_exact_recursion",
+                            lambda mats, kappa: chunks.append(len(kappa)) or recursion(mats, kappa))
+        weights = make_weights([0.3, 0.25])
+        rows = [instance_with_weights(120, weights, (a, b - a))
+                for a, b in itertools.combinations(range(1, 121), 2)]
+        reports = compare_batch(rows, routes=["exact"])
+        assert builds == [(120, 1)]
+        assert len(chunks) >= 3 and sum(chunks) == len(rows) == math.comb(120, 2)
+        for idx in (0, 2000, 4000, len(rows) - 1):  # one row of each chunk
+            assert reports[idx].exact.hex() == survival_exact(rows[idx]).hex()
+
+    def test_guard_raises_at_its_row_before_any_build(self, monkeypatch):
+        monkeypatch.setattr(survival, "_transition_matrices",
+                            lambda *args: pytest.fail("built transition matrices"))
+
+        def rows():
+            yield build_instance(10, [0.3], [3])
+            yield build_instance(12, [0.3, 0.2], [3, 2])
+            yield build_instance(5000, [0.5], [1])  # 8 (n+1)^2 bytes exceed the guard
+            pytest.fail("row 3 was consumed")
+
+        with pytest.raises(CostGuardError, match="n = 5000"):
+            compare_batch(rows(), routes=["exact"])
+
+    def test_distinct_weights_hold_one_instance_of_matrices_at_a_time(self):
+        k = [200, 300, 200]
+        rows = [build_instance(1000, p, k) for p in
+                ([0.2, 0.3, 0.2], [0.25, 0.25, 0.2], [0.2, 0.35, 0.15])]
+        peaks = []
+        for batch in (rows[:1], rows):
+            tracemalloc.start()
+            try:
+                compare_batch(batch, routes=["exact"])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] > 8 * 3 * 1001**2  # one instance's matrices
+        assert peaks[1] <= 1.2 * peaks[0]
 
 
 class TestFrozenValues:
