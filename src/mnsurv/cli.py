@@ -31,6 +31,7 @@ import itertools
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .model import build_instance, instance_with_weights
 from .quadrature import MAX_NODES, MIN_NODES, MIN_PANEL_NODES, CostGuardError, QuadratureSpec
@@ -50,10 +51,10 @@ __all__ = ["run", "main", "emit_reports", "report_to_dict"]
 
 
 # A sweep or an --input batch holds every report until it writes them.
-# Measured with tracemalloc, a sweep row at d = 3 and 6 holds 6.1-6.8 kB
-# until JSON is written and 1.1-1.2 kB for CSV, and an --input record at
-# d = 3 holds 7.6-7.7 kB, so a million JSON rows take more than 6 GB, most
-# of an 8 GB machine.  Larger grids and lists are refused.
+# Measured with tracemalloc (peak of a whole run with Monte Carlo, per row),
+# a sweep row at d = 3 and 6 takes 2.8-3.1 kB for JSON and 2.6-2.7 kB for
+# CSV, and an --input record at d = 3 takes 5.6 kB, so a million rows take
+# 3-6 GB, most of an 8 GB machine.  Larger grids and lists are refused.
 MAX_BATCH_ROWS = 10**6
 
 
@@ -71,6 +72,8 @@ class _Parser(argparse.ArgumentParser):
 # parsing returns the exact same binary value.
 
 def report_to_dict(report: RouteReport) -> dict:
+    """The JSON object of one report; ``emit_reports`` writes exactly
+    ``json.dumps`` of it with ``indent=2``."""
     gaussian = report.gaussian
     if gaussian is None and report.gaussian_reason is not None:
         gaussian = {"inapplicable": report.gaussian_reason}
@@ -95,6 +98,64 @@ def report_to_dict(report: RouteReport) -> dict:
         },
         "params": {"nodes": report.nodes, "tolerance": report.tolerance},
     }
+
+
+def _json_scalar(value) -> str:
+    """A scalar as ``json.dumps`` writes it: ``float.__repr__`` (numpy's own
+    ``repr`` of a float64 names its type), ``NaN``/``Infinity``, ``null``."""
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        if value != value:
+            return "NaN"
+        return "Infinity" if value > 0 else "-Infinity"
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return int.__repr__(value)
+
+
+def _json_list(values) -> str:
+    """A list of at least one scalar, as it sits in a report."""
+    return "[\n      " + ",\n      ".join(map(_json_scalar, values)) + "\n    ]"
+
+
+def _json_report(r: RouteReport) -> str:
+    """``json.dumps(report_to_dict(r), indent=2)``, filled into the one
+    layout every report has.  A string holds no raw newline (it is written
+    escaped), so the text can be indented by replacing newlines."""
+    j = _json_scalar
+    gaussian = j(r.gaussian)
+    if r.gaussian is None and r.gaussian_reason is not None:
+        gaussian = f'{{\n      "inapplicable": {j(r.gaussian_reason)}\n    }}'
+    mc = "null"
+    if r.mc is not None:
+        mc = (f'{{\n      "estimate": {j(r.mc.estimate)},\n      "stderr": {j(r.mc.stderr)},'
+              f'\n      "replications": {j(r.mc.replications)},\n      "seed": {j(r.mc.seed)}\n    }}')
+    return f"""{{
+  "instance": {{
+    "n": {j(r.n)},
+    "d": {j(r.d)},
+    "p": {_json_list(r.p)},
+    "k": {_json_list(r.k)}
+  }},
+  "routes": {{
+    "exact": {j(r.exact)},
+    "dirichlet": {j(r.dirichlet)},
+    "gaussian": {gaussian},
+    "mc": {mc}
+  }},
+  "diagnostics": {{
+    "delta_n": {j(r.delta_n)},
+    "gamma_tilde": {j(r.gamma_tilde)},
+    "max_rel_diff": {j(r.max_rel_diff)}
+  }},
+  "params": {{
+    "nodes": {j(r.nodes)},
+    "tolerance": {j(r.tolerance)}
+  }}
+}}"""
 
 
 def _csv_cell(value):
@@ -133,8 +194,12 @@ def _csv_lines(reports):
 
 def emit_reports(reports, fmt: str = "json", single: bool = False) -> bytes:
     if fmt == "json":
-        payload = report_to_dict(reports[0]) if single else [report_to_dict(r) for r in reports]
-        return (json.dumps(payload, indent=2) + "\n").encode()
+        if single:
+            return (_json_report(reports[0]) + "\n").encode()
+        if not reports:
+            return b"[]\n"
+        body = ",\n".join(map(_json_report, reports)).replace("\n", "\n  ")
+        return ("[\n  " + body + "\n]\n").encode()
     if fmt == "csv":
         return _csv_lines(reports).encode()
     raise UsageError(f"unknown format {fmt!r}")

@@ -9,6 +9,7 @@ used by the integral routes, and merges away zero thresholds.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -124,7 +125,12 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not _is_bool(x)
 
 
-def _validate_thresholds(k) -> np.ndarray:
+def _validate_thresholds(k) -> list:
+    """The thresholds as a list of Python ints, each within int64."""
+    # the common case, plain ints, is checked without numpy; bools are not ints here
+    if (isinstance(k, (list, tuple)) and k and all(type(x) is int for x in k)
+            and min(k) >= 0 and sum(k) <= _INT64_MAX):
+        return list(k)
     # numpy reads [1, True] as integers, so a listed bool is looked for first
     listed_bool = isinstance(k, (list, tuple)) and any(map(_is_bool, k))
     k = np.asarray(k)
@@ -145,7 +151,7 @@ def _validate_thresholds(k) -> np.ndarray:
         raise ValueError("thresholds must be nonnegative")
     if sum(map(int, k.tolist())) > _INT64_MAX:  # exact, before the int64 cast
         raise ValueError(f"the threshold sum must not exceed {_INT64_MAX} (int64)")
-    return k.astype(np.int64)
+    return k.astype(np.int64).tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,7 +192,7 @@ class SurvivalInstance:
     def gaussian_block_reason(self) -> str | None:
         if self.N < 1:
             return "N <= 0"
-        if not np.all(self.J >= 1):
+        if min(self.J.tolist()) < 1:
             return "J_i = 0"
         return None
 
@@ -237,27 +243,29 @@ def _positive_n(n) -> int:
 
 
 def _derive(n: int, weights: ProbabilityWeights, k) -> SurvivalInstance:
+    # Python ints and floats on d+1 entries, which numpy calls would cost
+    # more than; every int stays within int64 and every float operation is
+    # the one numpy's would be.
     k = _validate_thresholds(k)
-    if weights.d != k.shape[0]:
-        raise ValueError(f"p and k must have the same length; got {weights.d} and {k.shape[0]}")
+    if weights.d != len(k):
+        raise ValueError(f"p and k must have the same length; got {weights.d} and {len(k)}")
     d = weights.d
-    kappa = np.cumsum(k)
-    j = np.empty(d + 1, dtype=np.int64)
-    j[0] = kappa[0]
-    j[1:d] = kappa[1:] - kappa[:-1]
-    j[d] = n + 1 - kappa[-1]
-    J = j - 1
+    kappa = list(itertools.accumulate(k))
+    j = k + [n + 1 - kappa[-1]]
+    J = [x - 1 for x in j]
     N = n - d
 
     eps = eps_tilde = None
     if N >= 1:
-        p_full = weights.p_full
-        eps = (J / N - p_full) / p_full
+        # J_i / N as numpy divides int64 arrays, each side cast to float64
+        # first; Python's exactly rounded int division differs past 2^53
+        fN = float(N)
+        p_full = weights.p_full.tolist()
+        eps = [(float(Ji) / fN - p) / p for Ji, p in zip(J, p_full)]
         # eps_tilde = p*eps holds bitwise by construction; it equals
         # J/N - p_full up to one rounding.
-        eps_tilde = p_full * eps
+        eps_tilde = _frozen([p * e for p, e in zip(p_full, eps)])
         eps = _frozen(eps)
-        eps_tilde = _frozen(eps_tilde)
 
     return SurvivalInstance(
         n=n,

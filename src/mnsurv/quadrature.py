@@ -374,18 +374,27 @@ def integrate_chain(prefix, factors: ChainFactors, spec=None):
     kept for rows of up to ``_CHUNK_ELEMENTS`` evaluations, or, for a wider
     row, is built for this call alone.
     """
+    return _integrate_chains(prefix, (factors,), spec)[0]
+
+
+def _integrate_chains(prefix, factor_sets, spec=None) -> list:
+    """:func:`integrate_chain` of each batch of ``factor_sets`` over the
+    same ``prefix`` rows, as a list of ``(values, logs)`` pairs; each
+    chunk's grid is built once for every set (both survival integrands of
+    a batch's Gaussian-ready rows)."""
     spec = spec if spec is not None else QuadratureSpec()
     prefix = np.asarray(prefix, dtype=float)
     count, d = prefix.shape
-    if len(factors.steps) != d + 1:
-        raise ValueError(f"need {d + 1} step factors, one per cell, got {len(factors.steps)}")
-    if np.shape(factors.constant) != (count,) or np.shape(factors.powers) != (count, d):
-        raise ValueError(f"factors do not match the {count} prefix rows of d = {d}")
+    for factors in factor_sets:
+        if len(factors.steps) != d + 1:
+            raise ValueError(f"need {d + 1} step factors, one per cell, got {len(factors.steps)}")
+        if np.shape(factors.constant) != (count,) or np.shape(factors.powers) != (count, d):
+            raise ValueError(f"factors do not match the {count} prefix rows of d = {d}")
     g = max(spec.nodes, MIN_PANEL_NODES)
     evaluations = chain_evaluations(d, g)  # raises past the cost guard, before any grid is built
     size = max(1, _CHUNK_ELEMENTS // max(g * g, evaluations))
     cached = evaluations <= _CHUNK_ELEMENTS
-    log_values = []
+    log_values = [[] for _ in factor_sets]
     key = None  # the prefix sums of the last one-row grid
     for lo in range(0, count, size):
         rows = slice(lo, lo + size)
@@ -396,8 +405,14 @@ def integrate_chain(prefix, factors: ChainFactors, spec=None):
         elif first != key:
             key = first
             grid = _shared_chain_grid(key, g) if cached else _chain_grid(part[:1], g)
-        # a batch of one chunk is integrated as given
-        log_values += _chain_logs(grid, factors if size >= count else factors.rows(rows), g)
+        for logs, factors in zip(log_values, factor_sets):
+            # a batch of one chunk is integrated as given
+            logs += _chain_logs(grid, factors if size >= count else factors.rows(rows), g)
+    return [_exp_logs(logs) for logs in log_values]
+
+
+def _exp_logs(log_values):
+    """The integrals of finite log values and those logs, as arrays."""
     values = []
     for log_value in log_values:
         if not math.isfinite(log_value):

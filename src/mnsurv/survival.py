@@ -22,9 +22,11 @@ pairwise discrepancies, and never raises on mere inapplicability.
 :func:`compare_batch` does the same for a batch of instances.  After a
 row phase of reductions and cost guards, it runs each route once per
 group of rows: one exact recursion for each reduced ``(n, d)``, one pass
-for the expansion contexts and one batched chain integral per route for
-each reduced ``d``, and one Monte Carlo sample for each reduced ``(n,
-p)``; :func:`compare_routes` is its batch of one.
+for the expansion contexts and one batched chain integral of both
+integral routes for the Gaussian-ready rows of each reduced ``d`` (and
+one of the Dirichlet route for its other rows), and one Monte Carlo
+sample for each reduced ``(n, p)``; :func:`compare_routes` is its batch
+of one.
 """
 
 from __future__ import annotations
@@ -52,8 +54,8 @@ from .model import SurvivalInstance, build_instance, reduce_thresholds
 from .quadrature import (
     CostGuardError,
     QuadratureSpec,
+    _integrate_chains,
     chain_evaluations,
-    integrate_chain,
     integrate_region,
 )
 
@@ -84,7 +86,8 @@ MIN_REPLICATIONS = 1000
 
 # Uniforms per simulation chunk, 16 MB; the previous chunk lives on while the
 # next is drawn, so two are held at once.  A chunk holds one replication or
-# more, so Monte Carlo refuses n above this, and a count fits in int32.
+# more, so Monte Carlo refuses n above this, and a count, at most n, fits in
+# int32 (in uint8 below n = 256, where _mc_sample counts in bytes).
 _MC_CHUNK_VALUES = 2_000_000
 
 DETERMINISTIC_ROUTES = ("exact", "dirichlet", "gaussian")
@@ -228,7 +231,7 @@ def survival_dirichlet(instance: SurvivalInstance, spec: QuadratureSpec | None =
         raise ValueError(
             "Dirichlet route needs all thresholds >= 1; apply reduce_thresholds first"
         )
-    return _integrate([instance], dirichlet_factors([instance]), spec)[0]
+    return _integrate([instance], (dirichlet_factors([instance]),), spec)[0][0]
 
 
 def survival_gaussian(instance: SurvivalInstance, spec: QuadratureSpec | None = None) -> float:
@@ -242,14 +245,15 @@ def survival_gaussian(instance: SurvivalInstance, spec: QuadratureSpec | None = 
     reason = instance.gaussian_block_reason
     if reason is not None:
         raise ValueError(f"inapplicable (Gaussian route requires J_i >= 1): {reason}")
-    return _integrate([instance], gaussian_factors([expansion_context(instance)]), spec)[0]
+    return _integrate([instance], (gaussian_factors([expansion_context(instance)]),), spec)[0][0]
 
 
-def _integrate(instances, factors, spec):
-    """The clamped chain integrals of ``factors``, one per instance."""
+def _integrate(instances, factor_sets, spec):
+    """The clamped chain integrals of each of ``factor_sets``, a list per
+    set with one value per instance, on one grid per chunk of instances."""
     prefix = np.array([instance.weights.prefix for instance in instances])
-    values, _ = integrate_chain(prefix, factors, spec)
-    return [_clamp_probability(value) for value in values.tolist()]
+    return [[_clamp_probability(value) for value in values.tolist()]
+            for values, _ in _integrate_chains(prefix, factor_sets, spec)]
 
 
 def survival_mc(instance: SurvivalInstance, replications: int, seed: int):
@@ -327,12 +331,15 @@ def _mc_sample(instances, replications, seed):
     hits = [0] * len(drawn)
     for done in range(0, replications, chunk):
         u = rng.random((min(chunk, replications - done), n))  # one replication per row
-        # int32 is exact for n <= _MC_CHUNK_VALUES; on rows of n <= 40
-        # einsum counts faster than sum or count_nonzero
-        counts = [np.einsum("ij->i", u <= prefix[i], dtype=np.int32) for i in counted.tolist()]
-        for row, row_kappa in enumerate(kappa):
-            ok = np.ones(len(u), dtype=bool)
-            for count, kappa_i in zip(counts, row_kappa.tolist()):
+        # a count is at most n, and a drawn row's kappa_i too; on rows of n <=
+        # 40 einsum counts faster than sum or count_nonzero, and below n = 256
+        # it sums the bytes of the mask as they are, with no cast to int32
+        counts = [np.einsum("ij->i", (u <= prefix[i]).view(np.uint8)) if n < 256
+                  else np.einsum("ij->i", u <= prefix[i], dtype=np.int32)
+                  for i in counted.tolist()]
+        for row, row_kappa in enumerate(kappa.tolist()):
+            ok = counts[0] >= row_kappa[0]
+            for count, kappa_i in zip(counts[1:], row_kappa[1:]):
                 ok &= count >= kappa_i
             hits[row] += int(np.count_nonzero(ok))
 
@@ -437,8 +444,9 @@ def compare_batch(
     (:func:`mnsurv.quadrature.chain_evaluations`) and the exact route, and
     the Monte Carlo checks.  The group steps follow: the exact route per
     reduced ``(n, d)``, the expansion contexts per reduced ``d``, one
-    batched :func:`mnsurv.quadrature.integrate_chain` call per integral
-    route and reduced ``d`` (rows of equal weights share one grid), and
+    batched chain integral per reduced ``d`` for the Gaussian-ready rows,
+    with both integral routes on each chunk's grid, and one for the
+    Dirichlet route's other rows (rows of equal weights share one grid), and
     the Monte Carlo samples last.  A failure (a cost guard, a Monte Carlo
     sample below ``MIN_REPLICATIONS``, or an instance that cannot be built
     while ``instances`` is consumed) raises at its row, so the first
@@ -472,17 +480,18 @@ def compare_batch(
         for row, context in zip(group, _one_or_many(group, expansion_context, expansion_contexts)):
             row.context = context
 
-    for group in _groups(integrated, lambda row: row.reduced.d):
+    # a Gaussian-ready row's two integral routes share each chunk's grid
+    for group in _groups(integrated, lambda row: (row.reduced.d, row.ready)):
+        reduced, factors = [row.reduced for row in group], {}
         if "dirichlet" in routes:
-            reduced = [row.reduced for row in group]
-            for row, value in zip(group, _integrate(reduced, dirichlet_factors(reduced), spec)):
-                row.values["dirichlet"] = value
-        ready = [row for row in group if row.ready]
-        if "gaussian" in routes and ready:
-            factors = gaussian_factors([row.context for row in ready])
-            values = _integrate([row.reduced for row in ready], factors, spec)
-            for row, value in zip(ready, values):
-                row.values["gaussian"] = value
+            factors["dirichlet"] = dirichlet_factors(reduced)
+        if "gaussian" in routes and group[0].ready:
+            factors["gaussian"] = gaussian_factors([row.context for row in group])
+        if not factors:  # the exact route alone
+            continue
+        for route, values in zip(factors, _integrate(reduced, list(factors.values()), spec)):
+            for row, value in zip(group, values):
+                row.values[route] = value
 
     if "mc" in routes:
         samples = {}  # (n, prefix sums) of the Monte Carlo target -> its rows, in input order
@@ -523,11 +532,11 @@ class _Row:
         self.values = {}  # route -> value
         self.integrate = self.ready = False
         self.context = self.gaussian_reason = self.mc = None
-        if np.all(instance.k >= 1):
+        if min(instance.k.tolist()) >= 1:
             reduced = instance  # nothing to merge: the instance is already reduced
         else:
             rp, rk = reduce_thresholds(instance.p, instance.k)
-            reduced = build_instance(instance.n, rp, rk) if rk.size else None
+            reduced = build_instance(instance.n, rp, rk.tolist()) if rk.size else None
         self.reduced = reduced
 
         if reduced is None or reduced.impossible:

@@ -8,10 +8,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mnsurv import (QuadratureSpec, build_instance, cli, compare_routes, quadrature,
                     reduce_thresholds, survival)
 from mnsurv.cli import emit_reports, report_to_dict, run
+from mnsurv.survival import McResult, RouteReport
 
 
 def run_to_file(tmp_path, args, name="out.bin"):
@@ -580,3 +583,57 @@ class TestFloatFormatting:
             _, row = emit_reports([report], "csv", single=True).decode().splitlines()
             cell = row.split(",")[4]
             assert cell == repr(x) and float(cell).hex() == x.hex()
+
+
+_EDGE_FLOATS = [-0.0, 5e-324, 1e16, 1e-7, 1.0, math.inf, -math.inf, math.nan]
+_FLOATS = st.one_of(
+    st.sampled_from(_EDGE_FLOATS),
+    st.sampled_from(_EDGE_FLOATS).map(np.float64),
+    st.floats(),
+    st.floats().map(np.float64),
+)
+_OPTIONAL = st.none() | _FLOATS
+# both reasons compare_batch gives, and one that json must escape
+_REASONS = st.none() | st.sampled_from(["N <= 0", "J_i = 0", 'a "quoted" r\u00e9ason'])
+
+
+@st.composite
+def _reports(draw):
+    d = draw(st.integers(1, 6))
+    mc = draw(st.none() | st.builds(McResult, _FLOATS, _FLOATS,
+                                    st.integers(1000, 10**9), st.integers(0, 2**64)))
+    return RouteReport(
+        n=draw(st.integers(1, 2**62)),
+        d=d,
+        p=tuple(draw(st.lists(_FLOATS, min_size=d, max_size=d))),
+        k=tuple(draw(st.lists(st.integers(0, 2**62), min_size=d, max_size=d))),
+        exact=draw(_OPTIONAL),
+        dirichlet=draw(_OPTIONAL),
+        gaussian=draw(_OPTIONAL),
+        gaussian_reason=draw(_REASONS),
+        mc=mc,
+        delta_n=draw(_OPTIONAL),
+        gamma_tilde=draw(_OPTIONAL),
+        max_rel_diff=draw(_OPTIONAL),
+        nodes=draw(st.integers(2, 128)),
+        tolerance=draw(_FLOATS),
+    )
+
+
+class TestJsonWriter:
+    """emit_reports writes what json.dumps(..., indent=2) writes of report_to_dict."""
+
+    @given(report=_reports())
+    @settings(max_examples=300, deadline=None)
+    def test_single_report_matches_json(self, report):
+        expected = json.dumps(report_to_dict(report), indent=2) + "\n"
+        assert emit_reports([report], "json", single=True) == expected.encode()
+
+    @given(reports=st.lists(_reports(), min_size=1, max_size=3))
+    @settings(max_examples=150, deadline=None)
+    def test_report_list_matches_json(self, reports):
+        expected = json.dumps([report_to_dict(r) for r in reports], indent=2) + "\n"
+        assert emit_reports(reports, "json") == expected.encode()
+
+    def test_empty_list_matches_json(self):
+        assert emit_reports([], "json") == b"[]\n"

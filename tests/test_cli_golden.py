@@ -32,11 +32,16 @@ CASES = [
     (["sweep", "--n", "6:12:3", "--p", "0.3,0.2", "--k-all", "--format", "csv", "--nodes", "12",
       "--mc-reps", "1000", "--seed", "3"],
      "4dc70f26d5f222dc9e2a510eb6ad088a090aa70034617a4e571a858e51a9f3a5"),
+    # a JSON list of 165 rows, 66 with an inapplicable Gaussian route, with
+    # Monte Carlo on every row
+    (["sweep", "--n", "10:16:6", "--p", "0.3,0.2", "--k-all", "--format", "json", "--nodes", "12",
+      "--mc-reps", "1000", "--seed", "3"],
+     "dcaeeac20eca2e8342d4f05a9ff4a6f76d26f8cb9ef5585191ab9e7cb1a59f55"),
 ]
 
 
 IDS = ["compare-d2-mc", "compare-d5-n100", "compare-d6-n1000", "sweep-k-all-csv", "eval-integral-routes",
-       "sweep-k-all-csv-mc"]
+       "sweep-k-all-csv-mc", "sweep-k-all-json-mc"]
 
 
 @pytest.mark.parametrize("args, digest", CASES, ids=IDS)

@@ -105,6 +105,68 @@ class TestDerivedInvariants:
                 assert np.all(inst.eps_tilde == inst.weights.p_full * inst.eps)
 
 
+def _reference_derivation(n, p_full, k):
+    """The derived fields by numpy array formulas: ``J / N`` divides int64
+    arrays, each side cast to float64 first."""
+    k = np.asarray(k, dtype=np.int64)
+    d = k.size
+    kappa = np.cumsum(k)
+    j = np.empty(d + 1, dtype=np.int64)
+    j[0] = kappa[0]
+    j[1:d] = kappa[1:] - kappa[:-1]
+    j[d] = n + 1 - kappa[-1]
+    J = j - 1
+    N = n - d
+    eps = eps_tilde = None
+    if N >= 1:
+        eps = (J / N - p_full) / p_full
+        eps_tilde = p_full * eps
+    return {"k": k, "kappa": kappa, "j": j, "J": J, "eps": eps, "eps_tilde": eps_tilde}
+
+
+def _assert_derivation_bits(inst, n, k):
+    assert inst.N == n - len(k)
+    for name, expected in _reference_derivation(n, inst.weights.p_full, k).items():
+        got = getattr(inst, name)
+        if expected is None:
+            assert got is None, name
+            continue
+        assert got.dtype == expected.dtype, name
+        assert got.tobytes() == expected.tobytes(), name
+        assert not got.flags.writeable, name
+
+
+@st.composite
+def _derivation_cases(draw):
+    d = draw(st.integers(1, 6))
+    n = draw(st.one_of(st.integers(1, 8), st.integers(1, 2**62)))
+    # zero thresholds, thresholds near n and past it (kappa_d > n), sums within int64
+    k = draw(st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**60)), min_size=d, max_size=d))
+    cells = draw(st.lists(st.integers(1, 100), min_size=d + 1, max_size=d + 1))
+    p = [c / sum(cells) for c in cells[:d]]
+    return n, p, k
+
+
+class TestDerivationBits:
+    """The derived fields are the bits of the numpy formulas, for thresholds
+    given as plain ints or as arrays."""
+
+    @given(case=_derivation_cases(), kind=st.sampled_from([list, tuple, np.array]))
+    @settings(max_examples=300, deadline=None)
+    def test_fields_match_numpy_formulas(self, case, kind):
+        n, p, k = case
+        _assert_derivation_bits(build_instance(n, p, kind(k)), n, k)
+
+    def test_offsets_past_2_53_use_float_division(self):
+        # float(N) rounds here, so Python's exactly rounded J / N would differ
+        n, p, k = 2**53 + 2, [0.5], [3]
+        inst = build_instance(n, p, k)
+        _assert_derivation_bits(inst, n, k)
+        J, N = n + 1 - 3 - 1, n - 1
+        assert inst.eps[1] == (float(J) / float(N) - 0.5) / 0.5
+        assert inst.eps[1] != (J / N - 0.5) / 0.5
+
+
 class TestReduceThresholds:
     def test_merge_forward(self):
         p2, k2 = reduce_thresholds([0.2, 0.3, 0.1], [1, 0, 2])

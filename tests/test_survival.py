@@ -287,6 +287,16 @@ class TestMonteCarlo:
         est, se = survival_mc(build_instance(n, p, k), reps, seed)
         assert (est.hex(), se.hex()) == (estimate, stderr)
 
+    @pytest.mark.parametrize("n", [255, 256, 257, 300])
+    def test_counts_near_n_on_either_side_of_the_byte_counts(self, n):
+        # counts reach n - 1 and n, past a byte from n = 256 on
+        inst = build_instance(n, [0.995, 0.004], [n - 3, 2])
+        u = np.random.default_rng(5).random((1000, n))
+        s1, s2 = (u <= 0.995).sum(axis=1), (u <= 0.999).sum(axis=1)
+        hits = int(np.count_nonzero((s1 >= n - 3) & (s2 >= n - 1)))
+        assert 0 < hits < 1000
+        assert survival_mc(inst, 1000, 5)[0] == hits / 1000
+
     def test_rejects_small_replications(self):
         with pytest.raises(ValueError):
             survival_mc(build_instance(2, [0.5], [1]), 100, 1)
@@ -554,15 +564,18 @@ class TestCompareBatch:
 
     def test_one_chain_call_per_route_and_dimension(self, monkeypatch):
         calls = []
-        original = survival.integrate_chain
-        monkeypatch.setattr(survival, "integrate_chain",
-                            lambda prefix, *args: calls.append(len(prefix)) or original(prefix, *args))
+        original = survival._integrate_chains
+        monkeypatch.setattr(
+            survival, "_integrate_chains",
+            lambda prefix, sets, spec: calls.append((len(prefix), len(sets))) or original(prefix, sets, spec),
+        )
         rows = [build_instance(20, [0.3], [5]), build_instance(20, [0.3, 0.3], [5, 5]),
                 build_instance(24, [0.25], [6]), build_instance(20, [0.3, 0.3], [1, 5]),
                 build_instance(20, [0.3, 0.3, 0.2], [0, 5, 0])]  # reduces to d = 1
         compare_batch(rows, QuadratureSpec(nodes=32))
-        # d = 1: three rows, both routes; d = 2: two rows, one Gaussian-ready
-        assert sorted(calls) == [1, 2, 3, 3]
+        # (rows, routes): d = 1, three Gaussian-ready rows with both routes; d = 2,
+        # the Gaussian-ready row with both, the other with the Dirichlet route alone
+        assert calls == [(3, 2), (1, 2), (1, 1)]
 
     def test_rows_of_one_weight_vector_share_one_grid(self, monkeypatch):
         built = []
@@ -588,8 +601,8 @@ class TestCompareBatch:
         mixed = [build_instance(45, p, [3, k, 3]) for k in range(2, 20) for p in (a, b)]
         rows = shared + mixed + shared
         reports = compare_batch(rows, spec)
-        # each route builds the mixed chunk's grid; the shared one is built once and kept
-        assert built == [(1, 3), (36, 3), (36, 3)]
+        # the mixed chunk's grid is built once for both routes; the shared one once and kept
+        assert built == [(1, 3), (36, 3)]
         for inst, report in zip(rows, reports):
             assert _report_bits(report) == _report_bits(compare_routes(inst, spec))
 
@@ -624,16 +637,19 @@ class TestCompareBatch:
             tracemalloc.stop()
         assert held < 2e6
 
-    def test_wide_rows_of_one_weight_vector_build_one_grid_per_route_call(self, monkeypatch):
+    def test_wide_rows_of_one_weight_vector_build_one_grid(self, monkeypatch):
         built = []
         original = quadrature._chain_grid
         monkeypatch.setattr(quadrature, "_chain_grid",
                             lambda prefix, g: built.append(prefix.shape) or original(prefix, g))
         quadrature._shared_chain_grid.cache_clear()
+        spec = QuadratureSpec(nodes=64)
         rows = [build_instance(200, [0.1] * 8, [k] * 8) for k in (17, 18, 19)]
-        compare_batch(rows, QuadratureSpec(nodes=64))
-        assert built == [(1, 8), (1, 8)]  # the Dirichlet route's, then the Gaussian one's
+        reports = compare_batch(rows, spec)
+        assert built == [(1, 8)]  # one grid for both routes
         assert quadrature._shared_chain_grid.cache_info().currsize == 0
+        for inst, report in zip(rows, reports):
+            assert _report_bits(report) == _report_bits(compare_routes(inst, spec))
 
     def test_earliest_failing_row_raises(self):
         ok = build_instance(10, [0.3], [3])
