@@ -18,7 +18,6 @@ from .model import (
     reduce_thresholds,
 )
 from .covariance import (
-    bilinear_form,
     log_mvn_density,
     quad_form,
     sigma_inverse_matrix,
@@ -76,7 +75,6 @@ __all__ = [
     "sigma_matrix",
     "sigma_inverse_matrix",
     "quad_form",
-    "bilinear_form",
     "log_mvn_density",
     "ExpansionContext",
     "expansion_context",

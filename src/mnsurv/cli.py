@@ -47,14 +47,15 @@ from .survival import (
 )
 from .checks import run_check_suite
 
-__all__ = ["run", "main", "emit_reports", "report_to_dict"]
+__all__ = ["run", "main", "emit_reports"]
 
 
 # A sweep or an --input batch holds every report until it writes them.
 # Measured with tracemalloc (peak of a whole run with Monte Carlo, per row),
-# a sweep row at d = 3 and 6 takes 2.8-3.1 kB for JSON and 2.6-2.7 kB for
-# CSV, and an --input record at d = 3 takes 5.6 kB, so a million rows take
-# 3-6 GB, most of an 8 GB machine.  Larger grids and lists are refused.
+# a sweep row at d = 6 and 3 takes 3.4-4.0 kB for JSON and 2.5-3.3 kB for
+# CSV, and an --input record at d = 3 takes 4.4 kB (3.9 kB for CSV), so a
+# million rows take 2.5-4.5 GB, most of an 8 GB machine.  Larger grids and
+# lists are refused.
 MAX_BATCH_ROWS = 10**6
 
 
@@ -70,35 +71,6 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # serialization: floats are written as their shortest round-trip ``repr``, so
 # parsing returns the exact same binary value.
-
-def report_to_dict(report: RouteReport) -> dict:
-    """The JSON object of one report; ``emit_reports`` writes exactly
-    ``json.dumps`` of it with ``indent=2``."""
-    gaussian = report.gaussian
-    if gaussian is None and report.gaussian_reason is not None:
-        gaussian = {"inapplicable": report.gaussian_reason}
-    mc = None if report.mc is None else dict(vars(report.mc))
-    return {
-        "instance": {
-            "n": report.n,
-            "d": report.d,
-            "p": list(report.p),
-            "k": list(report.k),
-        },
-        "routes": {
-            "exact": report.exact,
-            "dirichlet": report.dirichlet,
-            "gaussian": gaussian,
-            "mc": mc,
-        },
-        "diagnostics": {
-            "delta_n": report.delta_n,
-            "gamma_tilde": report.gamma_tilde,
-            "max_rel_diff": report.max_rel_diff,
-        },
-        "params": {"nodes": report.nodes, "tolerance": report.tolerance},
-    }
-
 
 def _json_scalar(value) -> str:
     """A scalar as ``json.dumps`` writes it: ``float.__repr__`` (numpy's own
@@ -122,9 +94,9 @@ def _json_list(values) -> str:
 
 
 def _json_report(r: RouteReport) -> str:
-    """``json.dumps(report_to_dict(r), indent=2)``, filled into the one
-    layout every report has.  A string holds no raw newline (it is written
-    escaped), so the text can be indented by replacing newlines."""
+    """A report's JSON object as ``json.dumps(..., indent=2)`` writes it, in
+    the one layout every report has.  A string holds no raw newline (it is
+    written escaped), so the text can be indented by replacing newlines."""
     j = _json_scalar
     gaussian = j(r.gaussian)
     if r.gaussian is None and r.gaussian_reason is not None:
@@ -167,6 +139,8 @@ def _csv_cell(value):
 
 
 def _csv_lines(reports):
+    if not reports:
+        raise UsageError("csv output requires at least one instance")
     d = reports[0].d
     if any(r.d != d for r in reports):
         raise UsageError("csv output requires a uniform dimension across instances")
@@ -398,30 +372,30 @@ def _run_sweep(args):
         size = rows
     if rows > MAX_BATCH_ROWS:
         raise CostGuardError(f"{kind} grid of {size} rows exceeds the {MAX_BATCH_ROWS} row guard")
-    grid = []
-    for n in ns:
-        if args.k_all:
-            for k in _enumerate_thresholds(d, n):
-                grid.append((n, k))
-        else:
-            grid.append((n, _int_list(args.k)))
-    if not grid:
-        raise UsageError("sweep grid is empty")
+    if args.k_all:
+        grid = ((n, k) for n in ns for k in _enumerate_thresholds(d, n))
+    else:
+        k = _int_list(args.k)
+        grid = ((n, k) for n in ns)
     # the rows of one n share the Monte Carlo sample of seed + (index of its first row)
     reports = compare_batch(_sweep_instances(p, grid), spec, tolerance=args.tolerance,
                             replications=args.mc_reps, seed=args.seed)
+    if not reports:
+        raise UsageError("sweep grid is empty")
     _write(args, emit_reports(reports, args.format))
     return 0
 
 
 def _sweep_instances(p, grid):
-    """The sweep's instances in grid order, built as they are consumed, so
-    that a row that cannot be built fails in its turn; the first row
-    validates the weights and the others share them."""
-    first = build_instance(grid[0][0], p, grid[0][1])
-    yield first
-    for n, k in grid[1:]:
-        yield instance_with_weights(n, first.weights, k)
+    """The sweep's instances of an iterable of ``(n, k)``, built as they are
+    consumed, so that a row that cannot be built fails in its turn; the
+    first row validates the weights and the others share them."""
+    grid = iter(grid)
+    for n, k in grid:
+        first = build_instance(n, p, k)
+        yield first
+        for n, k in grid:
+            yield instance_with_weights(n, first.weights, k)
 
 
 def _enumerate_thresholds(d, n):
@@ -430,7 +404,8 @@ def _enumerate_thresholds(d, n):
     The running sums kappa are exactly the d-subsets of {1..n}, and
     lexicographic order of kappa is lexicographic order of k.
     """
-    for kappa in itertools.combinations(range(1, n + 1), d):
+    pool = range(1, n + 1) if d else ()  # combinations copies its whole pool first
+    for kappa in itertools.combinations(pool, d):
         yield [b - a for a, b in zip((0,) + kappa, kappa)]
 
 

@@ -22,7 +22,6 @@ __all__ = [
     "sigma_matrix",
     "sigma_inverse_matrix",
     "quad_form",
-    "bilinear_form",
     "log_mvn_density",
     "coordinate_sum",
 ]
@@ -48,17 +47,6 @@ def quad_form(weights: ProbabilityWeights, x) -> float | np.ndarray:
     time, so a point gives the same bits alone and as a row of a batch.
     """
     return _scalar_or_array(_quad_form(weights.p, weights.p_last, _checked_points(weights, x)))
-
-
-def bilinear_form(weights: ProbabilityWeights, x, y) -> float | np.ndarray:
-    """Bilinear form ``x^T Sigma^-1 y``; broadcasts over leading axes."""
-    x = _checked_points(weights, x)
-    y = _checked_points(weights, y)
-    total = _scaled_dot(x, y, weights.p)
-    cross = coordinate_sum(x) * coordinate_sum(y)
-    cross /= weights.p_last
-    total += cross
-    return _scalar_or_array(total)
 
 
 def log_mvn_density(weights: ProbabilityWeights, x) -> float | np.ndarray:

@@ -151,7 +151,7 @@ def expansion_context(instance: SurvivalInstance) -> ExpansionContext:
     is :func:`expansion_contexts` of the one instance, with its tilt from
     :func:`gamma_tilde`.
     """
-    return _contexts([instance], [gamma_tilde(instance)])[0]
+    return _contexts([instance], instance.eps[None], [gamma_tilde(instance)])[0]
 
 
 def expansion_contexts(instances) -> list:
@@ -161,14 +161,13 @@ def expansion_contexts(instances) -> list:
     p_full = np.array([instance.weights.p_full for instance in instances])
     eps = np.array([instance.eps for instance in instances])
     eps_tilde = np.array([instance.eps_tilde for instance in instances])
-    return _contexts(instances, _tilts(p_full, eps, eps_tilde, 1.0).tolist())
+    return _contexts(instances, eps, _tilts(p_full, eps, eps_tilde, 1.0).tolist())
 
 
-def _contexts(instances, tilts):
-    """The contexts of same-``d`` instances whose :func:`gamma_tilde` are
-    ``tilts``.  The factorial ratio and ``capital_lambda`` are sums of a
-    few terms per row, taken in plain Python."""
-    eps = np.array([instance.eps for instance in instances])
+def _contexts(instances, eps, tilts):
+    """The contexts of same-``d`` instances, whose ``eps`` are the rows of
+    ``eps`` and whose :func:`gamma_tilde` are ``tilts``.  The factorial ratio
+    and ``capital_lambda`` are sums of a few terms per row, in plain Python."""
     half_logs = (0.5 * np.sum(np.log1p(eps), axis=1)).tolist()
     contexts = []
     for instance, tilt, half in zip(instances, tilts, half_logs):
@@ -280,7 +279,7 @@ def gamma_star(instance: SurvivalInstance, s) -> float | np.ndarray:
 def entropy_lhs(instance: SurvivalInstance, s) -> float | np.ndarray:
     """The weighted log-ratio sum ``sum_{i<=d+1} (J_i/N) ln(s_i/p_i)``."""
     _require_n_positive(instance)
-    full = _simplex_point(instance, s, require_interior=True)
+    full = _simplex_point(instance, s)
     p = instance.weights.p_full
     out = np.zeros(full.shape[:-1])
     for i, c in enumerate((instance.J / instance.N).tolist()):
@@ -534,7 +533,7 @@ def _factor_sum(constant, cells, s, total):
     return out if out.ndim else float(out)
 
 
-def _simplex_point(instance, s, require_interior):
+def _simplex_point(instance, s):
     """The d+1 full simplex coordinates of ``s``, shape (..., d+1).
 
     Accepts the d free coordinates (the last one is completed to unit sum)
@@ -546,7 +545,7 @@ def _simplex_point(instance, s, require_interior):
         last = coordinate_sum(full)
         np.subtract(1.0, last, out=last)
         full = np.concatenate([full, last[..., None]], axis=-1)
-    if require_interior and not (full > 0.0).all():
+    if not (full > 0.0).all():
         raise ValueError("point must lie strictly inside the simplex")
     return full
 
@@ -559,7 +558,7 @@ def _points(s, d):
 
 
 def _single_point(instance, s, name):
-    full = _simplex_point(instance, s, require_interior=True)
+    full = _simplex_point(instance, s)
     if full.ndim != 1:
         raise ValueError(f"{name} expects a single point")
     return full

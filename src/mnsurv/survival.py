@@ -103,15 +103,16 @@ def survival_exact(instance: SurvivalInstance) -> float:
     per step and zeroed below ``kappa_i``; after each step it is rescaled by
     a power of two so that its maximum lies in ``[1/2, 1)``, and the binary
     exponents are added up, so deep tails keep their relative accuracy.
-    Every term is nonnegative, so nothing cancels.  It is the group step of
-    :func:`compare_batch` on the one instance.
+    Every term is nonnegative, so nothing cancels.  It runs the recursion of
+    :func:`compare_batch`'s group step on the one instance's matrices.
     """
     if instance.impossible:
         return 0.0
     if instance.kappa[-1] == 0:
         return 1.0
     _check_transition_bytes(instance)
-    return _exact_group([instance])[0]
+    return _exact_recursion(_transition_matrices(instance.n, instance.weights.p_full[None]),
+                            instance.kappa[None])[0]
 
 
 def _check_transition_bytes(instance):
@@ -130,10 +131,8 @@ def _exact_group(instances):
     impossible or vacuous, as a list.  Each distinct weight vector's
     matrices are built once, one chunk of them alive at a time."""
     n, d = instances[0].n, instances[0].d
-    owners = {}  # weight vector -> its rows, in input order
-    for idx, instance in enumerate(instances):
-        owners.setdefault(instance.weights.p_full.tobytes(), []).append(idx)
-    lone_first = sorted(owners.values(), key=len)
+    owners = _groups(range(len(instances)), lambda idx: instances[idx].weights.p_full.tobytes())
+    lone_first = sorted(owners, key=len)
     kappa = np.array([instance.kappa for instance in instances])
     sets = max(1, _EXACT_CHUNK_ENTRIES // (d * (n + 1) ** 2))
     values = [None] * len(instances)
@@ -154,16 +153,17 @@ def _exact_chunk(instances, chunk, kappa):
     lone = [owned[0] for owned in chunk if len(owned) == 1]
     parts = [(lone, mats[: len(lone)])] if lone else []
     rows = max(1, _EXACT_CHUNK_ENTRIES // (n + 1))
-    for owned, shared in zip(chunk[len(lone) :], mats[len(lone) :]):
+    for owned, shared in zip(chunk[len(lone) :], mats[len(lone) :, None]):  # (1, d, s, t)
         parts += [(owned[first : first + rows], shared) for first in range(0, len(owned), rows)]
     return [pair for part, part_mats in parts
             for pair in zip(part, _exact_recursion(part_mats, kappa[part]))]
 
 
 def _exact_recursion(mats, kappa):
-    """The recursion of the rows of ``kappa`` (shape ``(R, d)``), on one
-    shared set of matrices ``(d, n+1, n+1)`` or on one set per row ``(R, d,
-    n+1, n+1)``.  Each row's value is bit for bit that of the row alone."""
+    """The recursion of the rows of ``kappa`` (shape ``(R, d)``), on one set
+    of matrices per row, ``mats`` of shape ``(R, d, n+1, n+1)``, or on one
+    shared set, of shape ``(1, d, n+1, n+1)``.  Each row's value is bit for
+    bit that of the row alone."""
     size = mats.shape[-1]
     f = np.zeros((len(kappa), size))
     f[:, 0] = 1.0
@@ -173,10 +173,7 @@ def _exact_recursion(mats, kappa):
         # einsum sums over s in a fixed order, the same for a row alone and
         # in a batch; a BLAS product's order can depend on its thread count,
         # and with it the last bits
-        if mats.ndim == 3:
-            f = np.einsum("rs,st->rt", f, mats[i])
-        else:
-            f = np.einsum("rs,rst->rt", f, mats[:, i])
+        f = np.einsum("...s,...st->...t", f, mats[:, i])
         f[columns < kappa[:, i, None]] = 0.0
         e = np.frexp(f.max(axis=1))[1]  # 0 once every entry of a row has underflowed
         np.ldexp(f, -e[:, None], out=f)
@@ -494,11 +491,9 @@ def compare_batch(
                 row.values[route] = value
 
     if "mc" in routes:
-        samples = {}  # (n, prefix sums) of the Monte Carlo target -> its rows, in input order
-        for row in rows:
-            target = row.mc_target
-            samples.setdefault((target.n, target.weights.prefix.tobytes()), []).append(row)
-        for group in samples.values():
+        # one sample per (n, prefix sums) of the Monte Carlo target
+        for group in _groups(rows, lambda row: (row.mc_target.n,
+                                                row.mc_target.weights.prefix.tobytes())):
             group_seed = seed + group[0].idx
             results = _mc_sample([row.mc_target for row in group], replications, group_seed)
             for row, (est, se) in zip(group, results):

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from mnsurv import (QuadratureSpec, build_instance, cli, compare_routes, quadrature,
                     reduce_thresholds, survival)
-from mnsurv.cli import emit_reports, report_to_dict, run
+from mnsurv.cli import emit_reports, run
 from mnsurv.survival import McResult, RouteReport
+from oracles import report_to_dict
 
 
 def run_to_file(tmp_path, args, name="out.bin"):
@@ -637,3 +638,112 @@ class TestJsonWriter:
 
     def test_empty_list_matches_json(self):
         assert emit_reports([], "json") == b"[]\n"
+
+    def test_empty_list_is_a_usage_error_in_csv(self):
+        with pytest.raises(cli.UsageError, match="^csv output requires at least one instance$"):
+            emit_reports([], "csv")
+
+
+class TestDocumentedErrorPaths:
+    """Each documented error path exits with its code and one stderr line."""
+
+    ONE = ["--n", "10", "--p", "0.3", "--k", "3"]
+
+    @staticmethod
+    def _assert_one_line(capsys, code, message, exact=True):
+        err = capsys.readouterr().err
+        prefix = {1: "usage error: ", 2: "invalid instance: "}[code]
+        assert err.count("\n") == 1 and err.endswith("\n")
+        if exact:
+            assert err == prefix + message + "\n"
+        else:
+            assert err.startswith(prefix + message)
+
+    @pytest.mark.parametrize("flag", [["--n", "10"], ["--p", "0.3"], ["--k", "3"]])
+    def test_input_with_instance_flags(self, tmp_path, capsys, flag):
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps([{"n": 10, "p": [0.3], "k": [3]}]))
+        assert run(["eval", "--input", str(path)] + flag) == 1
+        self._assert_one_line(capsys, 1, "--input replaces --n/--p/--k")
+
+    def test_unreadable_input(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        assert run(["compare", "--input", str(path)]) == 1
+        self._assert_one_line(capsys, 1, f"cannot read {path}: ", exact=False)
+
+    @pytest.mark.parametrize("payload", ['{"n": 10, "p": [0.3], "k": [3]}', "5", "null"])
+    def test_input_that_is_not_a_list(self, tmp_path, capsys, payload):
+        path = tmp_path / "batch.json"
+        path.write_text(payload)
+        assert run(["compare", "--input", str(path)]) == 1
+        self._assert_one_line(capsys, 1, "--input must contain a JSON list of {n, p, k} objects")
+
+    def test_mc_route_without_mc_reps(self, capsys):
+        assert run(["eval"] + self.ONE + ["--routes", "mc", "--seed", "1"]) == 1
+        self._assert_one_line(capsys, 1, "route 'mc' requires --mc-reps and --seed")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("n, p", [("--n=-3:0:1", "0.3"), ("--n=1", "0.3,0.3"),
+                                      ("--n=0:2:1", "0.2,0.2,0.2")])
+    def test_empty_sweep_grid(self, capsys, fmt, n, p):
+        assert run(["sweep", n, "--p", p, "--k-all", "--format", fmt]) == 1
+        self._assert_one_line(capsys, 1, "sweep grid is empty")
+
+    @pytest.mark.parametrize("command", ["eval", "compare", "sweep"])
+    def test_non_numeric_p_token(self, capsys, command):
+        assert run([command, "--n", "10", "--p", "0.3,x", "--k", "3,1"]) == 1
+        self._assert_one_line(capsys, 1, "expected a comma-separated list of numbers, got '0.3,x'")
+
+    @pytest.mark.parametrize("command", ["eval", "compare", "sweep"])
+    def test_non_numeric_k_token(self, capsys, command):
+        assert run([command, "--n", "10", "--p", "0.3", "--k", "2.5"]) == 1
+        self._assert_one_line(capsys, 1, "expected a comma-separated list of integers, got '2.5'")
+
+    @pytest.mark.parametrize("n", [10**7, 2**63 - 1])
+    def test_k_all_sweep_without_weights(self, capsys, n):
+        # with no weights a --k-all grid has one row per n; listing it must not copy 1..n
+        tracemalloc.start()
+        try:
+            assert run(["sweep", "--n", str(n), "--p", "", "--k-all"]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
+        message = "p must be a non-empty 1-d vector" if n < 2**63 - 1 else "n must be below "
+        self._assert_one_line(capsys, 2, message, exact=False)
+
+    def test_non_numeric_k_token_in_a_sweep_range(self, capsys):
+        assert run(["sweep", "--n", "5:15:5", "--p", "0.3", "--k", "x"]) == 1
+        self._assert_one_line(capsys, 1, "expected a comma-separated list of integers, got 'x'")
+
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    def test_csv_over_mixed_dimensions(self, tmp_path, capsys, command):
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps([{"n": 10, "p": [0.3], "k": [3]},
+                                    {"n": 10, "p": [0.3, 0.3], "k": [2, 3]}]))
+        assert run([command, "--input", str(path), "--format", "csv", "--nodes", "8"]) == 1
+        self._assert_one_line(capsys, 1, "csv output requires a uniform dimension across instances")
+
+    @pytest.mark.parametrize("command", ["eval", "compare", "sweep"])
+    @pytest.mark.parametrize(
+        "p, k, message",
+        [("", "3", "p must be a non-empty 1-d vector of probabilities"),
+         (",", "3", "p must be a non-empty 1-d vector of probabilities"),
+         ("nan", "3", "p must be finite"),
+         ("0.3,inf", "3,1", "p must be finite"),
+         ("0.3", "", "k must be a non-empty 1-d vector")],
+    )
+    def test_empty_or_non_finite_lists(self, capsys, command, p, k, message):
+        assert run([command, "--n", "10", "--p", p, "--k", k]) == 2
+        self._assert_one_line(capsys, 2, message)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_compare_without_out_writes_to_stdout(self, tmp_path, capsysbinary, fmt):
+        args = ["compare", "--n", "10", "--p", "0.3,0.3", "--k", "2,3", "--format", fmt,
+                "--mc-reps", "1000", "--seed", "2", "--nodes", "8"]
+        code, expected = run_to_file(tmp_path, args)
+        assert code == 0
+        capsysbinary.readouterr()
+        assert run(args) == 0
+        captured = capsysbinary.readouterr()
+        assert captured.out == expected and captured.err == b""

@@ -7,11 +7,11 @@ from mnsurv import (
     log_mvn_density,
     make_weights,
     quad_form,
-    bilinear_form,
     sigma_inverse_matrix,
     sigma_matrix,
 )
 from mnsurv.checks import random_weights
+from oracles import bilinear_form
 
 
 class TestClosedForms:

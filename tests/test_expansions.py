@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from mnsurv import (
-    bilinear_form,
     build_instance,
     capital_lambda,
     delta_n,
@@ -36,6 +35,7 @@ from mnsurv.checks import (
     rate_test_instance,
     rate_test_pair,
 )
+from oracles import bilinear_form
 
 mp.mp.dps = 50
 
@@ -236,8 +236,6 @@ class TestGammaStar:
         assert gamma_star(inst, inst.p) == 0.0
 
     def test_definition_unrolled(self):
-        from mnsurv import bilinear_form
-
         inst = example_instance()
         s = np.array([0.4])
         diff = s - inst.p
@@ -433,8 +431,6 @@ class TestIntegrands:
     def test_factors_match_the_unsplit_formulas(self):
         # the factors split sum_i over cells and Sigma^-1 = diag(1/p) + 11^T/p_last;
         # here both integrands are formed whole, from the covariance module
-        from mnsurv import bilinear_form
-
         rng = np.random.default_rng(39)
         for _ in range(20):
             inst = random_gaussian_ready_instance(rng)
