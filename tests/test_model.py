@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from mnsurv import (
     build_instance,
+    make_weights,
     reduce_thresholds,
     survival_exact,
 )
@@ -86,6 +87,126 @@ class TestBuildInstance:
         inst = build_instance(2, [0.3, 0.3, 0.2], [1, 0, 1])
         assert inst.N < 1
         assert inst.eps is None and inst.eps_tilde is None
+
+
+def _object_array(*entries):
+    out = np.empty(len(entries), dtype=object)
+    out[:] = [None] * len(entries)  # entries that are lists would otherwise become a 2-d array
+    for idx, entry in enumerate(entries):
+        out[idx] = entry
+    return out
+
+
+_P_VECTOR = "p must be a non-empty 1-d vector of probabilities"
+_P_NUMBERS = "p must hold numbers, not strings or other objects"
+_P_MARGIN = "all weights must be >= 1e-12; got min 0.0"
+_K_VECTOR = "k must be a non-empty 1-d vector"
+_K_OBJECTS = "thresholds must be integers, not strings or other objects"
+_K_BOOLEANS = "thresholds must be integers, not booleans"
+_K_INTEGERS = "thresholds must be integers"
+_K_INT64 = "the threshold sum must not exceed 9223372036854775807 (int64)"
+
+# (input, weights it gives or the exact message it raises) for p
+_P_FORMS = [
+    ([0.25, 0.5], [0.25, 0.5]),
+    ((0.25, 0.5), [0.25, 0.5]),
+    (np.array([0, 1]), _P_MARGIN),
+    (np.array([0.25, 0.5]), [0.25, 0.5]),
+    (np.array([0.25, 0.5], dtype=np.float32), [0.25, 0.5]),
+    (np.array([True, False]), _P_NUMBERS),
+    (np.array(["0.25", "0.5"], dtype=object), _P_NUMBERS),
+    (np.array([None, None], dtype=object), _P_NUMBERS),
+    (range(2), _P_MARGIN),
+    (np.float64(0.25), _P_VECTOR),
+    (0.25, _P_VECTOR),
+    (np.array([[0.25, 0.5]]), _P_VECTOR),
+    ([[0.25, 0.5]], _P_VECTOR),
+    ([], _P_VECTOR),
+    ((x for x in [0.25, 0.5]), _P_VECTOR),
+    (["0.3"], _P_NUMBERS),
+    ([0.0, 0.3], _P_MARGIN),
+    ([0.6, 0.5], "weights must leave at least 1e-12 for the last cell; sum(p) = 1.1"),
+    ([float("nan"), 0.3], "p must be finite"),
+    ([float("inf"), 0.3], "p must be finite"),
+]
+
+# the same for k, each of length 2 where it is a vector
+_K_FORMS = [
+    ([1, 2], [1, 2]),
+    ((1, 2), [1, 2]),
+    (np.array([1, 2]), [1, 2]),
+    (np.array([1, 2], dtype=np.uint8), [1, 2]),
+    (np.array([1.0, 2.0]), [1, 2]),
+    (np.array([True, False]), _K_BOOLEANS),
+    (np.array([1, 2], dtype=object), [1, 2]),
+    (np.array(["1", "2"], dtype=object), _K_OBJECTS),
+    (np.array([None, None], dtype=object), _K_OBJECTS),
+    (range(1, 3), [1, 2]),
+    (np.int64(3), _K_VECTOR),
+    (3, _K_VECTOR),
+    (np.array([[1, 2]]), _K_VECTOR),
+    ([[1, 2]], _K_VECTOR),
+    ([], _K_VECTOR),
+    ((x for x in [1, 2]), _K_VECTOR),
+    ([np.int64(1), np.float32(2.0)], [1, 2]),
+    ([1, 2.0], [1, 2]),
+    ([-1, 1], "thresholds must be nonnegative"),
+    ([-1.0, 1], "thresholds must be nonnegative"),
+    ([1.5, 1], _K_INTEGERS),
+    ([np.float32(1.5), 1], _K_INTEGERS),
+    ([float("inf"), 1], _K_INTEGERS),
+    ([float("nan"), 1], _K_INTEGERS),
+    ([True, 1], _K_BOOLEANS),
+    ([1, np.True_], _K_BOOLEANS),
+    (["3", True], _K_BOOLEANS),
+    (["3", 1], _K_OBJECTS),
+    ([None, 1], _K_OBJECTS),
+    ([1 + 0j, 1], _K_OBJECTS),
+    ([10**20, 1], _K_INT64),
+    ([2**2000, 1], _K_INT64),
+    ([2.0**62, 2.0**62], _K_INT64),
+    ([1e300, 1], _K_INT64),
+    (np.array([2**63, 1], dtype=np.uint64), _K_INT64),
+    ([2**70, "3"], _K_OBJECTS),
+    ([-2**70, 1], "thresholds must be nonnegative"),
+]
+
+# A ragged vector: numpy's own message, which names the shape it detected.
+_RAGGED = "setting an array element with a sequence"
+_RAGGED_FORMS = [
+    ("p", [[0.25], 0.5], _RAGGED),
+    ("p", _object_array([0.25], [0.5]), _P_NUMBERS),
+    ("k", [[1], 2], _RAGGED),
+    ("k", _object_array([1], [2]), _K_OBJECTS),
+]
+
+
+def _read(name, value):
+    if name == "p":
+        return make_weights(value).p.tolist()
+    return build_instance(10, [0.1, 0.1], value).k.tolist()  # k is read before its length
+
+
+class TestVectorForms:
+    """What ``p`` and ``k`` accept as a vector, and the message each bad
+    form gets: a value, or a message matched in full."""
+
+    @pytest.mark.parametrize("name, value, expected",
+                             [("p", *case) for case in _P_FORMS]
+                             + [("k", *case) for case in _K_FORMS])
+    def test_form(self, name, value, expected):
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as caught:
+                _read(name, value)
+            assert str(caught.value) == expected
+        else:
+            assert _read(name, value) == expected
+
+    @pytest.mark.parametrize("name, value, expected", _RAGGED_FORMS)
+    def test_ragged(self, name, value, expected):
+        with pytest.raises(ValueError) as caught:
+            _read(name, value)
+        assert str(caught.value).startswith(expected)
 
 
 class TestDerivedInvariants:
