@@ -167,6 +167,8 @@ def _csv_lines(reports):
 
 
 def emit_reports(reports, fmt: str = "json", single: bool = False) -> bytes:
+    if single and len(reports) != 1:
+        raise UsageError(f"single output requires exactly one report, got {len(reports)}")
     if fmt == "json":
         if single:
             return (_json_report(reports[0]) + "\n").encode()

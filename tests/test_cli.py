@@ -643,6 +643,13 @@ class TestJsonWriter:
         with pytest.raises(cli.UsageError, match="^csv output requires at least one instance$"):
             emit_reports([], "csv")
 
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_single_needs_exactly_one_report(self, count):
+        report = compare_routes(build_instance(10, [0.3], [3]))
+        message = f"^single output requires exactly one report, got {count}$"
+        with pytest.raises(cli.UsageError, match=message):
+            emit_reports([report] * count, "json", single=True)
+
 
 class TestDocumentedErrorPaths:
     """Each documented error path exits with its code and one stderr line."""
