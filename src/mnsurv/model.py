@@ -32,8 +32,8 @@ WEIGHT_MARGIN = 1e-12
 # Counts are int64, so n + 1 and the threshold sum must not exceed this.
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
-# The numpy dtype kinds of p and k that are read as numbers: signed and
-# unsigned integers and floats.
+# The numpy dtype kinds of p that are read as numbers: signed and unsigned
+# integers and floats.
 _NUMBER_KINDS = "iuf"
 
 
@@ -92,9 +92,7 @@ def make_weights(p) -> ProbabilityWeights:
         of zero, or the vector is empty / not one-dimensional, or holds
         strings or other non-numbers.
     """
-    p = np.asarray(p)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("p must be a non-empty 1-d vector of probabilities")
+    p = np.asarray(_vector(p, "p must be a non-empty 1-d vector of probabilities"))
     if p.dtype.kind not in _NUMBER_KINDS:  # numpy would read "0.3" as 0.3
         raise ValueError("p must hold numbers, not strings or other objects")
     p = p.astype(float, copy=False)
@@ -117,41 +115,41 @@ def make_weights(p) -> ProbabilityWeights:
     )
 
 
+def _vector(x, message) -> list | tuple:
+    """``x`` as a list or tuple: one is taken as it is, anything else is read
+    by numpy and must be 1-d.  Raises ``ValueError(message)`` when the
+    vector is empty or holds a list or tuple (it is nested or ragged)."""
+    if not isinstance(x, (list, tuple)):
+        x = np.asarray(x)
+        if x.ndim != 1:
+            raise ValueError(message)
+        x = x.tolist()
+    if not x or any(isinstance(v, (list, tuple)) for v in x):
+        raise ValueError(message)
+    return x
+
+
 def _is_bool(x) -> bool:
     return isinstance(x, (bool, np.bool_))
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not _is_bool(x)
-
-
 def _validate_thresholds(k) -> list:
     """The thresholds as a list of Python ints, each within int64."""
-    # the common case, plain ints, is checked without numpy; bools are not ints here
-    if (isinstance(k, (list, tuple)) and k and all(type(x) is int for x in k)
-            and min(k) >= 0 and sum(k) <= _INT64_MAX):
-        return list(k)
-    # numpy reads [1, True] as integers, so a listed bool is looked for first
-    listed_bool = isinstance(k, (list, tuple)) and any(map(_is_bool, k))
-    k = np.asarray(k)
-    if k.ndim != 1 or k.size == 0:
-        raise ValueError("k must be a non-empty 1-d vector")
-    if listed_bool or k.dtype == np.bool_:
-        raise ValueError("thresholds must be integers, not booleans")
-    # numpy keeps ints past int64 as objects; the sign and sum checks below are exact
-    huge = k.dtype == object and all(map(_is_int, k.tolist()))
-    if k.dtype.kind not in _NUMBER_KINDS and not huge:
-        raise ValueError("thresholds must be integers, not strings or other objects")
-    if k.dtype.kind == "f":
-        kf = np.asarray(k, dtype=float)
-        if not np.all(np.isfinite(kf) & (kf == np.floor(kf))):
+    k = _vector(k, "k must be a non-empty 1-d vector")
+    if not all(type(x) is int for x in k):  # the common case, plain ints, skips this
+        if any(map(_is_bool, k)):
+            raise ValueError("thresholds must be integers, not booleans")
+        if not all(isinstance(x, (int, float, np.integer, np.floating)) for x in k):
+            raise ValueError("thresholds must be integers, not strings or other objects")
+        # ints first: converting one past the largest float to float overflows
+        if not all(isinstance(x, (int, np.integer)) or float(x).is_integer() for x in k):
             raise ValueError("thresholds must be integers")
-        k = kf
-    if np.any(k < 0):
+        k = [int(x) for x in k]
+    if min(k) < 0:
         raise ValueError("thresholds must be nonnegative")
-    if sum(map(int, k.tolist())) > _INT64_MAX:  # exact, before the int64 cast
+    if sum(k) > _INT64_MAX:
         raise ValueError(f"the threshold sum must not exceed {_INT64_MAX} (int64)")
-    return k.astype(np.int64).tolist()
+    return list(k)
 
 
 @dataclass(frozen=True, eq=False)
