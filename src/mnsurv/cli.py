@@ -39,8 +39,8 @@ from .quadrature import MAX_NODES, MIN_NODES, MIN_PANEL_NODES, CostGuardError, Q
 # compare_routes is not called here: the benchmark's tracer (bench/tracing.py)
 # wraps it in this module.
 from .survival import (
-    DETERMINISTIC_ROUTES,
     MIN_REPLICATIONS,
+    ROUTES,
     RouteReport,
     compare_batch,
     compare_routes,
@@ -184,18 +184,13 @@ def emit_reports(reports, fmt: str = "json", single: bool = False) -> bytes:
 # ---------------------------------------------------------------------------
 # argument handling
 
-def _float_list(text):
+def _number_list(text, kind, noun):
+    """A comma-separated list of ``kind`` (``float`` or ``int``), whose
+    plural ``noun`` the usage error names."""
     try:
-        return [float(tok) for tok in text.split(",") if tok != ""]
+        return [kind(tok) for tok in text.split(",") if tok != ""]
     except ValueError:
-        raise UsageError(f"expected a comma-separated list of numbers, got {text!r}")
-
-
-def _int_list(text):
-    try:
-        return [int(tok) for tok in text.split(",") if tok != ""]
-    except ValueError:
-        raise UsageError(f"expected a comma-separated list of integers, got {text!r}")
+        raise UsageError(f"expected a comma-separated list of {noun}, got {text!r}")
 
 
 def _int_range(text):
@@ -246,6 +241,8 @@ def _build_parser():
     )
     _add_common(ev)
     _add_common(cp)
+    ev.set_defaults(handler=_run_eval)
+    cp.set_defaults(handler=_run_eval, routes=None)
 
     sw = subs.add_parser("sweep", help="evaluate a grid of (n, k) combinations")
     sw.add_argument("--n", required=True, help="INT or START:STOP:STEP (inclusive)")
@@ -258,12 +255,14 @@ def _build_parser():
         help="all thresholds with every k_i >= 1 and sum <= n",
     )
     _add_common(sw)
+    sw.set_defaults(handler=_run_sweep)
 
     ck = subs.add_parser("check", help="run the identity/consistency suite")
     ck.add_argument("--tol", type=float, default=1e-8, help="route-agreement tolerance")
     ck.add_argument("--identity-tol", type=float, default=1e-10,
                     help="pointwise identity tolerance")
     ck.add_argument("--seed", type=int, default=7, help="seed for the randomized panels")
+    ck.set_defaults(handler=_run_check)
     return parser
 
 
@@ -297,7 +296,8 @@ def _instances_from_args(args):
         return instances
     if args.n is None or args.p is None or args.k is None:
         raise UsageError("either --input or all of --n/--p/--k are required")
-    return [build_instance(args.n, _float_list(args.p), _int_list(args.k))]
+    return [build_instance(args.n, _number_list(args.p, float, "numbers"),
+                           _number_list(args.k, int, "integers"))]
 
 
 def _quadrature_spec(args):
@@ -340,7 +340,15 @@ def _write(args, payload: bytes):
         sys.stdout.buffer.flush()
 
 
-def _run_eval(args, routes):
+def _run_eval(args):
+    routes = args.routes
+    if routes is not None:
+        routes = [tok.strip() for tok in routes.split(",") if tok.strip()]
+        if not routes:
+            raise UsageError(f"--routes names no route: {args.routes!r}")
+        unknown = set(routes) - set(ROUTES)
+        if unknown:
+            raise UsageError(f"unknown routes: {sorted(unknown)}")
     spec = _quadrature_spec(args)
     _check_flags(args)
     if routes is not None:
@@ -359,7 +367,7 @@ def _run_eval(args, routes):
 def _run_sweep(args):
     spec = _quadrature_spec(args)
     _check_flags(args)
-    p = _float_list(args.p)
+    p = _number_list(args.p, float, "numbers")
     d = len(p)
     ns = _int_range(args.n)
     if args.k_all:
@@ -377,7 +385,7 @@ def _run_sweep(args):
     if args.k_all:
         grid = ((n, k) for n in ns for k in _enumerate_thresholds(d, n))
     else:
-        k = _int_list(args.k)
+        k = _number_list(args.k, int, "integers")
         grid = ((n, k) for n in ns)
     # the rows of one n share the Monte Carlo sample of seed + (index of its first row)
     reports = compare_batch(_sweep_instances(p, grid), spec, tolerance=args.tolerance,
@@ -434,21 +442,7 @@ def run(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "eval":
-            routes = None
-            if args.routes is not None:
-                routes = [tok.strip() for tok in args.routes.split(",") if tok.strip()]
-                if not routes:
-                    raise UsageError(f"--routes names no route: {args.routes!r}")
-                unknown = set(routes) - set(DETERMINISTIC_ROUTES + ("mc",))
-                if unknown:
-                    raise UsageError(f"unknown routes: {sorted(unknown)}")
-            return _run_eval(args, routes)
-        if args.command == "compare":
-            return _run_eval(args, None)
-        if args.command == "sweep":
-            return _run_sweep(args)
-        return _run_check(args)
+        return args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

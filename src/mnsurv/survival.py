@@ -21,12 +21,12 @@
 pairwise discrepancies, and never raises on mere inapplicability.
 :func:`compare_batch` does the same for a batch of instances.  After a
 row phase of reductions and cost guards, it runs each route once per
-group of rows: one exact recursion for each reduced ``(n, d)``, one pass
-for the expansion contexts and one batched chain integral of both
-integral routes for the Gaussian-ready rows of each reduced ``d`` (and
-one of the Dirichlet route for its other rows), and one Monte Carlo
-sample for each reduced ``(n, p)``; :func:`compare_routes` is its batch
-of one.
+group of rows: one exact recursion for each reduced ``(n, d)``, one
+batched chain integral of both integral routes for the Gaussian-ready
+rows of each reduced ``d``, which first computes their expansion
+contexts (and one of the Dirichlet route for its other rows), and one
+Monte Carlo sample for each reduced ``(n, p)``; :func:`compare_routes` is
+its batch of one.
 """
 
 from __future__ import annotations
@@ -91,6 +91,7 @@ MIN_REPLICATIONS = 1000
 _MC_CHUNK_VALUES = 2_000_000
 
 DETERMINISTIC_ROUTES = ("exact", "dirichlet", "gaussian")
+ROUTES = DETERMINISTIC_ROUTES + ("mc",)
 
 
 def survival_exact(instance: SurvivalInstance) -> float:
@@ -440,9 +441,10 @@ def compare_batch(
     fails first: threshold reduction, the cost guards of the chain rule
     (:func:`mnsurv.quadrature.chain_evaluations`) and the exact route, and
     the Monte Carlo checks.  The group steps follow: the exact route per
-    reduced ``(n, d)``, the expansion contexts per reduced ``d``, one
-    batched chain integral per reduced ``d`` for the Gaussian-ready rows,
-    with both integral routes on each chunk's grid, and one for the
+    reduced ``(n, d)``, one batched chain integral per reduced ``d`` for
+    the Gaussian-ready rows, which first computes their expansion contexts
+    (every such row reports them, whichever routes run), with both
+    integral routes on each chunk's grid, and one for the
     Dirichlet route's other rows (rows of equal weights share one grid), and
     the Monte Carlo samples last.  A failure (a cost guard, a Monte Carlo
     sample below ``MIN_REPLICATIONS``, or an instance that cannot be built
@@ -456,7 +458,7 @@ def compare_batch(
     if routes is None:
         routes = DETERMINISTIC_ROUTES + (("mc",) if replications is not None else ())
     routes = set(routes)
-    unknown = routes.difference(DETERMINISTIC_ROUTES + ("mc",))
+    unknown = routes.difference(ROUTES)
     if unknown:
         raise ValueError(f"unknown routes: {sorted(unknown)}")
     if "mc" in routes:
@@ -473,12 +475,13 @@ def compare_batch(
         for group in _groups(integrated, lambda row: (row.reduced.n, row.reduced.d)):
             for row, value in zip(group, _one_or_many(group, survival_exact, _exact_group)):
                 row.values["exact"] = value
-    for group in _groups([row for row in integrated if row.ready], lambda row: row.reduced.d):
-        for row, context in zip(group, _one_or_many(group, expansion_context, expansion_contexts)):
-            row.context = context
 
     # a Gaussian-ready row's two integral routes share each chunk's grid
     for group in _groups(integrated, lambda row: (row.reduced.d, row.ready)):
+        if group[0].ready:  # every report of a ready row carries its context
+            for row, context in zip(group, _one_or_many(group, expansion_context,
+                                                        expansion_contexts)):
+                row.context = context
         reduced, factors = [row.reduced for row in group], {}
         if "dirichlet" in routes:
             factors["dirichlet"] = dirichlet_factors(reduced)
