@@ -3,11 +3,14 @@
 ``report_to_dict`` is the JSON object of one report, which the CLI's JSON
 writer must match byte for byte under ``json.dumps(..., indent=2)``;
 ``bilinear_form`` is ``x^T Sigma^-1 y`` from the covariance module's closed
-forms, with the same summation order as its quadratic form.
+forms, with the same summation order as its quadratic form;
+``survival_truth`` is the survival probability to 40 digits, by a
+recursion in mpmath that shares no code with mnsurv.
 """
 
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 
 from mnsurv.covariance import _checked_points, _scalar_or_array, _scaled_dot, coordinate_sum
@@ -53,3 +56,40 @@ def bilinear_form(weights: ProbabilityWeights, x, y) -> float | np.ndarray:
     cross /= weights.p_last
     total += cross
     return _scalar_or_array(total)
+
+
+def survival_truth(n, p, k, digits=40):
+    """``P(S_1 >= kappa_1, ..., S_d >= kappa_d)`` for the cumulated counts
+    ``S_i`` of ``Multinomial(n, (p, 1 - sum(p)))``, to ``digits`` digits, as
+    an ``mpmath.mpf``.  The weights are the exact binary values of the
+    floats given, and the last cell is their exact complement.
+
+    It is the sequential-binomial recursion: given ``S_{i-1} = s``, ``S_i -
+    s`` is ``Binomial(n - s, q_i)`` with ``q_i = p_i / (1 - p_1 - ... -
+    p_{i-1})``.  With the binomial pmf written in factorials, each step is
+    one convolution, cut to ``t >= kappa_i``::
+
+        f_i(t) = q^t (1-q)^(n-t) / (n-t)!  sum_s f_{i-1}(s) (n-s)! q^-s / (t-s)!
+
+    Every term is nonnegative, so nothing cancels and the working precision
+    carries over to the result.
+    """
+    with mpmath.workdps(digits + 5):
+        fact = [mpmath.mpf(1)]
+        for j in range(1, n + 1):
+            fact.append(fact[-1] * j)
+        inv_fact = [1 / x for x in fact]
+        # f[j] = P(S_{i-1} = lo + j and every constraint before i), for j up to hi - lo
+        lo, hi, f = 0, 0, [mpmath.mpf(1)]
+        tail, kappa = mpmath.mpf(1), 0  # 1 - p_1 - ... - p_{i-1}, and kappa_i
+        for p_i, k_i in zip(p, k):
+            p_i = mpmath.mpf(float(p_i))
+            q, tail, kappa = p_i / tail, tail - p_i, kappa + int(k_i)
+            if kappa > n:
+                return mpmath.mpf(0)
+            g = [v * fact[n - s] / q**s for s, v in enumerate(f, lo)]
+            f = [mpmath.fdot((g[s - lo], inv_fact[t - s]) for s in range(lo, min(t, hi) + 1))
+                 * q**t * (1 - q) ** (n - t) * inv_fact[n - t]
+                 for t in range(kappa, n + 1)]
+            lo, hi = kappa, n
+        return +mpmath.fsum(f)

@@ -29,6 +29,7 @@ from mnsurv import (
 )
 from mnsurv import expansions, quadrature, survival
 from mnsurv.checks import random_instance, random_weights
+from oracles import survival_truth
 
 
 def binomial_tail(n, p_float, k):
@@ -908,6 +909,80 @@ class TestChainAccuracy:
         report = compare_routes(inst)
         assert report.nodes == 64
         assert report.max_rel_diff <= 1e-13
+
+
+def _truth_panel(seed=2026):
+    """Four rows of each d = 1..6: near the mean and in a deep tail, each at
+    n = 100 and 300.  A near-mean row's thresholds sit 0-1.5 sd below their
+    means; a deep-tail row puts 0.3 of the weight on the first d cells and
+    asks for 0.9 n counts there, which at n = 300 is about 1e-100."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for d in range(1, 7):
+        for n in (100, 300):
+            p = rng.uniform(0.3, 0.9) * rng.dirichlet(np.full(d, 4.0))
+            k = np.floor(n * p - rng.uniform(0.0, 1.5, d) * np.sqrt(n * p))
+            rows.append((n, p.tolist(), np.maximum(k, 2).astype(int).tolist()))
+            p = 0.3 * rng.dirichlet(np.full(d, 4.0))
+            k = np.floor(0.9 * n * p / p.sum())
+            rows.append((n, p.tolist(), np.maximum(k, 2).astype(int).tolist()))
+    return rows
+
+
+TRUTH_PANEL = _truth_panel()
+
+# Relative bounds against the 40-digit truth.  The exact route's error grows
+# about linearly in n (its matrices are built one trial at a time): the
+# panel's largest error per trial was 2.3e-16 (d = 4, n = 300, 6.8e-14).
+# The worst integral errors were 4.4e-14 (Dirichlet) and 1.2e-13 (Gaussian,
+# d = 6 at 3e-102).  Each bound is at least 4x the worst measured error.
+TRUTH_BOUNDS = {
+    "exact": lambda n: 1e-15 * n,
+    "dirichlet": lambda n: 2e-13,
+    "gaussian": lambda n: 5e-13,
+}
+
+
+class TestGroundTruth:
+    """Each deterministic route against ``oracles.survival_truth``, the
+    sequential-binomial recursion in mpmath at 40 digits."""
+
+    def test_truth_matches_scipy_at_d_1(self):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        rows = [(n, p, k) for n, p, k in TRUTH_PANEL if len(p) == 1]
+        for n, p, k in rows + [(50, [0.2], [3]), (1000, [0.3], [250])]:
+            truth = survival_truth(n, p, k)
+            assert float(truth) == pytest.approx(scipy_stats.binom.sf(k[0] - 1, n, p[0]),
+                                                 rel=1e-14, abs=0.0)
+
+    def test_truth_matches_exact_rationals(self):
+        rng = np.random.default_rng(47)
+        for _ in range(40):
+            d = int(rng.integers(1, 5))
+            n = int(rng.integers(1, 13))
+            p = np.round(rng.dirichlet(np.full(d + 1, 2.0))[:d], 4)
+            if p.min() < 0.01 or p.sum() > 0.99:
+                continue
+            k = [int(v) for v in rng.integers(0, n // d + 2, d)]
+            truth = brute_force_survival(n, p.tolist(), k)
+            assert float(survival_truth(n, p.tolist(), k)) == pytest.approx(truth, rel=1e-15,
+                                                                            abs=0.0)
+
+    def test_routes_within_their_bounds(self, record_property):
+        instances = [build_instance(n, p, k) for n, p, k in TRUTH_PANEL]
+        reports = compare_batch(instances)
+        worst = dict.fromkeys(TRUTH_BOUNDS, 0.0)
+        tails = []
+        for (n, p, k), report in zip(TRUTH_PANEL, reports):
+            truth = survival_truth(n, p, k)
+            tails.append(truth)
+            for route, bound in TRUTH_BOUNDS.items():
+                error = float(abs(getattr(report, route) - truth) / truth)
+                assert error <= bound(n), (route, n, p, k, error)
+                worst[route] = max(worst[route], error)
+        assert min(tails) < 1e-100  # the panel reaches the deep tail
+        for route, error in worst.items():
+            record_property(f"worst_rel_error_{route}", error)
 
 
 class TestMonotonicity:
