@@ -91,7 +91,7 @@ MIN_REPLICATIONS = 1000
 _MC_CHUNK_VALUES = 2_000_000
 
 DETERMINISTIC_ROUTES = ("exact", "dirichlet", "gaussian")
-ROUTES = DETERMINISTIC_ROUTES + ("mc",)
+ROUTES = (*DETERMINISTIC_ROUTES, "mc")
 
 
 def survival_exact(instance: SurvivalInstance) -> float:

@@ -58,10 +58,10 @@ def bilinear_form(weights: ProbabilityWeights, x, y) -> float | np.ndarray:
     return _scalar_or_array(total)
 
 
-def survival_truth(n, p, k, digits=40):
+def survival_truth(n, p, k):
     """``P(S_1 >= kappa_1, ..., S_d >= kappa_d)`` for the cumulated counts
-    ``S_i`` of ``Multinomial(n, (p, 1 - sum(p)))``, to ``digits`` digits, as
-    an ``mpmath.mpf``.  The weights are the exact binary values of the
+    ``S_i`` of ``Multinomial(n, (p, 1 - sum(p)))``, to 40 digits, as an
+    ``mpmath.mpf``.  The weights are the exact binary values of the
     floats given, and the last cell is their exact complement.
 
     It is the sequential-binomial recursion: given ``S_{i-1} = s``, ``S_i -
@@ -74,14 +74,14 @@ def survival_truth(n, p, k, digits=40):
     Every term is nonnegative, so nothing cancels and the working precision
     carries over to the result.
     """
-    with mpmath.workdps(digits + 5):
+    with mpmath.workdps(45):
         fact = [mpmath.mpf(1)]
         for j in range(1, n + 1):
             fact.append(fact[-1] * j)
         inv_fact = [1 / x for x in fact]
         # f[j] = P(S_{i-1} = lo + j and every constraint before i), for j up to hi - lo
         lo, hi, f = 0, 0, [mpmath.mpf(1)]
-        tail, kappa = mpmath.mpf(1), 0  # 1 - p_1 - ... - p_{i-1}, and kappa_i
+        tail, kappa = mpmath.mpf(1), 0  # 1 - p_1 - ... - p_{i-1} and kappa_{i-1}, at step i
         for p_i, k_i in zip(p, k):
             p_i = mpmath.mpf(float(p_i))
             q, tail, kappa = p_i / tail, tail - p_i, kappa + int(k_i)

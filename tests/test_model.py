@@ -90,8 +90,7 @@ class TestBuildInstance:
 
 
 def _object_array(*entries):
-    out = np.empty(len(entries), dtype=object)
-    out[:] = [None] * len(entries)  # entries that are lists would otherwise become a 2-d array
+    out = np.empty(len(entries), dtype=object)  # np.array would stack equal-length lists
     for idx, entry in enumerate(entries):
         out[idx] = entry
     return out
