@@ -602,6 +602,33 @@ class TestFrozenBits:
                 assert value == values[name][index], name
 
 
+# sha256 of the float.hex of h_grad and h_hessian at one seeded interior
+# point, in free and in full coordinates, one digest per d
+FROZEN_DERIVATIVE_DIGESTS = {
+    1: "560dafa5b70bc898812abdc9bfc00cdb79bbc6d79b1bb5372b0331b7149f58f4",
+    2: "c155c15c4149faac241e6e66c6d66f7778603af38a6476289bbee4ad2c19a51c",
+    3: "11ef2002c8042dd797ae0b63e5d80f03859fdbd593b3505038466388ed521e79",
+    4: "ddb82494cb124a2745b47bf00576f0088447aa2efc974784f7af80aa5544f6aa",
+    5: "7a778283e6e38f4e84a58152c18e4a2cba42e51067ee5bfe7f14f5107f8a5977",
+    6: "f4f9f1b426d66a522998c020a531f3c20d299816ca133b1bff83630c625257d9",
+}
+
+
+class TestFrozenDerivativeBits:
+    """``h_grad`` and ``h_hessian`` keep every bit at a seeded point."""
+
+    @pytest.mark.parametrize("n, p, k", FROZEN_INSTANCES, ids=FROZEN_IDS)
+    def test_derivative_bits(self, n, p, k):
+        inst = build_instance(n, p, k)
+        s = _interior(np.random.default_rng(70 + inst.d), inst)
+        forms = {"free": s, "full": np.append(s, 1.0 - s.sum())}
+        text = _hex_text({
+            f"{f.__name__}_{form}": f(inst, point)
+            for f in (h_grad, h_hessian) for form, point in forms.items()
+        })
+        assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_DERIVATIVE_DIGESTS[inst.d], text
+
+
 # float.hex of gamma_tilde(inst, 0.5) and gamma_tilde(inst, 2) on FROZEN_INSTANCES
 FROZEN_SCALED_TILTS = [
     ("0x1.f120a3bf55c80p-15", "0x1.6b5b3f3c716b0p-8"),
