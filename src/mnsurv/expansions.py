@@ -22,9 +22,12 @@ times an exact exponential tilt:
 * ``log_dirichlet_integrand`` / ``log_gaussian_integrand``: the sums of
   those factors at points, equal pointwise on the interior of the region.
 
-All point-evaluating functions are vectorized over leading batch axes: a
-point is the last axis of length d (free coordinates) or d+1 (full simplex
-coordinates).
+A point is the last axis of an array: the d free coordinates ``s_1..s_d``,
+whose sum is ``T_d`` and the last cell's mass ``1 - T_d``, or all d+1
+coordinates, the last one that mass and ``T_d = 1 - s_{d+1}``.  The point
+functions take a batch over the leading axes, but ``h_grad`` and
+``h_hessian`` a single point.  All of them but ``log_dirichlet_integrand``
+require an interior point: every free coordinate ``> 0`` and ``T_d < 1``.
 """
 
 from __future__ import annotations
@@ -265,26 +268,24 @@ def gamma_star(instance: SurvivalInstance, s) -> float | np.ndarray:
 
     ``sum_{i<=d+1} (J_i/N) ln(s_i/p_i)`` minus the affine-quadratic part
     ``et^T Sigma^-1 (s-p) - (s-p)^T Sigma^-1 (s-p)/2`` over the free
-    coordinates.  ``s`` must be strictly inside the simplex (all d+1
-    coordinates positive); batch evaluation over the leading axes.  It is
-    evaluated as the sum of the tilt parts of the Gaussian factors (see
-    :func:`gaussian_factors`), divided by ``N``.
+    coordinates.  It is evaluated as the sum of the tilt parts of the
+    Gaussian factors (see :func:`gaussian_factors`), divided by ``N``.
     """
     _require_n_positive(instance)
     tilts = [cell.tilt for cell in _gaussian_cells([instance])]
-    free, total = _cumulated(instance, s, require_interior=True)
+    free, total, _ = _point(instance, s)
     return _factor_sum(0.0, tilts, free, total) / instance.N
 
 
 def entropy_lhs(instance: SurvivalInstance, s) -> float | np.ndarray:
     """The weighted log-ratio sum ``sum_{i<=d+1} (J_i/N) ln(s_i/p_i)``."""
     _require_n_positive(instance)
-    full = _simplex_point(instance, s)
+    free, _, last = _point(instance, s)
     p = instance.weights.p_full
-    out = np.zeros(full.shape[:-1])
+    out = np.zeros(np.shape(last))
     for i, c in enumerate((instance.J / instance.N).tolist()):
         if c:  # a cell with J_i = 0 adds exactly 0
-            term = np.log(full[..., i] / p[i])
+            term = np.log((free[..., i] if i < instance.d else last) / p[i])
             term *= c
             out += term
     return out if out.ndim else float(out)
@@ -295,7 +296,7 @@ def h_value(instance: SurvivalInstance, s) -> float | np.ndarray:
     Dirichlet factors without their constant, divided by ``N``."""
     _require_n_positive(instance)
     cells = _dirichlet_cells(instance.J[None].astype(float))
-    free, total = _cumulated(instance, s, require_interior=True)
+    free, total, _ = _point(instance, s)
     return _factor_sum(0.0, cells, free, total) / instance.N
 
 
@@ -306,20 +307,19 @@ def h_grad(instance: SurvivalInstance, s) -> np.ndarray:
     identically at ``s = J/N``.
     """
     _require_n_positive(instance)
-    full = _single_point(instance, s, "h_grad")
+    free, _, last = _point(instance, s, single="h_grad")
     jn = instance.J / instance.N
-    d = instance.d
-    return jn[:d] / full[:d] - jn[d] / full[d]
+    return jn[:-1] / free - jn[-1] / last
 
 
 def h_hessian(instance: SurvivalInstance, s) -> np.ndarray:
     """Hessian of ``H`` in the free coordinates: negative definite everywhere."""
     _require_n_positive(instance)
-    full = _single_point(instance, s, "h_hessian")
+    free, _, last = _point(instance, s, single="h_hessian")
     jn = instance.J / instance.N
     d = instance.d
-    hess = np.full((d, d), -jn[d] / full[d] ** 2)
-    hess[np.diag_indices(d)] -= jn[:d] / full[:d] ** 2
+    hess = np.full((d, d), -jn[d] / last ** 2)
+    hess[np.diag_indices(d)] -= jn[:d] / free ** 2
     return hess
 
 
@@ -469,11 +469,13 @@ def log_dirichlet_integrand(instance: SurvivalInstance, s) -> float | np.ndarray
     ``ln((N+d)!) - sum_i ln(J_i!) + sum_i J_i ln(s_i)`` over all d+1 cells,
     the sum of :func:`dirichlet_factors`.  Cells with ``J_i = 0`` are given
     a mass of 1 first, so they contribute exactly 0 whatever ``s_i``.
-    Returns ``-inf`` when some ``s_i = 0`` with ``J_i >= 1``.  Batch
-    evaluation over leading axes; ``s`` has d free or d+1 full coordinates.
+    Returns ``-inf`` when some ``s_i = 0`` with ``J_i >= 1``.  The last
+    cell's factor is taken at ``1 - T_d``, so a full point whose last mass
+    is at most ``2**-54`` (about 5.6e-17) gives ``-inf`` there, and one below
+    about 1.1e-16 has that mass rounded to 0 or ``2**-53``.
     """
     f = dirichlet_factors([instance])
-    free, total = _cumulated(instance, s, require_interior=False)
+    free, total, _ = _point(instance, s, interior=False)
     empty = instance.J == 0
     free = np.where(empty[:-1], 1.0, free)
     total = np.where(empty[-1], 0.0, total)  # 1 - T_d is the last cell's mass
@@ -490,26 +492,33 @@ def log_gaussian_integrand(instance: SurvivalInstance, s) -> float | np.ndarray:
     ``J_i >= 1`` for every cell.
     """
     f = gaussian_factors([expansion_context(instance)])
-    free, total = _cumulated(instance, s, require_interior=True)
+    free, total, _ = _point(instance, s)
     return _factor_sum(f.constant, f.steps, free, total)
 
 
-def _cumulated(instance, s, require_interior):
-    """The free coordinates of ``s``, shape (..., d), and ``T_d``.
+def _point(instance, s, interior=True, single=None):
+    """The free coordinates of the points ``s``, shape (..., d), their
+    ``T_d`` and the last cell's mass, by the rule of the module docstring.
 
-    Accepts the d free coordinates (``T_d`` is their sum) or all d+1
-    (``T_d = 1 - s_{d+1}``).
+    Refuses a point off the interior unless ``interior`` is false, and,
+    where the function named ``single`` takes one point, a batch.
     """
     d = instance.d
-    s = _points(s, d)
+    s = np.asarray(s, dtype=float)
+    if s.ndim == 0 or s.shape[-1] not in (d, d + 1):
+        raise ValueError(f"a point must have {d} or {d + 1} coordinates, got shape {s.shape}")
     if s.shape[-1] == d:
         total = coordinate_sum(s)
+        last = 1.0 - total
     else:
-        total = 1.0 - s[..., d]
+        last = s[..., d]
+        total = 1.0 - last
         s = s[..., :d]
-    if require_interior and not ((s > 0.0).all() and (total < 1.0).all()):
+    if interior and not ((s > 0.0).all() and (total < 1.0).all()):
         raise ValueError("point must lie strictly inside the simplex")
-    return s, total
+    if single and s.ndim != 1:
+        raise ValueError(f"{single} expects a single point")
+    return s, total, last
 
 
 def _factor_sum(constant, cells, s, total):
@@ -531,37 +540,6 @@ def _factor_sum(constant, cells, s, total):
     out += constant
     out = out.reshape(shape)
     return out if out.ndim else float(out)
-
-
-def _simplex_point(instance, s):
-    """The d+1 full simplex coordinates of ``s``, shape (..., d+1).
-
-    Accepts the d free coordinates (the last one is completed to unit sum)
-    or all d+1 coordinates.
-    """
-    d = instance.d
-    full = _points(s, d)
-    if full.shape[-1] == d:
-        last = coordinate_sum(full)
-        np.subtract(1.0, last, out=last)
-        full = np.concatenate([full, last[..., None]], axis=-1)
-    if not (full > 0.0).all():
-        raise ValueError("point must lie strictly inside the simplex")
-    return full
-
-
-def _points(s, d):
-    s = np.asarray(s, dtype=float)
-    if s.ndim == 0 or s.shape[-1] not in (d, d + 1):
-        raise ValueError(f"a point must have {d} or {d + 1} coordinates, got shape {s.shape}")
-    return s
-
-
-def _single_point(instance, s, name):
-    full = _simplex_point(instance, s)
-    if full.ndim != 1:
-        raise ValueError(f"{name} expects a single point")
-    return full
 
 
 def _require_n_positive(instance):

@@ -133,8 +133,9 @@ def _is_bool(x) -> bool:
     return isinstance(x, (bool, np.bool_))
 
 
-def _validate_thresholds(k) -> list:
-    """The thresholds as a list of Python ints, each within int64."""
+def _validate_thresholds(k, d) -> list:
+    """The thresholds as a list of Python ints, each within int64, one for
+    each of the ``d`` weights."""
     k = _vector(k, "k must be a non-empty 1-d vector")
     if not all(type(x) is int for x in k):  # the common case, plain ints, skips this
         if any(map(_is_bool, k)):
@@ -149,6 +150,8 @@ def _validate_thresholds(k) -> list:
         raise ValueError("thresholds must be nonnegative")
     if sum(k) > _INT64_MAX:
         raise ValueError(f"the threshold sum must not exceed {_INT64_MAX} (int64)")
+    if d != len(k):
+        raise ValueError(f"p and k must have the same length; got {d} and {len(k)}")
     return list(k)
 
 
@@ -244,10 +247,8 @@ def _derive(n: int, weights: ProbabilityWeights, k) -> SurvivalInstance:
     # Python ints and floats on d+1 entries, which numpy calls would cost
     # more than; every int stays within int64 and every float operation is
     # the one numpy's would be.
-    k = _validate_thresholds(k)
-    if weights.d != len(k):
-        raise ValueError(f"p and k must have the same length; got {weights.d} and {len(k)}")
     d = weights.d
+    k = _validate_thresholds(k, d)
     kappa = list(itertools.accumulate(k))
     j = k + [n + 1 - kappa[-1]]
     J = [x - 1 for x in j]
@@ -285,26 +286,32 @@ def reduce_thresholds(p, k):
     nonnegative), so cell i can be absorbed into cell i+1 without changing the
     survival probability; a trailing zero cell is absorbed by the implicit
     last cell.  The returned pair has all thresholds ``>= 1`` and may be empty
-    (all constraints vacuous, survival probability 1).
+    (all constraints vacuous, survival probability 1); an empty pair is
+    returned as such.  Any other ``p`` and ``k`` are read as
+    :func:`build_instance` reads them, and what it refuses raises its
+    ``ValueError``.
 
     Returns
     -------
     (ndarray, ndarray)
         Reduced weights and thresholds, possibly of length 0.
     """
-    p = np.asarray(p, dtype=float)
-    k = np.asarray(k, dtype=np.int64)
-    if p.shape != k.shape or p.ndim != 1:
-        raise ValueError("p and k must be 1-d vectors of equal length")
     out_p: list[float] = []
     out_k: list[int] = []
-    carry = 0.0
-    for pi, ki in zip(p, k):
-        if ki == 0:
-            carry += pi
-        else:
-            out_p.append(pi + carry)
-            out_k.append(int(ki))
-            carry = 0.0
-    return np.asarray(out_p, dtype=float), np.asarray(out_k, dtype=np.int64)
+    if not (_empty(p) and _empty(k)):
+        weights = make_weights(p)
+        carry = 0.0
+        for pi, ki in zip(weights.p.tolist(), _validate_thresholds(k, weights.d)):
+            if ki == 0:
+                carry += pi
+            else:
+                out_p.append(pi + carry)
+                out_k.append(ki)
+                carry = 0.0
+    return np.array(out_p, dtype=float), np.array(out_k, dtype=np.int64)
+
+
+def _empty(x) -> bool:
+    """Whether ``x`` is an empty list, tuple or 1-d array."""
+    return isinstance(x, (list, tuple)) and not x or getattr(x, "shape", None) == (0,)
 

@@ -87,10 +87,14 @@ class QuadratureSpec:
     nodes: int = 64
 
     def __post_init__(self):
-        nodes = operator.index(self.nodes)
-        if not MIN_NODES <= nodes <= MAX_NODES:
-            raise ValueError(f"nodes must be in [{MIN_NODES}, {MAX_NODES}], got {nodes}")
-        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "nodes", _node_count(operator.index(self.nodes)))
+
+
+def _node_count(nodes):
+    """``nodes``, refused unless ``MIN_NODES <= nodes <= MAX_NODES``."""
+    if not MIN_NODES <= nodes <= MAX_NODES:
+        raise ValueError(f"nodes must be in [{MIN_NODES}, {MAX_NODES}], got {nodes}")
+    return nodes
 
 
 @lru_cache(maxsize=None)
@@ -107,9 +111,7 @@ def legendre_rule(nodes: int):
     (ndarray, ndarray)
         Nodes in increasing order, strictly inside (0, 1), and weights.
     """
-    if not MIN_NODES <= nodes <= MAX_NODES:
-        raise ValueError(f"nodes must be in [{MIN_NODES}, {MAX_NODES}], got {nodes}")
-    g = nodes
+    g = _node_count(nodes)
     k = np.arange(1, g + 1)
     x = np.cos(np.pi * (k - 0.25) / (g + 0.5))
     for _ in range(100):

@@ -5,7 +5,9 @@ writer must match byte for byte under ``json.dumps(..., indent=2)``;
 ``bilinear_form`` is ``x^T Sigma^-1 y`` from the covariance module's closed
 forms, with the same summation order as its quadratic form;
 ``survival_truth`` is the survival probability to 40 digits, by a
-recursion in mpmath that shares no code with mnsurv.
+recursion in mpmath that shares no code with mnsurv; ``merge_zero_thresholds``
+is the merge loop ``reduce_thresholds`` had before it read its input with
+``build_instance``'s checks.
 """
 
 from __future__ import annotations
@@ -56,6 +58,25 @@ def bilinear_form(weights: ProbabilityWeights, x, y) -> float | np.ndarray:
     cross /= weights.p_last
     total += cross
     return _scalar_or_array(total)
+
+
+def merge_zero_thresholds(p, k):
+    """Zero thresholds merged forward, with no check beyond equal 1-d shapes."""
+    p = np.asarray(p, dtype=float)
+    k = np.asarray(k, dtype=np.int64)
+    if p.shape != k.shape or p.ndim != 1:
+        raise ValueError("p and k must be 1-d vectors of equal length")
+    out_p: list[float] = []
+    out_k: list[int] = []
+    carry = 0.0
+    for pi, ki in zip(p, k):
+        if ki == 0:
+            carry += pi
+        else:
+            out_p.append(pi + carry)
+            out_k.append(int(ki))
+            carry = 0.0
+    return np.asarray(out_p, dtype=float), np.asarray(out_k, dtype=np.int64)
 
 
 def survival_truth(n, p, k):

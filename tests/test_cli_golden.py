@@ -13,6 +13,8 @@ import pytest
 
 from mnsurv.cli import run
 
+pytestmark = pytest.mark.pinned_bits
+
 D6 = ["--p", "0.12,0.1,0.15,0.12,0.1,0.14", "--k", "110,95,140,110,90,130"]
 
 CASES = [

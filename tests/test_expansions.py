@@ -483,6 +483,56 @@ def _materialised(batch):
     return batch.reshape(-1, batch.shape[-1])
 
 
+INTERIOR_FUNCTIONS = [gamma_star, entropy_lhs, h_value, h_grad, h_hessian, log_gaussian_integrand]
+
+# d = 2 points as (free, full); the last one's mass 1e-17 makes T_d round to 1
+INTERIOR_POINTS = {
+    "inside": ([0.3, 0.3], [0.3, 0.3, 0.4]),
+    "zero mass": ([0.0, 0.3], [0.0, 0.3, 0.7]),
+    "zero last mass": ([0.5, 0.5], [0.5, 0.5, 0.0]),
+    "negative mass": ([-0.1, 0.3], [-0.1, 0.3, 0.8]),
+    "T_d above 1": ([0.6, 0.5], [0.6, 0.5, -0.1]),
+    "tiny last mass": ([0.5, 0.5 - 1e-17], [0.5, 0.5 - 1e-17, 1e-17]),
+}
+
+
+class TestInteriorRule:
+    """Every point function but ``log_dirichlet_integrand`` takes d free or
+    d+1 full coordinates, and only interior points: every free coordinate
+    ``> 0`` and ``T_d < 1``."""
+
+    @pytest.mark.parametrize("form", [0, 1], ids=["free", "full"])
+    @pytest.mark.parametrize("f", INTERIOR_FUNCTIONS, ids=lambda f: f.__name__)
+    def test_interior_rule(self, f, form):
+        inst = build_instance(20, [0.3, 0.3], [5, 6])
+        assert np.all(np.isfinite(f(inst, INTERIOR_POINTS["inside"][form])))
+        for name, points in INTERIOR_POINTS.items():
+            if name != "inside":
+                with pytest.raises(ValueError) as info:
+                    f(inst, points[form])
+                assert str(info.value) == "point must lie strictly inside the simplex", name
+        wrong = [0.3] if form == 0 else [0.1, 0.1, 0.1, 0.1]
+        with pytest.raises(ValueError) as info:
+            f(inst, wrong)
+        assert str(info.value) == f"a point must have 2 or 3 coordinates, got shape ({len(wrong)},)"
+        batch = np.array([INTERIOR_POINTS["inside"][form]] * 3)
+        if f in (h_grad, h_hessian):
+            with pytest.raises(ValueError) as info:
+                f(inst, batch)
+            assert str(info.value) == f"{f.__name__} expects a single point"
+        else:
+            assert np.shape(f(inst, batch)) == (3,)
+
+    def test_dirichlet_integrand_takes_the_boundary(self):
+        inst = build_instance(20, [0.3, 0.3], [5, 6])
+        for form in (0, 1):
+            for name in ("zero mass", "zero last mass", "tiny last mass"):
+                assert log_dirichlet_integrand(inst, INTERIOR_POINTS[name][form]) == -math.inf
+        # T_d = 1 - 2**-53 keeps the last mass, which 2**-54 rounds away
+        assert log_dirichlet_integrand(inst, [0.5, 0.5 - 2**-53, 2**-53]) > -math.inf
+        assert log_dirichlet_integrand(inst, [0.5, 0.5 - 2**-54, 2**-54]) == -math.inf
+
+
 class TestBroadcastColumns:
     """A batch is an array whose last axis holds the coordinates; any
     leading shape gives the bits of the same points as rows of a matrix."""
@@ -580,6 +630,7 @@ def _hex_text(values):
     )
 
 
+@pytest.mark.pinned_bits
 class TestFrozenBits:
     """The point functions keep every bit on a seeded batch, and a single
     point gives a float equal to its batch row."""
@@ -614,6 +665,7 @@ FROZEN_DERIVATIVE_DIGESTS = {
 }
 
 
+@pytest.mark.pinned_bits
 class TestFrozenDerivativeBits:
     """``h_grad`` and ``h_hessian`` keep every bit at a seeded point."""
 

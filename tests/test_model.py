@@ -9,6 +9,7 @@ from mnsurv import (
     reduce_thresholds,
     survival_exact,
 )
+from oracles import merge_zero_thresholds
 
 
 class TestBuildInstance:
@@ -339,4 +340,56 @@ class TestReduceThresholds:
         assert np.all(k1 >= 1)
         # total constrained mass is conserved up to the dropped tail cells
         assert p1.sum() <= p.sum() + 1e-15
+
+    def test_empty_round_trips(self):
+        for p, k in (([], []), ((), ()), (np.array([]), np.array([], dtype=np.int64))):
+            p2, k2 = reduce_thresholds(p, k)
+            assert p2.shape == k2.shape == (0,)
+            assert p2.dtype == np.float64 and k2.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "p, k",
+        [
+            pytest.param(["0.3", "0.2"], [True, 1], id="string weights, a boolean threshold"),
+            pytest.param([0.3, 0.2], [True, 1], id="a boolean threshold"),
+            pytest.param([0.3, 0.2], [1.7, 0], id="a non-integral threshold"),
+            pytest.param([0.3], [-1], id="a negative threshold"),
+            pytest.param([0.3, 0.3], [2], id="fewer thresholds than weights"),
+            pytest.param([0.3], [2, 1], id="more thresholds than weights"),
+            pytest.param([0.6, 0.5], [1, 1], id="weights past the simplex"),
+            pytest.param([], [1], id="empty weights"),
+            pytest.param([0.3], [], id="empty thresholds"),
+            pytest.param([[0.3]], [[1]], id="nested"),
+        ],
+    )
+    def test_refuses_what_build_instance_refuses(self, p, k):
+        with pytest.raises(ValueError) as expected:
+            build_instance(10, p, k)
+        with pytest.raises(ValueError) as info:
+            reduce_thresholds(p, k)
+        assert str(info.value) == str(expected.value)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(1e-6, 1.0, allow_nan=False),
+                st.integers(0, 3),
+            ),
+            min_size=1,
+            max_size=9,
+        ),
+        st.sampled_from(["list", "array"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bits_match_the_old_merge_loop(self, pairs, form):
+        p = np.array([t[0] for t in pairs])
+        p = p / (p.sum() * 1.0001)  # keep a margin for the implicit cell
+        k = np.array([t[1] for t in pairs], dtype=np.int64)
+        if form == "list":
+            p, k = p.tolist(), k.tolist()
+        p1, k1 = reduce_thresholds(p, k)
+        p2, k2 = merge_zero_thresholds(p, k)
+        assert p1.dtype == p2.dtype and k1.dtype == k2.dtype
+        assert [x.hex() for x in p1.tolist()] == [x.hex() for x in p2.tolist()]
+        assert k1.tolist() == k2.tolist()
 

@@ -283,6 +283,7 @@ class TestMonteCarlo:
         inst = build_instance(10, [0.3, 0.3], [2, 3])
         assert survival_mc(inst, 5000, 7) == survival_mc(inst, 5000, 7)
 
+    @pytest.mark.pinned_bits
     @pytest.mark.parametrize("n, p, k, reps, seed, estimate, stderr", FROZEN_MC)
     def test_estimates_are_bit_identical(self, n, p, k, reps, seed, estimate, stderr):
         est, se = survival_mc(build_instance(n, p, k), reps, seed)
@@ -745,6 +746,7 @@ def _exact_panel(rng):
     return rows
 
 
+@pytest.mark.pinned_bits
 class TestGroupedExact:
     """The exact route runs once per group of rows of one reduced (n, d)."""
 
@@ -805,6 +807,7 @@ class TestGroupedExact:
         assert peaks[1] <= 1.2 * peaks[0]
 
 
+@pytest.mark.pinned_bits
 class TestFrozenValues:
     @pytest.mark.parametrize("n, p, k, g, dirichlet, gaussian", FROZEN_VALUES)
     def test_integral_routes_are_bit_identical(self, n, p, k, g, dirichlet, gaussian):
