@@ -87,11 +87,12 @@ class QuadratureSpec:
     nodes: int = 64
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", _node_count(operator.index(self.nodes)))
+        object.__setattr__(self, "nodes", _node_count(self.nodes))
 
 
-def _node_count(nodes):
-    """``nodes``, refused unless ``MIN_NODES <= nodes <= MAX_NODES``."""
+def _node_count(nodes) -> int:
+    """``nodes`` as an ``int`` in ``[MIN_NODES, MAX_NODES]``; a float is refused."""
+    nodes = operator.index(nodes)
     if not MIN_NODES <= nodes <= MAX_NODES:
         raise ValueError(f"nodes must be in [{MIN_NODES}, {MAX_NODES}], got {nodes}")
     return nodes

@@ -566,3 +566,12 @@ class TestSpecValidation:
             QuadratureSpec(nodes=40.5)
         spec = QuadratureSpec(nodes=np.int64(40))
         assert type(spec.nodes) is int and spec.nodes == 40
+
+    def test_legendre_rule_shares_the_check(self):
+        for nodes in (1, 129):
+            with pytest.raises(ValueError, match=r"nodes must be in \[2, 128\], got"):
+                legendre_rule(nodes)
+        for nodes in (3.0, 200.0):  # a float is refused before the range check
+            with pytest.raises(TypeError, match="float"):
+                legendre_rule(nodes)
+        assert legendre_rule(np.int64(3))[0].tolist() == legendre_rule(3)[0].tolist()
