@@ -12,7 +12,11 @@ Two integrators share the Gauss-Legendre rule of :func:`legendre_rule`.
   discretised by a Nystrom rule on panels split at the prefix sums, in log
   space; each target's sum runs over its own terms only, at a cost
   polynomial in the nodes per panel.  It integrates a batch of same-``d``
-  integrands, one per row, in one recursion.
+  integrands, one per row, in one recursion.  Level ``i`` depends only on
+  the grid and on cells ``1..i``, so rows on one grid compute it once per
+  distinct prefix of cell parameters (the rows of a sweep over thresholds
+  share most of their levels), and each cell factor once per distinct
+  parameter row.
 * :func:`integrate_region` is the iterated (tensor-product) rule with
   variable upper limits ``U_i = P_i - (s_1 + ... + s_{i-1})``, for any
   log-integrand at ``G^d`` evaluations.  It is a short serial reference
@@ -168,6 +172,20 @@ def mapped_interpolation(nodes: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _half_interpolation(nodes: int):
+    """The ``G (G+1) / 2`` distinct columns of :func:`mapped_interpolation`,
+    those of ``b <= a``, and for each of its ``G^2`` columns the index of
+    its own among them: column ``b*G + a`` equals column ``a*G + b`` bit for
+    bit, as ``x_b x_a == x_a x_b``."""
+    b, a = np.triu_indices(nodes)
+    index = np.empty((nodes, nodes), dtype=np.intp)
+    index[b, a] = index[a, b] = np.arange(b.size)
+    half = np.ascontiguousarray(mapped_interpolation(nodes)[:, b * nodes + a])
+    half.setflags(write=False)
+    return half, index.ravel()
+
+
 class ChainFactors(NamedTuple):
     """A batch of ``B`` log-integrands in the cumulated coordinates ``T_i =
     s_1 + ... + s_i``, one per row, with one factor per cell.
@@ -182,6 +200,10 @@ class ChainFactors(NamedTuple):
     cols)``, or ``(1, rows, cols)`` for points every row shares, they return
     a new ``(B, rows, cols)`` array whose row ``r`` is row ``r``'s factor.
     Each also has ``rows(index)``, the factor of the rows ``index`` selects.
+    In a batch of more than one row, each of ``steps[:d]`` is a tuple of
+    its parameters, float arrays with a leading axis of length ``B``: rows
+    whose parameters and ``powers`` entry are equal bit for bit must have
+    the same factor, and share its evaluations.
     """
 
     constant: np.ndarray  # (B,)
@@ -363,19 +385,25 @@ def integrate_chain(prefix, factors: ChainFactors, spec=None):
     T`` is interpolated instead.  Level ``i + 1`` evaluates ``i (i + 3) /
     2`` blocks of ``G x G`` terms, each factor once over all of them, and
     takes one log-sum-exp per panel of targets over the terms in their
-    sums.  The cost is about ``d^3 G^2 / 6`` factor evaluations and ``d^2
-    G^3 / 2`` multiply-adds per row; memory ``O(d^3 G^2 + G^3)`` per row.
+    sums.  The mapped points ``x_b x_a`` are symmetric in ``a`` and ``b``,
+    so only the ``G (G+1) / 2`` distinct ones are interpolated.  The cost is
+    about ``d^3 G^2 / 6`` factor evaluations and ``d^2 G^3 / 4``
+    multiply-adds per distinct prefix; memory ``O(d^3 G^2 + G^3)`` per row.
 
     The batch runs as one recursion with a leading row axis, in chunks of
     consecutive rows whose factor evaluations number about
     ``_CHUNK_ELEMENTS`` together, so the working set stays in cache.  Every
     elementwise operation, and every sum's order, is that of the row alone,
-    so neither the batch nor the chunking moves a bit.  A chunk whose rows
-    differ in their prefix sums builds one grid per row.  Any other chunk
-    takes a one-row grid, and the chunks after it reuse that grid while
-    their prefix sums repeat.  A new one-row grid comes from the last eight
-    kept for rows of up to ``_CHUNK_ELEMENTS`` evaluations, or, for a wider
-    row, is built for this call alone.
+    so neither the batch nor the chunking nor the sharing moves a bit.  A
+    chunk whose rows differ in their prefix sums builds one grid per row.
+    Any other chunk takes a one-row grid, and the chunks after it reuse that
+    grid while their prefix sums repeat.  A new one-row grid comes from the
+    last eight kept for rows of up to ``_CHUNK_ELEMENTS`` evaluations, or,
+    for a wider row, is built for this call alone.  On a one-row grid, rows
+    whose cells ``1..i`` have equal parameters (and ``powers``) share level
+    ``i``, and rows of equal parameters in a cell share that factor's
+    evaluations; only the last step, in ``T_d``, runs on every row.  A chunk
+    where no two rows share the first cell's parameters runs every row alone.
     """
     return _integrate_chains(prefix, (factors,), spec)[0]
 
@@ -427,11 +455,61 @@ def _exp_logs(log_values):
     return np.array(values), np.array(log_values)
 
 
-def _chain_logs(grid: _ChainGrid, factors: ChainFactors, g: int) -> list:
-    """The log integrals of the rows of ``factors`` on ``grid``."""
-    steps = factors.steps
+class _Prefixes(NamedTuple):
+    """The distinct prefixes of cell parameters ``1..i`` among a chunk's
+    rows, for each of which level ``i`` is computed once.  All four fields
+    are ``slice(None)`` when each row is its own prefix."""
+
+    first: object   # a row of each prefix
+    cell: object    # the distinct parameter row of cell i of each prefix
+    parent: object  # the prefix of cells 1..i-1 of each prefix
+    rows: object    # the prefix of each row
+
+
+_EVERY_ROW = _Prefixes(*[slice(None)] * 4)
+
+
+def _shared_levels(factors: ChainFactors):
+    """The cell factors ``1..d`` of a chunk's distinct parameter rows, one
+    row each, and the distinct prefixes of every level; ``None`` if no two
+    rows share the first cell's parameters.  A cell's parameters are its
+    factor's and its power, compared bit for bit."""
     count, d = factors.powers.shape
-    interp = mapped_interpolation(g)
+    steps, prefixes = [], []
+    prefix = np.zeros(count, dtype=np.intp)  # each row's prefix of the cells before
+    for i, step in enumerate(factors.steps[:d]):
+        params = np.concatenate([np.reshape(column, (count, -1)) for column in step]
+                                + [factors.powers[:, i, None]], axis=1)
+        cells, cell = _distinct(params.view(np.uint64))
+        if not i and len(cells) == count:
+            return None
+        # the first cell is its own prefix: its prefixes are its cells, in order
+        first, rows = _distinct((prefix * len(cells) + cell)[:, None])
+        steps.append(step.rows(cells))
+        prefixes.append(_Prefixes(first, cell[first], prefix[first], rows))
+        prefix = rows
+    return steps, prefixes
+
+
+def _distinct(keys):
+    """A row of each distinct row of the ``(B, k)`` integers ``keys``, and
+    the index of each row's among them."""
+    order = np.lexsort(keys.T)
+    ordered = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
+    index = np.empty(len(keys), dtype=np.intp)
+    index[order] = np.cumsum(new) - 1
+    return order[new], index
+
+
+def _chain_logs(grid: _ChainGrid, factors: ChainFactors, g: int) -> list:
+    """The log integrals of the rows of ``factors`` on ``grid``; on a
+    one-row grid, rows share levels and factor evaluations as
+    :func:`integrate_chain` describes."""
+    count, d = factors.powers.shape
+    shared = _shared_levels(factors) if grid.t.shape[0] == 1 and count > 1 else None
+    steps, prefixes = shared or (factors.steps, [_EVERY_ROW] * d)
 
     # Each level is stored relative to its largest value, so the terms that
     # matter are O(1) and round finely; the offsets, columns of the rows,
@@ -443,44 +521,76 @@ def _chain_logs(grid: _ChainGrid, factors: ChainFactors, g: int) -> list:
     exponents = np.add.accumulate(factors.powers + 1.0, axis=1)
     exponents -= 1.0
     for i in range(1, d):
-        offsets.append(_max(level, axis=1, keepdims=True))
-        level -= offsets[-1]
+        below, here = prefixes[i - 1], prefixes[i]
+        top = _max(level, axis=1, keepdims=True)
+        offsets.append(top[below.rows])
+        level -= top
         # log F_{i-1} at the mapped points of panels 0..i-1, centred per panel
-        logs = level.reshape(count, i, g).copy()
-        exponent = exponents[:, i - 1 : i]
+        size = len(level)
+        logs = level.reshape(size, i, g).copy()
+        exponent = exponents[below.first, i - 1 : i]
         logs[:, 0] -= exponent * grid.log_t[:, 0, :g]
         top = _max(logs, axis=2, keepdims=True)
         logs -= top
-        # einsum sums in a fixed order, row by row alike, and spawns no BLAS
-        # threads, whose spinning slowed the levels after a threaded product
-        # 3-4 fold
-        mapped = np.einsum("mc,cp->mp", logs.reshape(count * i, g), interp)
-        mapped = mapped.reshape(count, i, g * g)
+        mapped = _interpolate(logs, g)
         mapped += top
         mapped[:, 0] += exponent * grid.log_mapped
         # the mapped points x_a x_b are symmetric, so mapped[:, m] reads as [a, b]
-        mapped = mapped.reshape(count, i, g, g)
+        mapped = mapped.reshape(size, i, g, g)
+        # (factor + weight) + log F_{i-1}: the pinned outputs rest on this order
         terms = steps[i](grid.step[i - 1], grid.log_step[i - 1])
+        weights = grid.log_stretch_weight, grid.log_node_weight
+        if shared is None:  # both in one pass over each block
+            _add_to_blocks(terms, i, g, weights, (mapped, level))
+        else:  # the weights once per parameter row, log F_{i-1} per prefix
+            _add_to_blocks(terms, i, g, weights)
+            terms = terms[here.cell]
+            _add_to_blocks(terms, i, g, (mapped[here.parent], level[here.parent]))
         starts = [g * m * (m + 1) // 2 for m in range(i + 1)]
-        for m, first in enumerate(starts):
-            # (factor + weight) + log F_{i-1}: the pinned outputs rest on this order
-            if m < i:
-                block = terms[:, first : first + g]
-                block += grid.log_stretch_weight[:, m]
-                block += mapped[:, m]
-                first += g
-            if m:
-                block = terms[:, first : first + m * g]
-                block += grid.log_node_weight[:, : m * g, None]
-                block += level[:, : m * g, None]
-        level = _log_sum_exp(terms, starts).reshape(count, (i + 1) * g)
+        level = _log_sum_exp(terms, starts).reshape(len(terms), (i + 1) * g)
 
-    offsets.append(_max(level, axis=1, keepdims=True))
-    level -= offsets[-1]
-    final = level + grid.log_node_weight
-    final += steps[d](grid.t, np.log(1.0 - grid.t))[:, 0]
+    top = _max(level, axis=1, keepdims=True)
+    level -= top
+    rows = prefixes[-1].rows
+    offsets.append(top[rows])
+    final = level[rows] + grid.log_node_weight
+    final += factors.steps[d](grid.t, np.log(1.0 - grid.t))[:, 0]
     offsets.append(_log_sum_exp(final[:, :, None], [0])[:, 0])
     return [math.fsum(row) for row in np.concatenate(offsets, axis=1).tolist()]
+
+
+def _add_to_blocks(terms, i, g, *addends):
+    """Adds each ``(stretch, nodes)`` of ``addends`` in turn to each block of
+    the terms of level ``i + 1`` (:class:`_ChainGrid`): ``stretch[:, m]`` to
+    those of the mapped points of panel ``m``, ``nodes`` to those of the
+    full panels."""
+    first = 0
+    for m in range(i + 1):
+        if m < i:
+            block = terms[:, first : first + g]
+            for stretch, _ in addends:
+                block += stretch[:, m]
+            first += g
+        if m:
+            block = terms[:, first : first + m * g]
+            for _, nodes in addends:
+                block += nodes[:, : m * g, None]
+            first += m * g
+
+
+def _interpolate(logs, g):
+    """The ``(B, i, G)`` values at each panel's nodes interpolated to its
+    mapped points, ``(B, i, G^2)``.
+
+    ``einsum`` sums in a fixed order, row by row alike, and spawns no BLAS
+    threads, whose spinning slowed the levels after a threaded product 3-4
+    fold.  It runs on the ``G (G+1) / 2`` distinct mapped points, and each
+    result is copied to its twin.
+    """
+    half, expand = _half_interpolation(g)
+    size, i, _ = logs.shape
+    mapped = np.einsum("mc,cp->mp", logs.reshape(size * i, g), half)
+    return np.take(mapped, expand, axis=1).reshape(size, i, g * g)
 
 
 def _log_sum_exp(terms, starts):

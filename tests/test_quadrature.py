@@ -278,6 +278,21 @@ class TestMappedInterpolation:
             x, _ = legendre_rule(g)
             assert not np.isin(np.multiply.outer(x, x), x).any(), g
 
+    @pytest.mark.pinned_bits
+    def test_twin_columns_are_bitwise_equal(self, monkeypatch):
+        # column b*G + a is column a*G + b, as x_b x_a == x_a x_b, so the chain
+        # rule interpolates only the G (G+1) / 2 distinct columns; built
+        # uncached here, as every G held at once would take 0.5 GB
+        build = quadrature.mapped_interpolation.__wrapped__
+        monkeypatch.setattr(quadrature, "mapped_interpolation", build)
+        for g in range(quadrature.MIN_NODES, quadrature.MAX_NODES + 1):
+            full = build(g).view(np.uint64)
+            cube = full.reshape(g, g, g)
+            assert np.array_equal(cube, cube.transpose(0, 2, 1)), g
+            half, expand = quadrature._half_interpolation.__wrapped__(g)
+            assert half.shape == (g, g * (g + 1) // 2) and expand.shape == (g * g,)
+            assert np.array_equal(half[:, expand].view(np.uint64), full), g
+
 
 def _zero_step(u, log_u):
     return np.zeros(np.shape(u))

@@ -3,6 +3,7 @@ import importlib.util
 import itertools
 import math
 import pathlib
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -805,6 +806,107 @@ class TestGroupedExact:
                 tracemalloc.stop()
         assert peaks[0] > 8 * 3 * 1001**2  # one instance's matrices
         assert peaks[1] <= 1.2 * peaks[0]
+
+
+def _k_all_rows(p, ns):
+    """The rows of ``sweep --k-all`` over ``ns`` with weights ``p``, in its order."""
+    weights = make_weights(p)
+    return [instance_with_weights(n, weights, [b - a for a, b in zip((0,) + kappa, kappa)])
+            for n in ns for kappa in itertools.combinations(range(1, n + 1), len(p))]
+
+
+def _bench_panels(monkeypatch):
+    """``bench/panels.py``, the benchmark's seeded workload panels, imported
+    for the test alone (its dataclasses look their module up)."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "panels.py"
+    spec = importlib.util.spec_from_file_location("bench_panels", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.pinned_bits
+class TestSharedLevels:
+    """On a one-row grid, rows compute each level once per distinct prefix of
+    cell parameters and each cell factor once per distinct parameter row,
+    and each row stays bit for bit its batch of one."""
+
+    ROUTES = ["dirichlet", "gaussian"]
+    # name: (rows, whether a chunk shares levels)
+    BATCHES = {
+        # sweep --k-all on one p over two n, with ready and not-ready rows
+        "k-all-d2": (lambda: _k_all_rows([0.3, 0.25], (10, 16)), True),
+        "k-all-d3": (lambda: _k_all_rows([0.3, 0.25, 0.2], (8, 11)), True),
+        "k-all-d4": (lambda: _k_all_rows([0.2, 0.25, 0.2, 0.15], (9, 10)), True),
+        # sweep --n at fixed k: the Dirichlet rows differ in the last cell alone
+        "n-sweep": (lambda: [build_instance(n, [0.3, 0.25, 0.2], [3, 4, 5])
+                             for n in range(13, 60)], True),
+        # one p, but no two rows share the first cell
+        "no-shared-cell": (lambda: [build_instance(40, [0.3, 0.25, 0.2], [a, 3, 2])
+                                    for a in range(2, 20)], False),
+    }
+
+    @pytest.mark.parametrize("budget", [quadrature._CHUNK_ELEMENTS, 1], ids=["chunks", "row-chunks"])
+    @pytest.mark.parametrize("batch", list(BATCHES))
+    def test_rows_match_their_batch_of_one(self, monkeypatch, budget, batch):
+        make_rows, shares = self.BATCHES[batch]
+        rows = make_rows()
+        if batch.startswith("k-all"):
+            assert {inst.gaussian_block_reason is None for inst in rows} == {True, False}
+        plans = []
+        shared_levels = quadrature._shared_levels
+        monkeypatch.setattr(quadrature, "_shared_levels",
+                            lambda factors: plans.append(shared_levels(factors)) or plans[-1])
+        monkeypatch.setattr(quadrature, "_CHUNK_ELEMENTS", budget)
+        spec = QuadratureSpec(nodes=32)
+        reports = compare_batch(rows, spec, routes=self.ROUTES)
+        if budget == 1:
+            assert plans == []  # a chunk of one row runs alone
+        else:
+            assert plans and any(plan is not None for plan in plans) == shares
+        if batch == "n-sweep":
+            # the Dirichlet rows share every level: one prefix of cells 1..d
+            assert any(plan is not None and len(plan[1][-1].first) == 1 for plan in plans) == (budget > 1)
+        for inst, report in zip(rows, reports):
+            alone = compare_routes(inst, spec, routes=self.ROUTES)
+            assert _report_bits(report) == _report_bits(alone)
+
+    def test_sweep_runs_each_factor_and_level_once_per_distinct_row(self, monkeypatch, tmp_path):
+        from mnsurv import cli
+
+        op = _bench_panels(monkeypatch).build("cli-batch", 1).ops[0]
+        assert op.name == "sweep-d2"
+        chunks = []  # per _chain_logs call: its factors, the rows of each cell call and interpolation
+        chain_logs, interpolate = quadrature._chain_logs, quadrature._interpolate
+        monkeypatch.setattr(quadrature, "_chain_logs", lambda grid, factors, g: chunks.append(
+            (factors, [], [])) or chain_logs(grid, factors, g))
+        monkeypatch.setattr(quadrature, "_interpolate", lambda logs, g: chunks[-1][2].append(
+            len(logs)) or interpolate(logs, g))
+        for cell in (expansions._PowerCell, expansions._GaussianCell):
+            def counted(self, u, log_u, call=cell.__call__):
+                chunks[-1][1].append(len(self.j))
+                return call(self, u, log_u)
+            monkeypatch.setattr(cell, "__call__", counted)
+        assert cli.run(list(op.argv) + ["--out", str(tmp_path / op.out)]) == 0
+
+        runs = evaluated = 0
+        for factors, cells, interpolated in chunks:
+            count, d = factors.powers.shape
+            # each row's parameters of cells 1..d, bit for bit, with their powers
+            keys = [[tuple(np.asarray(column)[r].tobytes() for column in step)
+                     + (factors.powers[r, i].tobytes(),) for r in range(count)]
+                    for i, step in enumerate(factors.steps[:d])]
+            distinct = [len(set(key)) for key in keys]
+            prefixes = [len(set(zip(*keys[: i + 1]))) for i in range(d)]
+            if distinct[0] == count:  # no two rows share the first cell: each runs alone
+                distinct = prefixes = [count] * d
+            assert cells == distinct + [count]  # the last cell runs on every row
+            assert interpolated == prefixes[: d - 1]
+            runs += count * (d + 1)
+            evaluated += sum(cells)
+        assert {len(factors.steps) for factors, _, _ in chunks} == {3}
+        assert evaluated < 0.6 * runs
 
 
 @pytest.mark.pinned_bits
