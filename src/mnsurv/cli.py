@@ -36,8 +36,7 @@ from json.encoder import encode_basestring_ascii
 from .model import build_instance, instance_with_weights
 from .quadrature import MAX_NODES, MIN_NODES, MIN_PANEL_NODES, CostGuardError, QuadratureSpec
 
-# compare_routes is not called here: the benchmark's tracer (bench/tracing.py)
-# wraps it in this module.
+# compare_routes is not called here: bench/tracing.py's LAYERS wraps it here.
 from .survival import (
     MIN_REPLICATIONS,
     ROUTES,

@@ -38,8 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-# log_mvn_density is not called here: the benchmark's tracer
-# (bench/tracing.py) wraps it in this module.
+# log_mvn_density is not called here: bench/tracing.py's LAYERS wraps it here.
 from .covariance import _quad_form, coordinate_sum, log_mvn_density, quad_form
 from .model import SurvivalInstance
 from .quadrature import ChainFactors
@@ -160,7 +159,9 @@ def expansion_context(instance: SurvivalInstance) -> ExpansionContext:
 def expansion_contexts(instances) -> list:
     """:func:`expansion_context` of each of same-``d`` Gaussian-ready
     instances, as a list, in one pass over ``(R, d+1)`` arrays; each
-    context is bit for bit that of its instance alone."""
+    context is bit for bit that of its instance alone; ``[]`` for none."""
+    if not instances:
+        return []
     p_full = np.array([instance.weights.p_full for instance in instances])
     eps = np.array([instance.eps for instance in instances])
     eps_tilde = np.array([instance.eps_tilde for instance in instances])
@@ -332,6 +333,8 @@ def dirichlet_factors(instances) -> ChainFactors:
     factor with ``J_i = 0`` is 0 wherever its mass is positive, as every
     mass on the chain grid is.
     """
+    if not instances:
+        raise ValueError("a batch needs at least one instance")
     gaps = [instance.J.tolist() for instance in instances]
     J = np.array(gaps, dtype=float)
     constant = np.array([
@@ -389,6 +392,8 @@ def gaussian_factors(contexts) -> ChainFactors:
     ``delta_n + (d/2) ln N - (d ln(2 pi) + ln det Sigma)/2``, with the
     context's ``delta_n``.  Requires ``J_i >= 1`` for every cell.
     """
+    if not contexts:
+        raise ValueError("a batch needs at least one instance")
     instances = [ctx.instance for ctx in contexts]
     cells = _gaussian_cells(instances)
     constant = np.array([

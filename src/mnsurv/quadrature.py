@@ -8,15 +8,15 @@ Two integrators share the Gauss-Legendre rule of :func:`legendre_rule`.
   integrand that is a sum of one log factor per cell, ``phi_i(T_i -
   T_{i-1})`` for ``i <= d`` and ``phi_{d+1}(1 - T_d)``, a
   :class:`ChainFactors`, makes the ``d``-fold integral a ``d``-step
-  forward recursion of an integral operator.  The recursion is
-  discretised by a Nystrom rule on panels split at the prefix sums, in log
-  space; each target's sum runs over its own terms only, at a cost
-  polynomial in the nodes per panel.  It integrates a batch of same-``d``
-  integrands, one per row, in one recursion.  Level ``i`` depends only on
-  the grid and on cells ``1..i``, so rows on one grid compute it once per
-  distinct prefix of cell parameters (the rows of a sweep over thresholds
-  share most of their levels), and each cell factor once per distinct
-  parameter row.
+  forward recursion of an integral operator, discretised by a Nystrom rule
+  on panels split at the prefix sums, in log space: each level reaches the
+  mapped points of a panel's rule by barycentric interpolation at the
+  distinct products of nodes, and each target's sum runs over its own
+  terms only.  It integrates a batch of same-``d`` integrands, one per row,
+  in one recursion.  Level ``i`` depends only on the grid and on cells
+  ``1..i``, so rows on one grid compute it once per distinct prefix of
+  cell parameters (the rows of a sweep over thresholds share most of their
+  levels), and each cell factor once per distinct parameter row.
 * :func:`integrate_region` is the iterated (tensor-product) rule with
   variable upper limits ``U_i = P_i - (s_1 + ... + s_{i-1})``, for any
   log-integrand at ``G^d`` evaluations.  It is a short serial reference
@@ -41,7 +41,6 @@ __all__ = [
     "CostGuardError",
     "ChainFactors",
     "legendre_rule",
-    "mapped_interpolation",
     "integrate_chain",
     "integrate_region",
     "MAX_NODE_EVALS",
@@ -92,6 +91,13 @@ class QuadratureSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", _node_count(self.nodes))
+
+
+def _spec(spec) -> QuadratureSpec:
+    """``spec``, or the default ``QuadratureSpec()`` for ``None``."""
+    if spec is not None and not isinstance(spec, QuadratureSpec):
+        raise TypeError(f"spec must be a QuadratureSpec or None, got {type(spec).__name__}")
+    return QuadratureSpec() if spec is None else spec
 
 
 def _node_count(nodes) -> int:
@@ -151,38 +157,25 @@ def _legendre_and_derivative(g, x):
 
 
 @lru_cache(maxsize=None)
-def mapped_interpolation(nodes: int) -> np.ndarray:
-    """Interpolation from the rule's nodes to the products ``x_b * x_a``.
-
-    Returns the ``(G, G^2)`` matrix ``L`` with ``L[c, b*G + a] =
-    l_c(x_b x_a)``, where ``l_c`` is the Lagrange basis polynomial of node
-    ``c``: values at the ``G`` nodes of ``[0, 1]``, times ``L``, give the
-    interpolant at the nodes of the rule mapped to ``[0, x_b]``, for every
-    ``b``.  It is the barycentric formula with the closed-form weights
-    ``(-1)^c sqrt(x_c (1 - x_c) w_c)`` of the Gauss-Legendre nodes.  For
-    every accepted ``nodes``, no product ``x_b x_a`` is a node.
-    """
+def _half_interpolation(nodes: int):
+    """Barycentric interpolation from the rule's nodes to the distinct
+    products ``x_b x_a``, ``b <= a`` in row-major order: ``half[c, j] =
+    l_c(x_b x_a)`` for the ``j``-th, with ``l_c`` the Lagrange basis
+    polynomial of node ``c``, and ``expand[b*G + a]`` the column of ``x_b
+    x_a == x_a x_b``.  Values at the ``G`` nodes of ``[0, 1]``, times
+    ``half[:, expand]``, give the interpolant at the rule's nodes mapped to
+    ``[0, x_b]``, for every ``b``.  The weights are the closed-form ``(-1)^c
+    sqrt(x_c (1 - x_c) w_c)`` of Gauss-Legendre nodes, none of which is a
+    product ``x_b x_a`` for any accepted ``nodes``."""
     x, w = legendre_rule(nodes)
     bary = np.sqrt(x * (1.0 - x) * w)
     bary[1::2] *= -1.0
-    points = np.multiply.outer(x, x).ravel()
-    terms = bary[:, None] / (points - x[:, None])
-    out = terms / terms.sum(axis=0)
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _half_interpolation(nodes: int):
-    """The ``G (G+1) / 2`` distinct columns of :func:`mapped_interpolation`,
-    those of ``b <= a``, and for each of its ``G^2`` columns the index of
-    its own among them: column ``b*G + a`` equals column ``a*G + b`` bit for
-    bit, as ``x_b x_a == x_a x_b``."""
     b, a = np.triu_indices(nodes)
+    terms = bary[:, None] / (x[b] * x[a] - x[:, None])
+    half = terms / terms.sum(axis=0)
+    half.setflags(write=False)
     index = np.empty((nodes, nodes), dtype=np.intp)
     index[b, a] = index[a, b] = np.arange(b.size)
-    half = np.ascontiguousarray(mapped_interpolation(nodes)[:, b * nodes + a])
-    half.setflags(write=False)
     return half, index.ravel()
 
 
@@ -379,14 +372,14 @@ def integrate_chain(prefix, factors: ChainFactors, spec=None):
     nodes, and the stretch of panel ``m`` below the target with the rule
     mapped to it; ``log F_{i-1}`` (not ``F_{i-1}``, which spans hundreds of
     decades in a panel at n = 1000) is brought to the mapped points by
-    polynomial interpolation, the matrix of :func:`mapped_interpolation`.
+    polynomial interpolation: the barycentric formula, evaluated once per
+    ``G`` at the ``G (G+1) / 2`` distinct products ``x_b x_a = x_a x_b``.
     On panel 1, ``F_{i-1}`` is ``T^a`` times a smooth factor, with ``a`` the
     sum of the powers of steps ``1..i-1`` plus ``i - 2``, so ``log F - a ln
     T`` is interpolated instead.  Level ``i + 1`` evaluates ``i (i + 3) /
     2`` blocks of ``G x G`` terms, each factor once over all of them, and
     takes one log-sum-exp per panel of targets over the terms in their
-    sums.  The mapped points ``x_b x_a`` are symmetric in ``a`` and ``b``,
-    so only the ``G (G+1) / 2`` distinct ones are interpolated.  The cost is
+    sums.  The cost is
     about ``d^3 G^2 / 6`` factor evaluations and ``d^2 G^3 / 4``
     multiply-adds per distinct prefix; memory ``O(d^3 G^2 + G^3)`` per row.
 
@@ -413,7 +406,7 @@ def _integrate_chains(prefix, factor_sets, spec=None) -> list:
     same ``prefix`` rows, as a list of ``(values, logs)`` pairs; each
     chunk's grid is built once for every set (both survival integrands of
     a batch's Gaussian-ready rows)."""
-    spec = spec if spec is not None else QuadratureSpec()
+    spec = _spec(spec)
     prefix = np.asarray(prefix, dtype=float)
     count, d = prefix.shape
     for factors in factor_sets:
@@ -642,7 +635,7 @@ def integrate_region(weights: ProbabilityWeights, logf, spec=None):
     Gaussian one at ``d = 6`` (89 for the Dirichlet one), so an admitted
     integral peaks below 120 MB.
     """
-    spec = spec if spec is not None else QuadratureSpec()
+    spec = _spec(spec)
     d = weights.d
     g = spec.nodes
     count = g**d

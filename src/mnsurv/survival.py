@@ -37,9 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# delta_n, gamma_tilde, the two log-integrands and integrate_region are not
-# called here: the benchmark's tracer (bench/tracing.py) wraps them in this
-# module.
+# delta_n, gamma_tilde, the log-integrands and integrate_region are not called
+# here: bench/tracing.py's LAYERS wraps them here (tests/test_import_lint.py).
 from .expansions import (
     delta_n,
     dirichlet_factors,
@@ -55,6 +54,7 @@ from .quadrature import (
     CostGuardError,
     QuadratureSpec,
     _integrate_chains,
+    _spec,
     chain_evaluations,
     integrate_region,
 )
@@ -454,9 +454,11 @@ def compare_batch(
     finite on the grid of every valid instance, and their guards were
     checked in the row phase.
     """
-    spec = spec if spec is not None else QuadratureSpec()
+    spec = _spec(spec)
     if routes is None:
         routes = DETERMINISTIC_ROUTES + (("mc",) if replications is not None else ())
+    elif isinstance(routes, str):
+        raise TypeError(f"routes must be an iterable of route names, not the str {routes!r}")
     routes = set(routes)
     unknown = routes.difference(ROUTES)
     if unknown:

@@ -1,4 +1,4 @@
-"""Oracles that only the tests use, kept apart from the package.
+"""Oracles and shared helpers that only the tests use, kept apart from the package.
 
 ``report_to_dict`` is the JSON object of one report, which the CLI's JSON
 writer must match byte for byte under ``json.dumps(..., indent=2)``;
@@ -7,16 +7,24 @@ forms, with the same summation order as its quadratic form;
 ``survival_truth`` is the survival probability to 40 digits, by a
 recursion in mpmath that shares no code with mnsurv; ``merge_zero_thresholds``
 is the merge loop ``reduce_thresholds`` had before it read its input with
-``build_instance``'s checks.
+``build_instance``'s checks; ``mapped_interpolation`` is the full
+barycentric matrix whose distinct columns the chain rule builds;
+``binomial_tail`` is the exact binomial tail.  ``mc_target`` and
+``wide_rows`` are helpers more than one test file uses: the instance
+Monte Carlo runs on, and the seeded rows of ``d = 8..20``.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import mpmath
 import numpy as np
 
+from mnsurv.checks import random_weights
 from mnsurv.covariance import _checked_points, _scalar_or_array, _scaled_dot, coordinate_sum
-from mnsurv.model import ProbabilityWeights
+from mnsurv.model import ProbabilityWeights, build_instance, reduce_thresholds
 from mnsurv.survival import RouteReport
 
 
@@ -114,3 +122,48 @@ def survival_truth(n, p, k):
                  for t in range(kappa, n + 1)]
             lo, hi = kappa, n
         return +mpmath.fsum(f)
+
+
+def mapped_interpolation(x, w) -> np.ndarray:
+    """The ``(G, G^2)`` matrix ``L[c, b*G + a] = l_c(x_b x_a)`` of the
+    Gauss-Legendre nodes ``x`` and weights ``w`` on ``[0, 1]``, ``l_c``
+    being the Lagrange basis polynomial of node ``c``: the barycentric
+    formula with the closed-form weights ``(-1)^c sqrt(x_c (1 - x_c) w_c)``
+    at every product, each twin ``x_a x_b`` evaluated on its own."""
+    bary = np.sqrt(x * (1.0 - x) * w)
+    bary[1::2] *= -1.0
+    points = np.multiply.outer(x, x).ravel()
+    terms = bary[:, None] / (points - x[:, None])
+    return terms / terms.sum(axis=0)
+
+
+def binomial_tail(n, p_float, k):
+    """Exact tail P(Bin(n, p) >= k) for the binary value of p.
+
+    ``p = a / 2^e`` exactly, so the tail is a ratio of integers; Python's
+    integer division rounds it to the nearest float.
+    """
+    a, den = Fraction(p_float).as_integer_ratio()
+    b = den - a
+    return sum(math.comb(n, x) * a**x * b ** (n - x) for x in range(k, n + 1)) / den**n
+
+
+def mc_target(inst):
+    """The instance Monte Carlo runs on: the reduced one, if any cell is left."""
+    rp, rk = reduce_thresholds(inst.p, inst.k)
+    return build_instance(inst.n, rp, rk) if rk.size else inst
+
+
+def wide_rows():
+    """Two rows each of d = 8, 12, 16, 20 (seed 50), every ``S_i``'s
+    threshold half a standard deviation below its mean."""
+    rng = np.random.default_rng(50)
+    rows = []
+    for d in (8, 12, 16, 20):
+        for _ in range(2):
+            n = int(rng.integers(100, 601))
+            p = random_weights(rng, d)
+            prefix = np.cumsum(p)
+            kappa = np.round(n * prefix - 0.5 * np.sqrt(n * prefix * (1.0 - prefix)))
+            rows.append(build_instance(n, p, np.maximum(np.diff(kappa, prepend=0), 2)))
+    return rows

@@ -6,15 +6,12 @@ lines; every criterion asserts at its stated tolerance and runtime budget.
 
 import math
 import time
-from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from mnsurv import (
     QuadratureSpec,
     build_instance,
-    capital_lambda,
     gamma_tilde,
     gamma_tilde_series,
     h_grad,
@@ -36,6 +33,7 @@ from mnsurv import (
     survival_mc,
 )
 from mnsurv.checks import (
+    _interior_point,
     gamma_star_remainder,
     random_gaussian_ready_instance,
     random_instance,
@@ -43,17 +41,12 @@ from mnsurv.checks import (
     rate_test_instance,
     rate_test_pair,
 )
+from oracles import binomial_tail
 
 
 def _report(number, ok, detail):
     print(f"\n[criterion {number:02d}] {'PASS' if ok else 'FAIL'} — {detail}")
     assert ok, detail
-
-
-def binomial_tail(n, p_float, k):
-    p = Fraction(p_float)
-    q = 1 - p
-    return float(sum(Fraction(math.comb(n, x)) * p**x * q ** (n - x) for x in range(k, n + 1)))
 
 
 def test_criterion_01_binomial_reduction():
@@ -153,7 +146,7 @@ def test_criterion_06_pointwise_identity():
     worst = 0.0
     for _ in range(20):
         inst = random_gaussian_ready_instance(rng)
-        pts = np.vstack([_interior(rng, inst) for _ in range(100)])
+        pts = np.vstack([_interior_point(rng, inst) for _ in range(100)])
         gap = np.abs(
             np.asarray(log_dirichlet_integrand(inst, pts))
             - np.asarray(log_gaussian_integrand(inst, pts))
@@ -181,7 +174,7 @@ def test_criterion_07_identity_suite():
             worst_ent1,
             abs(lhs1 + 0.5 * quad_form(inst.weights, et) + gamma_tilde(inst)),
         )
-        s = _interior(rng, inst)
+        s = _interior_point(rng, inst)
         rhs2 = (
             0.5 * quad_form(inst.weights, et)
             - 0.5 * quad_form(inst.weights, s - jn[:d])
@@ -193,7 +186,7 @@ def test_criterion_07_identity_suite():
         worst_maxdiff = max(worst_maxdiff, abs(lhs3 - rhs3))
         worst_grad = max(worst_grad, float(np.max(np.abs(h_grad(inst, jn)))))
     inst = random_gaussian_ready_instance(rng, d=3)
-    hess = h_hessian(inst, _interior(rng, inst))
+    hess = h_hessian(inst, _interior_point(rng, inst))
     for _ in range(1000):
         z = rng.normal(size=3)
         hessian_ok &= bool(z @ hess @ z < 0.0)
@@ -276,13 +269,3 @@ def test_criterion_10_monotonicity():
         )
     ok = worst <= 1e-12
     _report(10, ok, f"200 pairs: max increase {worst:.1e} (<=1e-12)")
-
-
-def _interior(rng, inst):
-    s = np.empty(inst.d)
-    acc = 0.0
-    for i in range(inst.d):
-        upper = inst.weights.prefix[i] - acc
-        s[i] = upper * rng.uniform(0.02, 0.98)
-        acc += s[i]
-    return s

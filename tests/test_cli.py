@@ -11,11 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mnsurv import (QuadratureSpec, build_instance, cli, compare_routes, quadrature,
-                    reduce_thresholds, survival)
+from mnsurv import QuadratureSpec, build_instance, cli, compare_routes, quadrature, survival
 from mnsurv.cli import emit_reports, run
 from mnsurv.survival import McResult, RouteReport
-from oracles import report_to_dict
+from oracles import mc_target, report_to_dict
 
 
 def run_to_file(tmp_path, args, name="out.bin"):
@@ -478,12 +477,6 @@ class TestSubcommands:
         assert "FAIL" in capsys.readouterr().out
 
 
-def _mc_target(n, p, k):
-    """The instance ``survival_mc`` runs on: the reduced one, if any cell is left."""
-    rp, rk = reduce_thresholds(p, k)
-    return build_instance(n, rp, rk) if rk.size else build_instance(n, p, k)
-
-
 class TestMcSeedRule:
     RECORDS = [
         {"n": 10, "p": [0.3, 0.3], "k": [2, 3]},
@@ -493,7 +486,7 @@ class TestMcSeedRule:
 
     @staticmethod
     def _assert_mc(record, mc, reps, seed):
-        target = _mc_target(record["n"], record["p"], record["k"])
+        target = mc_target(build_instance(record["n"], record["p"], record["k"]))
         est, se = survival.survival_mc(target, reps, seed)
         assert mc == {"estimate": est, "stderr": se, "replications": reps, "seed": seed}
 

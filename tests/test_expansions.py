@@ -29,13 +29,14 @@ from mnsurv import (
 )
 from mnsurv import expansions
 from mnsurv.checks import (
+    _interior_point,
     gamma_star_remainder,
     random_gaussian_ready_instance,
     random_weights,
     rate_test_instance,
     rate_test_pair,
 )
-from oracles import bilinear_form
+from oracles import bilinear_form, wide_rows
 
 mp.mp.dps = 50
 
@@ -270,7 +271,7 @@ class TestEntropyIdentities:
         rng = np.random.default_rng(25)
         for _ in range(50):
             inst = random_gaussian_ready_instance(rng)
-            s = _interior(rng, inst)
+            s = _interior_point(rng, inst)
             jn = inst.J / inst.N
             et = inst.eps_tilde[: inst.d]
             rhs = (
@@ -317,7 +318,7 @@ class TestH:
     def test_hessian_negative_definite(self):
         rng = np.random.default_rng(30)
         inst = random_gaussian_ready_instance(rng, d=3)
-        s = _interior(rng, inst)
+        s = _interior_point(rng, inst)
         hess = h_hessian(inst, s)
         np.testing.assert_allclose(hess, hess.T)
         for _ in range(1000):
@@ -329,7 +330,7 @@ class TestH:
         rng = np.random.default_rng(31)
         for _ in range(50):
             inst = random_gaussian_ready_instance(rng)
-            s = _interior(rng, inst)
+            s = _interior_point(rng, inst)
             jn = inst.J / inst.N
             n = inst.N
             lhs = n * (h_value(inst, s) - h_value(inst, inst.weights.p_full)) + n * (
@@ -374,7 +375,7 @@ class TestIntegrands:
         worst = 0.0
         for _ in range(20):
             inst = random_gaussian_ready_instance(rng)
-            pts = np.vstack([_interior(rng, inst) for _ in range(100)])
+            pts = np.vstack([_interior_point(rng, inst) for _ in range(100)])
             gap = np.abs(
                 np.asarray(log_dirichlet_integrand(inst, pts))
                 - np.asarray(log_gaussian_integrand(inst, pts))
@@ -419,7 +420,7 @@ class TestIntegrands:
     def test_memory_order_does_not_change_values(self, n, p, k):
         inst = build_instance(n, p, k)
         rng = np.random.default_rng(34)
-        pts = np.vstack([_interior(rng, inst) for _ in range(500)])
+        pts = np.vstack([_interior_point(rng, inst) for _ in range(500)])
         fortran = np.asfortranarray(pts)
         assert pts.flags.c_contiguous and fortran.flags.f_contiguous
         for logf in (
@@ -435,7 +436,7 @@ class TestIntegrands:
         for _ in range(20):
             inst = random_gaussian_ready_instance(rng)
             d, N = inst.d, inst.N
-            pts = np.vstack([_interior(rng, inst) for _ in range(50)])
+            pts = np.vstack([_interior_point(rng, inst) for _ in range(50)])
             full = np.column_stack([pts, 1.0 - pts.sum(axis=1)])
             diri = (math.lgamma(N + d + 1) - sum(math.lgamma(j + 1) for j in inst.J)
                     + np.log(full) @ inst.J)
@@ -564,7 +565,7 @@ class TestBroadcastColumns:
 
     def test_columns_of_a_single_point_give_a_float(self):
         inst = build_instance(*COLUMN_INSTANCES[3])
-        s = _interior(np.random.default_rng(38), inst)
+        s = _interior_point(np.random.default_rng(38), inst)
         for f in (log_dirichlet_integrand, log_gaussian_integrand, gamma_star, h_value):
             value = f(inst, s)
             assert isinstance(value, float) and value == f(inst, s[None, :])[0]
@@ -603,7 +604,7 @@ FROZEN_DIGESTS = {
 def _frozen_batch(inst):
     """Interior points (free and full coordinates) and off-simplex points."""
     rng = np.random.default_rng(40 + inst.d)
-    pts = np.stack([_interior(rng, inst) for _ in range(6)]).reshape(2, 3, inst.d)
+    pts = np.stack([_interior_point(rng, inst) for _ in range(6)]).reshape(2, 3, inst.d)
     full = np.concatenate([pts, 1.0 - pts.sum(axis=-1, keepdims=True)], axis=-1)
     return pts, full, 3.0 * pts - 0.2
 
@@ -672,7 +673,7 @@ class TestFrozenDerivativeBits:
     @pytest.mark.parametrize("n, p, k", FROZEN_INSTANCES, ids=FROZEN_IDS)
     def test_derivative_bits(self, n, p, k):
         inst = build_instance(n, p, k)
-        s = _interior(np.random.default_rng(70 + inst.d), inst)
+        s = _interior_point(np.random.default_rng(70 + inst.d), inst)
         forms = {"free": s, "full": np.append(s, 1.0 - s.sum())}
         text = _hex_text({
             f"{f.__name__}_{form}": f(inst, point)
@@ -690,20 +691,6 @@ FROZEN_SCALED_TILTS = [
     ("-0x1.da8e61ecec700p-10", "-0x1.24aaa4626de44p-4"),
     ("-0x1.7f76542c177c0p-11", "-0x1.f36f053be1870p-6"),
 ]
-
-
-def _wide_rows():
-    """The d = 8, 12, 16, 20 rows of the survival tests' wide-d accuracy check."""
-    rng = np.random.default_rng(50)
-    rows = []
-    for d in (8, 12, 16, 20):
-        for _ in range(2):
-            n = int(rng.integers(100, 601))
-            p = random_weights(rng, d)
-            prefix = np.cumsum(p)
-            kappa = np.round(n * prefix - 0.5 * np.sqrt(n * prefix * (1.0 - prefix)))
-            rows.append(build_instance(n, p, np.maximum(np.diff(kappa, prepend=0), 2)))
-    return rows
 
 
 def _context_bits(ctx):
@@ -731,7 +718,7 @@ class TestGroupedContexts:
                 assert [_context_bits(ctx) for ctx in contexts] == expected[:size]
 
     def test_wide_rows_match_their_instance_alone(self):
-        rows = _wide_rows()
+        rows = wide_rows()
         for d in (8, 12, 16, 20):
             group = [inst for inst in rows if inst.d == d]
             contexts = expansions.expansion_contexts(group)
@@ -739,18 +726,16 @@ class TestGroupedContexts:
                 _context_bits(expansion_context(inst)) for inst in group
             ]
 
+    def test_no_instances_give_no_contexts(self):
+        assert expansions.expansion_contexts([]) == []
+
+    @pytest.mark.parametrize("build", [dirichlet_factors, gaussian_factors])
+    def test_factors_of_an_empty_batch_are_refused(self, build):
+        with pytest.raises(ValueError, match="a batch needs at least one instance"):
+            build([])
+
     @pytest.mark.parametrize("inst_args, bits", list(zip(FROZEN_INSTANCES, FROZEN_SCALED_TILTS)),
                              ids=FROZEN_IDS)
     def test_scaled_tilts_keep_their_bits(self, inst_args, bits):
         inst = build_instance(*inst_args)
         assert (gamma_tilde(inst, 0.5).hex(), gamma_tilde(inst, 2.0).hex()) == bits
-
-
-def _interior(rng, inst):
-    s = np.empty(inst.d)
-    acc = 0.0
-    for i in range(inst.d):
-        upper = inst.weights.prefix[i] - acc
-        s[i] = upper * rng.uniform(0.02, 0.98)
-        acc += s[i]
-    return s

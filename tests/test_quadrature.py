@@ -28,6 +28,7 @@ from mnsurv import (
 )
 from mnsurv.checks import random_instance, random_weights
 from mnsurv.model import WEIGHT_MARGIN
+from oracles import mapped_interpolation
 
 
 class TestLegendreRule:
@@ -257,10 +258,16 @@ class TestBlockedIntegration:
 
 
 class TestMappedInterpolation:
+    @staticmethod
+    def _read(g):
+        """The ``(G, G^2)`` matrix the chain rule reads: the half, expanded."""
+        half, expand = quadrature._half_interpolation(g)
+        return half[:, expand]
+
     @pytest.mark.parametrize("g", [2, 5, 32, 64])
     def test_reproduces_polynomials_of_degree_below_g(self, g):
         x, _ = legendre_rule(g)
-        matrix = quadrature.mapped_interpolation(g)
+        matrix = self._read(g)
         assert matrix.shape == (g, g * g)
         coef = np.random.default_rng(g).normal(size=g)
         poly = np.polynomial.Polynomial(coef)
@@ -268,8 +275,7 @@ class TestMappedInterpolation:
         np.testing.assert_allclose(poly(x) @ matrix, expected, rtol=0, atol=1e-12)
 
     def test_columns_sum_to_one(self):
-        np.testing.assert_allclose(quadrature.mapped_interpolation(64).sum(axis=0), 1.0,
-                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(self._read(64).sum(axis=0), 1.0, rtol=0, atol=1e-13)
 
     def test_no_mapped_point_is_a_node(self):
         # the barycentric formula divides by x_b x_a - x_c, so no accepted rule may
@@ -279,19 +285,22 @@ class TestMappedInterpolation:
             assert not np.isin(np.multiply.outer(x, x), x).any(), g
 
     @pytest.mark.pinned_bits
-    def test_twin_columns_are_bitwise_equal(self, monkeypatch):
-        # column b*G + a is column a*G + b, as x_b x_a == x_a x_b, so the chain
-        # rule interpolates only the G (G+1) / 2 distinct columns; built
-        # uncached here, as every G held at once would take 0.5 GB
-        build = quadrature.mapped_interpolation.__wrapped__
-        monkeypatch.setattr(quadrature, "mapped_interpolation", build)
+    def test_twin_columns_are_bitwise_equal(self):
+        # in the full matrix, built here by the oracle, column b*G + a is column
+        # a*G + b, as x_b x_a == x_a x_b: so the chain rule builds only the
+        # G (G+1) / 2 distinct columns
         for g in range(quadrature.MIN_NODES, quadrature.MAX_NODES + 1):
-            full = build(g).view(np.uint64)
-            cube = full.reshape(g, g, g)
+            cube = mapped_interpolation(*legendre_rule(g)).view(np.uint64).reshape(g, g, g)
             assert np.array_equal(cube, cube.transpose(0, 2, 1)), g
+
+    @pytest.mark.pinned_bits
+    def test_half_expands_to_the_oracle_bitwise(self):
+        # built uncached, as every G held at once would take 0.25 GB
+        for g in range(quadrature.MIN_NODES, quadrature.MAX_NODES + 1):
             half, expand = quadrature._half_interpolation.__wrapped__(g)
             assert half.shape == (g, g * (g + 1) // 2) and expand.shape == (g * g,)
-            assert np.array_equal(half[:, expand].view(np.uint64), full), g
+            full = mapped_interpolation(*legendre_rule(g))
+            assert np.array_equal(half[:, expand].view(np.uint64), full.view(np.uint64)), g
 
 
 def _zero_step(u, log_u):
@@ -570,6 +579,15 @@ class TestCallers:
 
 
 class TestSpecValidation:
+    def test_integrators_refuse_a_spec_of_another_type(self):
+        weights = make_weights([0.3])
+        prefix = np.array([weights.prefix])
+        factors = dirichlet_factors([build_instance(10, [0.3], [3])])
+        with pytest.raises(TypeError, match="QuadratureSpec"):
+            integrate_chain(prefix, factors, 40)
+        with pytest.raises(TypeError, match="QuadratureSpec"):
+            integrate_region(weights, lambda s: np.zeros(len(s)), 8)
+
     def test_rejects_nodes_out_of_range(self):
         with pytest.raises(ValueError):
             QuadratureSpec(nodes=1)

@@ -22,7 +22,6 @@ from mnsurv import (
     compare_routes,
     instance_with_weights,
     make_weights,
-    reduce_thresholds,
     survival_dirichlet,
     survival_exact,
     survival_gaussian,
@@ -30,18 +29,7 @@ from mnsurv import (
 )
 from mnsurv import expansions, quadrature, survival
 from mnsurv.checks import random_instance, random_weights
-from oracles import survival_truth
-
-
-def binomial_tail(n, p_float, k):
-    """Exact tail P(Bin(n, p) >= k) for the binary value of p.
-
-    ``p = a / 2^e`` exactly, so the tail is a ratio of integers; Python's
-    integer division rounds it to the nearest float.
-    """
-    a, den = Fraction(p_float).as_integer_ratio()
-    b = den - a
-    return sum(math.comb(n, x) * a**x * b ** (n - x) for x in range(k, n + 1)) / den**n
+from oracles import binomial_tail, mc_target, survival_truth, wide_rows
 
 
 def _compositions(n, parts):
@@ -424,6 +412,20 @@ class TestCompareRoutes:
         with pytest.raises(ValueError):
             compare_routes(build_instance(10, [0.3], [3]), routes=["exact", "bayes"])
 
+    def test_a_string_of_routes_is_refused(self):
+        # a str is an iterable of letters, which read as the routes 'e', 'x', ...
+        with pytest.raises(TypeError, match="iterable of route names"):
+            compare_routes(build_instance(10, [0.3], [3]), routes="exact")
+        with pytest.raises(TypeError, match="iterable of route names"):
+            compare_batch([build_instance(10, [0.3], [3])], routes="dirichlet")
+
+    @pytest.mark.parametrize("spec", [40, "64", {"nodes": 64}])
+    def test_spec_must_be_a_quadrature_spec(self, spec):
+        with pytest.raises(TypeError, match="QuadratureSpec"):
+            compare_routes(build_instance(10, [0.3], [3]), spec)
+        with pytest.raises(TypeError, match="QuadratureSpec"):
+            survival_dirichlet(build_instance(10, [0.3], [3]), spec)
+
     def test_one_delta_n_per_gaussian_instance(self, monkeypatch):
         calls = []
         original = survival.expansion_context
@@ -514,14 +516,8 @@ def _batch_rows(draw):
     return build_instance(n, p, k.tolist())
 
 
-def _mc_target(inst):
-    """The instance Monte Carlo runs on: the reduced one, if any cell is left."""
-    rp, rk = reduce_thresholds(inst.p, inst.k)
-    return build_instance(inst.n, rp, rk) if rk.size else inst
-
-
 def _mc_key(inst):
-    target = _mc_target(inst)
+    target = mc_target(inst)
     return target.n, tuple(target.weights.prefix.tolist())
 
 
@@ -684,7 +680,7 @@ class TestCompareBatch:
         reports = compare_batch(rows, routes=["mc"], replications=2000, seed=40)
         assert [report.mc.seed for report in reports] == [40, 41, 40, 40, 40, 41, 40]
         for inst, report in zip(rows, reports):
-            est, se = survival_mc(_mc_target(inst), 2000, report.mc.seed)
+            est, se = survival_mc(mc_target(inst), 2000, report.mc.seed)
             assert (report.mc.estimate.hex(), report.mc.stderr.hex()) == (est.hex(), se.hex())
 
     def test_one_draw_per_chunk_of_each_shared_sample(self, monkeypatch):
@@ -754,8 +750,8 @@ class TestGroupedExact:
     @pytest.mark.parametrize("budget", [survival._EXACT_CHUNK_ENTRIES, 1], ids=["chunks", "one-each"])
     def test_rows_match_survival_exact(self, monkeypatch, budget):
         rows = _exact_panel(np.random.default_rng(70))
-        # a batch runs the exact route on the reduced instance (_mc_target)
-        expected = [survival_exact(_mc_target(inst)).hex() for inst in rows]
+        # a batch runs the exact route on the reduced instance (mc_target)
+        expected = [survival_exact(mc_target(inst)).hex() for inst in rows]
         assert len({(inst.n, inst.d) for inst in rows}) < len(rows)  # groups of several rows
         assert any(0.0 < float.fromhex(value) < 1e-30 for value in expected)
         assert {0.0, 1.0} <= {float.fromhex(value) for value in expected}
@@ -977,17 +973,8 @@ class TestChainAccuracy:
             checked += 1
 
     def test_wide_d_against_exact(self):
-        # the scope in d that README states: two rows each of d = 8-20, every
-        # S_i's threshold half a standard deviation below its mean
-        rng = np.random.default_rng(50)
-        rows = []
-        for d in (8, 12, 16, 20):
-            for _ in range(2):
-                n = int(rng.integers(100, 601))
-                p = random_weights(rng, d)
-                prefix = np.cumsum(p)
-                kappa = np.round(n * prefix - 0.5 * np.sqrt(n * prefix * (1.0 - prefix)))
-                rows.append(build_instance(n, p, np.maximum(np.diff(kappa, prepend=0), 2)))
+        # the scope in d that README states: two rows each of d = 8-20
+        rows = wide_rows()
         quadrature._shared_chain_grid.cache_clear()
         for inst, report in zip(rows, compare_batch(rows)):
             exact = survival_exact(inst)
